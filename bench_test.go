@@ -115,9 +115,8 @@ func BenchmarkAblationWindow16(b *testing.B) {
 
 // --- Microbenchmarks ---------------------------------------------------
 
-// BenchmarkHotPath runs the per-access hot-path suite shared with the
-// `ubsweep -bench` runner (internal/bench); its results are the per-PR
-// BENCH_*.json perf trajectory.
+// BenchmarkHotPath runs the per-access hot-path suite shared with
+// TestHotPathAllocGate (internal/bench).
 func BenchmarkHotPath(b *testing.B) {
 	for _, c := range bench.Cases() {
 		b.Run(c.Name, c.Bench)

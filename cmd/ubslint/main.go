@@ -1,8 +1,7 @@
 // Command ubslint checks the repository's simulator invariants with the
-// nine-analyzer go/analysis suite in internal/analysis: six syntactic
-// rules (misspath, statsexhaustive, determinism, hotpathalloc,
-// atomicfield, snapstate) and three CFG-dataflow rules (wallclocktaint,
-// ctxleak, mutexguard).
+// eight-analyzer go/analysis suite in internal/analysis: five syntactic
+// rules (misspath, determinism, hotpathalloc, atomicfield, snapstate)
+// and three CFG-dataflow rules (wallclocktaint, ctxleak, mutexguard).
 //
 // It speaks the go vet tool protocol, so the low-level invocation is
 //

@@ -121,8 +121,8 @@ func TestEmitSARIF(t *testing.T) {
 	if run.Tool.Driver.Name != "ubslint" {
 		t.Errorf("driver name = %q", run.Tool.Driver.Name)
 	}
-	if len(run.Tool.Driver.Rules) != 9 {
-		t.Errorf("rule table has %d rules, want the full 9-analyzer roster", len(run.Tool.Driver.Rules))
+	if len(run.Tool.Driver.Rules) != 8 {
+		t.Errorf("rule table has %d rules, want the full 8-analyzer roster", len(run.Tool.Driver.Rules))
 	}
 	if len(run.Results) != 1 {
 		t.Fatalf("got %d results, want 1 (baselined findings are suppressed)", len(run.Results))

@@ -8,7 +8,6 @@
 //	ubsweep -designs ubs:64,conv:128      # custom design comparison vs conv-32KB
 //	ubsweep -designs ubs,conv:64 -workload mix:examples/specs/clients.yaml
 //	ubsweep -list                         # available experiments
-//	ubsweep -bench BENCH_PR2.json         # hot-path microbench suite -> JSON
 //	ubsweep -exp all -cpuprofile cpu.out  # pprof the sweep itself
 //
 // Simulation points are deduplicated across experiments and run across
@@ -35,7 +34,6 @@ import (
 	"strings"
 	"syscall"
 
-	"ubscache/internal/bench"
 	"ubscache/internal/exp"
 	"ubscache/internal/runner"
 	"ubscache/internal/sim"
@@ -62,9 +60,6 @@ func run() int {
 		jsonOut   = flag.Bool("json", false, "write results.json (into -out, or the current directory)")
 		cacheDir  = flag.String("cache", "", "on-disk result cache directory (resumable sweeps)")
 		verbose   = flag.Bool("v", false, "print per-run progress and ETA")
-		benchOut  = flag.String("bench", "", "run the hot-path microbench suite and write a BENCH_*.json report to this file")
-		benchBase = flag.String("bench-baseline", "", "embed this earlier BENCH_*.json report as the baseline section")
-		benchTag  = flag.String("bench-label", "", "label recorded in the bench report (default: the output filename)")
 		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
 	)
@@ -96,10 +91,6 @@ func run() int {
 				fmt.Fprintln(os.Stderr, err)
 			}
 		}()
-	}
-
-	if *benchOut != "" {
-		return runBench(*benchOut, *benchBase, *benchTag)
 	}
 
 	noSelection := *expID == "" && *specPath == "" && *designsIn == "" && *wlIn == ""
@@ -229,45 +220,5 @@ func run() int {
 	if *verbose && resultsPath != "" {
 		fmt.Fprintf(os.Stderr, "runner: wrote %s (%d runs)\n", resultsPath, len(outc.Results.Runs))
 	}
-	return 0
-}
-
-// runBench executes the hot-path microbench suite (internal/bench, the
-// same cases as `go test -bench HotPath`) and writes the BENCH_*.json
-// perf-trajectory artifact, optionally embedding an earlier report as the
-// baseline to compare against.
-func runBench(outPath, basePath, label string) int {
-	if label == "" {
-		label = filepath.Base(outPath)
-	}
-	fmt.Fprintf(os.Stderr, "bench: running hot-path suite (label %s)...\n", label)
-	rep := bench.Run(label)
-	if basePath != "" {
-		base, err := bench.ReadJSON(basePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		rep.Baseline = base.Benches
-	}
-	if err := rep.WriteJSON(outPath); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	baseline := map[string]bench.Measurement{}
-	for _, m := range rep.Baseline {
-		baseline[m.Name] = m
-	}
-	for _, m := range rep.Benches {
-		line := fmt.Sprintf("%-14s %12.1f ns/op %6d allocs/op", m.Name, m.NsPerOp, m.AllocsPerOp)
-		if m.NsPerInstr > 0 {
-			line += fmt.Sprintf("  %8.1f ns/instr", m.NsPerInstr)
-		}
-		if b, ok := baseline[m.Name]; ok && m.NsPerOp > 0 {
-			line += fmt.Sprintf("  %5.2fx vs baseline", b.NsPerOp/m.NsPerOp)
-		}
-		fmt.Println(line)
-	}
-	fmt.Fprintf(os.Stderr, "bench: wrote %s\n", outPath)
 	return 0
 }

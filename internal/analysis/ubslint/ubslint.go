@@ -1,13 +1,12 @@
 // Package ubslint assembles the repository's invariant analyzers — the
 // go/analysis suite that compiles the simulator's methodological
-// assumptions (single miss path, exhaustive stat accounting, trace
-// determinism, allocation-free hot loops, consistent atomicity,
-// checkpoint round-trip completeness) into rules checked on every
-// build. The syntactic tier (six analyzers) is joined by a dataflow
-// tier (wallclocktaint, ctxleak, mutexguard) that runs flow-sensitive
-// fixpoints over each function's CFG. cmd/ubslint wires the suite into
-// `go vet -vettool` and CI; the suite self-applies cleanly to this tree
-// (see TestSuiteSelfApplication).
+// assumptions (single miss path, trace determinism, allocation-free hot
+// loops, consistent atomicity, checkpoint round-trip completeness) into
+// rules checked on every build. The syntactic tier (five analyzers) is
+// joined by a dataflow tier (wallclocktaint, ctxleak, mutexguard) that
+// runs flow-sensitive fixpoints over each function's CFG. cmd/ubslint
+// wires the suite into `go vet -vettool` and CI; the suite self-applies
+// cleanly to this tree (see TestSuiteSelfApplication).
 package ubslint
 
 import (
@@ -20,7 +19,6 @@ import (
 	"ubscache/internal/analysis/misspath"
 	"ubscache/internal/analysis/mutexguard"
 	"ubscache/internal/analysis/snapstate"
-	"ubscache/internal/analysis/statsexhaustive"
 	"ubscache/internal/analysis/wallclocktaint"
 )
 
@@ -34,7 +32,6 @@ func Analyzers() []*analysis.Analyzer {
 		misspath.Analyzer,
 		mutexguard.Analyzer,
 		snapstate.Analyzer,
-		statsexhaustive.Analyzer,
 		wallclocktaint.Analyzer,
 	}
 }

@@ -14,7 +14,7 @@ import (
 func TestSuite(t *testing.T) {
 	want := []string{
 		"atomicfield", "ctxleak", "determinism", "hotpathalloc", "misspath",
-		"mutexguard", "snapstate", "statsexhaustive", "wallclocktaint",
+		"mutexguard", "snapstate", "wallclocktaint",
 	}
 	got := ubslint.Analyzers()
 	if len(got) != len(want) {

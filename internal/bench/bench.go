@@ -1,7 +1,7 @@
-// Package bench defines the hot-path microbenchmark suite behind both the
-// `go test -bench HotPath` family and the `ubsweep -bench` runner mode that
-// emits the BENCH_*.json perf-trajectory artifacts (one per PR, so every
-// change has a number to compare against).
+// Package bench defines the hot-path microbenchmark suite behind the
+// `go test -bench HotPath` family and TestHotPathAllocGate. End-to-end
+// and per-layer performance is measured by the repository benchmark in
+// perfbench/.
 //
 // Each case drives one per-access hot path of the timing model in steady
 // state — MSHR churn, the L2/L3/DRAM hierarchy walk, L1-D loads, UBS
@@ -12,10 +12,6 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"os"
-	"runtime"
 	"testing"
 
 	"ubscache/internal/cache"
@@ -29,8 +25,6 @@ import (
 // Case is one hot-path microbenchmark.
 type Case struct {
 	Name string
-	// InstrsPerOp converts ns/op to ns/simulated-instruction when nonzero.
-	InstrsPerOp uint64
 	// AllocFree declares the steady-state contract TestHotPathAllocGate
 	// enforces: the measured loop must report 0 allocs/op.
 	AllocFree bool
@@ -51,8 +45,8 @@ func Cases() []Case {
 		{Name: "EngineFetch", AllocFree: true, Bench: benchEngineFetch},
 		{Name: "DataCacheLoad", AllocFree: true, Bench: benchDataCacheLoad},
 		{Name: "UBSFetch", AllocFree: true, Bench: benchUBSFetch},
-		{Name: "SimInstr", InstrsPerOp: simInstrs, AllocFree: true, Bench: benchSimInstr},
-		{Name: "NilObserver", InstrsPerOp: obsInstrs, AllocFree: true, Bench: benchNilObserver},
+		{Name: "SimInstr", AllocFree: true, Bench: benchSimInstr},
+		{Name: "NilObserver", AllocFree: true, Bench: benchNilObserver},
 	}
 }
 
@@ -232,72 +226,4 @@ func benchNilObserver(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// Measurement is one benchmark result within a Report.
-type Measurement struct {
-	Name        string  `json:"name"`
-	Iterations  int     `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	NsPerInstr  float64 `json:"ns_per_instruction,omitempty"`
-}
-
-// Report is the BENCH_*.json document: one suite run, optionally paired
-// with the numbers of the baseline it was compared against.
-type Report struct {
-	Label      string        `json:"label"`
-	GoVersion  string        `json:"go_version"`
-	GOMAXPROCS int           `json:"gomaxprocs"`
-	Benches    []Measurement `json:"benches"`
-	// Baseline carries the pre-change numbers when the runner was given a
-	// baseline report to diff against (ubsweep -bench-baseline).
-	Baseline []Measurement `json:"baseline,omitempty"`
-}
-
-// Run executes the whole suite via testing.Benchmark and returns a report.
-func Run(label string) Report {
-	rep := Report{
-		Label:      label,
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
-	for _, c := range Cases() {
-		r := testing.Benchmark(c.Bench)
-		m := Measurement{
-			Name:        c.Name,
-			Iterations:  r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-		}
-		if c.InstrsPerOp > 0 {
-			m.NsPerInstr = m.NsPerOp / float64(c.InstrsPerOp)
-		}
-		rep.Benches = append(rep.Benches, m)
-	}
-	return rep
-}
-
-// WriteJSON writes the report to path.
-func (r Report) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ReadJSON loads a previously written report.
-func ReadJSON(path string) (Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Report{}, err
-	}
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return Report{}, fmt.Errorf("bench: parsing %s: %w", path, err)
-	}
-	return r, nil
 }

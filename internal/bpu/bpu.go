@@ -53,22 +53,6 @@ type Stats struct {
 	RASMispredicts uint64
 }
 
-// Delta returns s minus before, field by field. The warmup-subtraction
-// path in package sim relies on it covering every counter; a reflection
-// test there fails the build of any new numeric field that is not
-// subtracted here.
-func (s Stats) Delta(before Stats) Stats {
-	s.Branches -= before.Branches
-	s.CondBranches -= before.CondBranches
-	s.DirectionWrong -= before.DirectionWrong
-	s.TargetWrong -= before.TargetWrong
-	s.BTBMisses -= before.BTBMisses
-	s.Mispredictions -= before.Mispredictions
-	s.DecodeResteers -= before.DecodeResteers
-	s.RASMispredicts -= before.RASMispredicts
-	return s
-}
-
 // MPKI returns mispredictions per kilo-instruction given a retired count.
 func (s Stats) MPKI(instructions uint64) float64 {
 	if instructions == 0 {
@@ -149,6 +133,10 @@ func (b *BPU) Config() Config { return b.cfg }
 
 // Stats returns the accumulated statistics.
 func (b *BPU) Stats() Stats { return b.stats }
+
+// ResetStats clears the statistics (end of warmup) without touching the
+// predictor, BTB, or RAS.
+func (b *BPU) ResetStats() { b.stats = Stats{} }
 
 // mix is a 64-bit finaliser used for all table hashing.
 func mix(x uint64) uint64 {

@@ -268,6 +268,12 @@ func TestCorruptedCheckpointRejected(t *testing.T) {
 		binary.LittleEndian.PutUint16(b[4:], Version+1)
 		return reseal(b)
 	})
+	// Version 1 carried warmup stat baselines in MachineState; its
+	// layout no longer decodes.
+	mutate("version-1", func(b []byte) []byte {
+		binary.LittleEndian.PutUint16(b[4:], 1)
+		return reseal(b)
+	})
 }
 
 // reseal recomputes the trailing CRC so structural mutations are tested

@@ -9,9 +9,9 @@ import (
 // frontend accounting (Stats). Every bundled frontend — Conventional,
 // SmallBlock, Distill, and ubs.Cache — embeds one Engine instead of
 // carrying its own MSHR, hierarchy handle, latency, and counter code, so
-// the Frontend methods Stats, Latency, and the MSHROccupant extension are
-// implemented exactly once, and a timing or accounting fix to the miss
-// path lands in one place for every design.
+// the Frontend methods Stats, ResetStats, Latency, and the MSHROccupant
+// extension are implemented exactly once, and a timing or accounting fix
+// to the miss path lands in one place for every design.
 //
 // A demand fetch is the three-step protocol
 //
@@ -38,6 +38,9 @@ func (e *Engine) Latency() uint64 { return e.eng.Latency() }
 
 // Stats returns the accumulated counters (Frontend).
 func (e *Engine) Stats() Stats { return e.stats }
+
+// ResetStats zeroes the counters (Frontend).
+func (e *Engine) ResetStats() { e.stats = Stats{} }
 
 // MSHRInFlight reports the live MSHR occupancy at cycle now (MSHROccupant).
 func (e *Engine) MSHRInFlight(now uint64) int { return e.eng.InFlight(now) }

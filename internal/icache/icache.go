@@ -72,23 +72,6 @@ type Stats struct {
 	PrefetchDrops uint64
 }
 
-// Delta returns s minus before, field by field. The warmup-subtraction
-// path in package sim relies on it covering every counter; a reflection
-// test there fails the build of any new numeric field that is not
-// subtracted here.
-func (s Stats) Delta(before Stats) Stats {
-	s.Fetches -= before.Fetches
-	s.Hits -= before.Hits
-	s.Misses -= before.Misses
-	for i := range s.ByKind {
-		s.ByKind[i] -= before.ByKind[i]
-	}
-	s.MSHRStalls -= before.MSHRStalls
-	s.Prefetches -= before.Prefetches
-	s.PrefetchDrops -= before.PrefetchDrops
-	return s
-}
-
 // MPKI returns demand misses per kilo-instruction.
 func (s Stats) MPKI(instructions uint64) float64 {
 	if instructions == 0 {
@@ -119,8 +102,12 @@ type Frontend interface {
 	// Efficiency returns the current storage efficiency (fraction of
 	// resident bytes that have been accessed), ok=false when empty.
 	Efficiency() (float64, bool)
-	// Stats returns the accumulated counters.
+	// Stats returns the counters accumulated since construction or the
+	// last ResetStats.
 	Stats() Stats
+	// ResetStats zeroes every counter, the design's own extensions
+	// included; sim.Machine calls it when warmup ends.
+	ResetStats()
 	// Latency returns the hit latency in cycles.
 	Latency() uint64
 }

@@ -2,12 +2,15 @@ package runner
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"os"
 	"testing"
 
 	"ubscache/internal/checkpoint"
+	"ubscache/internal/obs"
 	"ubscache/internal/sim"
 	"ubscache/internal/workloadspec"
 )
@@ -155,5 +158,81 @@ func TestStoreCorruptCheckpointFallsBack(t *testing.T) {
 	}
 	if res.Core.Instructions < p.Measure {
 		t.Errorf("fresh fallback ran %d < %d instructions", res.Core.Instructions, p.Measure)
+	}
+}
+
+// TestStoreVersion1CheckpointRecomputes pins that a checkpoint written
+// under layout version 1 (which carried warmup stat baselines the
+// current layout does not) is never resumed: the Store discards it and
+// recomputes the point from its warmup.
+func TestStoreVersion1CheckpointRecomputes(t *testing.T) {
+	p := ckTestParams()
+	w, err := workloadspec.ParseWorkload("server_001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := sim.ParseDesign("conv:32")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := workloadspec.Run(context.Background(), p, w, "conv:32", d.Factory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.Marshal(ref)
+
+	// A genuine mid-measure checkpoint of this point, relabelled as
+	// version 1 with its checksum resealed.
+	src, err := w.NewSource()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := sim.NewMachine(context.Background(), p, src, w.Name, "conv:32", d.Factory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Advance(p.Measure / 2); err != nil {
+		t.Fatal(err)
+	}
+	var st sim.MachineState
+	if err := m.Snapshot(&st); err != nil {
+		t.Fatal(err)
+	}
+	meta := checkpoint.Meta{Workload: w.Spec, WorkloadName: w.Name, Design: "conv:32", Params: p}
+	data, err := checkpoint.Encode(meta, &st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint16(data[4:], 1)
+	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(data[:len(data)-4]))
+
+	s := NewStore(t.TempDir())
+	s.CheckpointEvery = 7_000
+	key := WorkloadKey(p, w, "conv:32")
+	if err := os.WriteFile(s.ckPath(key), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Only a fresh run passes through warmup; a resumed one starts in
+	// the measure phase.
+	warmBeats := 0
+	hp := p
+	hp.HeartbeatEvery = 1_000
+	hp.Observer = obs.FuncObserver{OnHeartbeat: func(hb *obs.Heartbeat) {
+		if hb.Phase == "warmup" {
+			warmBeats++
+		}
+	}}
+	res, err := s.RunWorkloadContext(context.Background(), hp, w, "conv:32", d.Factory)
+	if err != nil {
+		t.Fatalf("version-1 checkpoint should fall back, got %v", err)
+	}
+	if warmBeats == 0 {
+		t.Error("version-1 checkpoint was resumed instead of recomputed")
+	}
+	if got, _ := json.Marshal(res); string(got) != string(want) {
+		t.Errorf("recomputed point diverged:\n got:  %s\n want: %s", got, want)
+	}
+	if _, err := os.Stat(s.ckPath(key)); !os.IsNotExist(err) {
+		t.Errorf("checkpoint not removed after success (err=%v)", err)
 	}
 }

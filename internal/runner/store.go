@@ -16,36 +16,29 @@ import (
 	"ubscache/internal/workloadspec"
 )
 
-// Key returns the content hash identifying one simulation point: the
-// normalised parameters, the full workload configuration, and the design
-// name. Equal keys denote equal results across processes because every
-// simulation is a deterministic function of exactly these inputs.
-func Key(p sim.Params, wcfg workload.Config, design string) string {
-	h := sha256.New()
-	enc := json.NewEncoder(h)
-	// The structs are flat with exported fields only; encoding cannot fail.
-	enc.Encode(p)
-	enc.Encode(wcfg)
-	enc.Encode(design)
-	return hex.EncodeToString(h.Sum(nil)[:16])
-}
-
-// WorkloadKey extends Key to registry workloads. Generator-backed
-// workloads hash their materialised workload.Config through Key, so every
-// historical cache entry and every "preset:x"-vs-bare-"x" spelling of the
-// same program keeps the same key. Source-backed workloads (mix, trace,
-// champsim) hash their canonical resolved Spec — mix files are inlined at
-// parse time, so the key covers the clients and seed, not a file path.
-// The "workload-spec" tag keeps the two hash domains disjoint.
+// WorkloadKey returns the content hash identifying one simulation
+// point: the model epoch, the normalised parameters, the workload, and
+// the design name. Equal keys denote equal results across processes
+// because every simulation is a deterministic function of exactly these
+// inputs under one sim.ModelEpoch. Generator-backed workloads hash their
+// materialised workload.Config, so the "preset:x" and bare "x"
+// spellings of the same program share a key. Source-backed workloads
+// (mix, trace, champsim) hash their canonical resolved Spec — mix files
+// are inlined at parse time, so the key covers the clients and seed, not
+// a file path. The "workload-spec" tag keeps the two hash domains
+// disjoint.
 func WorkloadKey(p sim.Params, w workloadspec.Workload, design string) string {
-	if cfg, ok := w.Config(); ok {
-		return Key(p, cfg, design)
-	}
 	h := sha256.New()
 	enc := json.NewEncoder(h)
+	// Every value encodes: the structs hold exported fields only.
+	enc.Encode(sim.ModelEpoch)
 	enc.Encode(p)
-	enc.Encode("workload-spec")
-	enc.Encode(w.Spec)
+	if cfg, ok := w.Config(); ok {
+		enc.Encode(cfg)
+	} else {
+		enc.Encode("workload-spec")
+		enc.Encode(w.Spec)
+	}
 	enc.Encode(design)
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
@@ -68,7 +61,7 @@ type flight struct {
 	err  error
 }
 
-// Store memoizes simulation results by content Key. Concurrent requests
+// Store memoizes simulation results by WorkloadKey. Concurrent requests
 // for the same key block on a single in-flight simulation (singleflight)
 // rather than duplicating work, and a non-empty Dir persists every result
 // as JSON so an interrupted sweep resumes instead of recomputing. Errors

@@ -10,6 +10,7 @@ import (
 	"ubscache/internal/core"
 	"ubscache/internal/sim"
 	"ubscache/internal/workload"
+	"ubscache/internal/workloadspec"
 )
 
 func testPoint(t *testing.T, family workload.Family, idx int) (sim.Params, workload.Config) {
@@ -116,18 +117,24 @@ func TestStoreDistinctKeysRunSeparately(t *testing.T) {
 
 func TestKeyStability(t *testing.T) {
 	p, wcfg := testPoint(t, workload.FamilyServer, 0)
-	k1 := Key(p, wcfg, "ubs")
-	k2 := Key(p, wcfg, "ubs")
+	w := workloadspec.FromConfig(wcfg)
+	k1 := WorkloadKey(p, w, "ubs")
+	k2 := WorkloadKey(p, w, "ubs")
 	if k1 != k2 {
 		t.Fatalf("same inputs, different keys: %s vs %s", k1, k2)
 	}
-	if k := Key(p, wcfg, "conv-32KB"); k == k1 {
+	if k := WorkloadKey(p, w, "conv-32KB"); k == k1 {
 		t.Fatal("different design, same key")
 	}
 	p2 := p
 	p2.Warmup++
-	if k := Key(p2, wcfg, "ubs"); k == k1 {
+	if k := WorkloadKey(p2, w, "ubs"); k == k1 {
 		t.Fatal("different params, same key")
+	}
+	wcfg2 := wcfg
+	wcfg2.Seed++
+	if k := WorkloadKey(p, workloadspec.FromConfig(wcfg2), "ubs"); k == k1 {
+		t.Fatal("different workload, same key")
 	}
 }
 
@@ -161,7 +168,7 @@ func TestStoreDiskCache(t *testing.T) {
 	if res1.Core != res2.Core || res1.Workload != res2.Workload || res1.Design != res2.Design {
 		t.Fatalf("disk round-trip changed the result: %+v vs %+v", res1, res2)
 	}
-	key := Key(p, wcfg, "ubs")
+	key := WorkloadKey(p, workloadspec.FromConfig(wcfg), "ubs")
 	if !s2.Meta(key).Disk {
 		t.Error("disk hit not recorded in meta")
 	}

@@ -31,15 +31,11 @@ func mixWorkload(t *testing.T, seed int64) workloadspec.Workload {
 	return w
 }
 
-// TestWorkloadKeyLegacyEquality pins the cache-compatibility contract: a
-// generator-backed workload keys exactly like the historical
-// (params, config, design) hash — so disk caches written before the
-// workload registry, and the "preset:x" vs bare "x" spellings, all dedup
-// to one entry — while source-backed workloads get their own stable keys.
+// TestWorkloadKeyLegacyEquality pins the key-equality contract: the
+// "preset:x" and bare "x" spellings of a generator-backed workload dedup
+// to one entry, while source-backed workloads get their own stable keys.
 func TestWorkloadKeyLegacyEquality(t *testing.T) {
 	p, wcfg := testPoint(t, workload.FamilyServer, 0)
-	legacy := Key(p, wcfg, "ubs")
-
 	bare, err := workloadspec.ParseWorkload(wcfg.Name)
 	if err != nil {
 		t.Fatal(err)
@@ -48,16 +44,14 @@ func TestWorkloadKeyLegacyEquality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k := WorkloadKey(p, bare, "ubs"); k != legacy {
-		t.Errorf("bare preset key %s != legacy key %s", k, legacy)
-	}
-	if k := WorkloadKey(p, prefixed, "ubs"); k != legacy {
-		t.Errorf("preset: key %s != legacy key %s", k, legacy)
+	key := WorkloadKey(p, bare, "ubs")
+	if k := WorkloadKey(p, prefixed, "ubs"); k != key {
+		t.Errorf("preset: key %s != bare key %s", k, key)
 	}
 
 	mix := mixWorkload(t, 7)
 	mk := WorkloadKey(p, mix, "ubs")
-	if mk == legacy {
+	if mk == key {
 		t.Error("mix workload collides with the preset key")
 	}
 	if mk != WorkloadKey(p, mixWorkload(t, 7), "ubs") {

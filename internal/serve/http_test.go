@@ -5,13 +5,19 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"ubscache/internal/runner"
+	"ubscache/internal/sim"
+	"ubscache/internal/workload"
 )
 
 func postJob(t *testing.T, ts *httptest.Server, body string) (*http.Response, SubmitResponse) {
@@ -278,4 +284,90 @@ func waitHTTPStateTerminal(t *testing.T, ts *httptest.Server, id string, want Jo
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("job %s never reached %s", id, want)
+}
+
+// promValue reads one sample's value from a Prometheus text body.
+func promValue(t *testing.T, body, name string) float64 {
+	t.Helper()
+	for _, ln := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(ln, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", ln, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("metric %s missing:\n%s", name, body)
+	return 0
+}
+
+// TestHTTPMetricsBeforeTerminalState hammers the publish order: any job
+// the API reports as terminal must already be counted in /metrics
+// done/failed/cancelled, and no longer in jobs_inflight. Jobs run in
+// small waves; each wave mixes a completed, a failed, a memoized, and a
+// cancelled job, and the checker spins on the API until the whole wave is
+// terminal, then reads /metrics at once, when every job ever submitted
+// is terminal and the counters must match exactly. Run it under -race.
+func TestHTTPMetricsBeforeTerminalState(t *testing.T) {
+	store := runner.NewStore("")
+	store.SimContext = func(ctx context.Context, _ sim.Params, wcfg workload.Config, design string, _ sim.FrontendFactory) (sim.Result, error) {
+		select {
+		case <-time.After(100 * time.Microsecond):
+		case <-ctx.Done():
+			return sim.Result{}, ctx.Err()
+		}
+		if strings.Contains(design, "distill") {
+			return sim.Result{}, errors.New("synthetic failure")
+		}
+		return sim.Result{Workload: wcfg.Name, Design: design}, nil
+	}
+	s := New(testConfig(store, 2))
+	defer s.Close()
+	h := s.Handler()
+	call := func(method, path string) string {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, nil))
+		if method == http.MethodGet && rec.Code != http.StatusOK {
+			t.Fatalf("GET %s = %d", path, rec.Code)
+		}
+		return rec.Body.String()
+	}
+
+	want := map[string]float64{}
+	deadline := time.Now().Add(30 * time.Second)
+	for wave := 0; wave < 100; wave++ {
+		// A fresh measure length per wave makes its first three keys new;
+		// the fourth repeats the first, so it finishes from the memo or
+		// by sharing the first's execution.
+		var ids []string
+		for _, d := range []string{"conv:32", "distill", "ubs", "conv:32"} {
+			j := submitOK(t, s, SubmitRequest{Design: d, Workload: "server_001", Measure: 20_000 + uint64(wave)})
+			ids = append(ids, j.ID())
+		}
+		call(http.MethodDelete, "/jobs/"+ids[2])
+		for _, id := range ids {
+			var st JobStatus
+			for !st.State.Terminal() {
+				if time.Now().After(deadline) {
+					t.Fatalf("job %s stuck in %s", id, st.State)
+				}
+				if err := json.Unmarshal([]byte(call(http.MethodGet, "/jobs/"+id)), &st); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want["ubsd_jobs_"+string(st.State)]++
+		}
+		prom := call(http.MethodGet, "/metrics")
+		for _, name := range []string{"ubsd_jobs_done", "ubsd_jobs_failed", "ubsd_jobs_cancelled", "ubsd_jobs_inflight"} {
+			if got := promValue(t, prom, name); got != want[name] {
+				t.Fatalf("wave %d: every job is terminal through the API, but %s = %v, want %v", wave, name, got, want[name])
+			}
+		}
+	}
+	for _, name := range []string{"ubsd_jobs_done", "ubsd_jobs_failed", "ubsd_jobs_cancelled"} {
+		if want[name] == 0 {
+			t.Errorf("no job counted in %s: the hammer missed a finish path", name)
+		}
+	}
 }

@@ -32,6 +32,11 @@ type Job struct {
 	mu sync.Mutex
 	//ubs:guardedby(mu)
 	state JobState
+	// finishing marks a terminal transition claimed by finish but not yet
+	// published; it keeps the claim exclusive while finish runs the
+	// caller's accounting outside mu.
+	//ubs:guardedby(mu)
+	finishing bool
 	// runCancel aborts the current execution attempt only (suspension);
 	// cancel above is the job's lifetime and is terminal.
 	//ubs:guardedby(mu)
@@ -142,7 +147,7 @@ func (j *Job) beginAttempt() (context.Context, bool) {
 // execution attempt; false means the job was not running.
 func (j *Job) suspend() bool {
 	j.mu.Lock()
-	if j.state != JobRunning {
+	if j.state != JobRunning || j.finishing {
 		j.mu.Unlock()
 		return false
 	}
@@ -193,13 +198,20 @@ func (j *Job) beatCount() int {
 
 // finish moves the job to a terminal state, emits the closing "status"
 // and "end" events, and closes the event log. It is idempotent: only the
-// first terminal transition wins.
-func (j *Job) finish(state JobState, res *sim.Result, fromCache bool, err error) bool {
+// first terminal transition wins, and only the winner runs account. It
+// runs after the transition is claimed and before the terminal state is
+// published, so the service metrics already count the job when any
+// reader sees it terminal.
+func (j *Job) finish(state JobState, res *sim.Result, fromCache bool, err error, account func()) {
 	j.mu.Lock()
-	if j.state.Terminal() {
+	if j.state.Terminal() || j.finishing {
 		j.mu.Unlock()
-		return false
+		return
 	}
+	j.finishing = true
+	j.mu.Unlock()
+	account()
+	j.mu.Lock()
 	j.state, j.err, j.fromCache = state, err, fromCache
 	j.finishedAt = time.Now()
 	if res != nil {
@@ -223,7 +235,6 @@ func (j *Job) finish(state JobState, res *sim.Result, fromCache bool, err error)
 	}
 	j.log.close()
 	j.cancel() // release the context's resources
-	return true
 }
 
 // jobObserver bridges obs run events into the job's SSE stream. EndRun is

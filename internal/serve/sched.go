@@ -309,7 +309,8 @@ func (s *sched) run(j *Job) {
 		return // cancelled while queued
 	}
 	s.inflightAdd(j, 1)
-	defer s.inflightAdd(j, -1)
+	release := sync.OnceFunc(func() { s.inflightAdd(j, -1) })
+	defer release()
 
 	t0 := time.Now()
 
@@ -351,28 +352,28 @@ func (s *sched) run(j *Job) {
 		return
 	}
 
+	var res *sim.Result
+	state := JobFailed
 	switch {
 	case o.err == nil:
-		fromCache := o.shared
-		if fromCache {
-			s.metrics.deduped.Inc()
-		}
-		res := o.res
+		state, res = JobDone, &o.res
 		if j.beatCount() == 0 {
 			// Deduped or cached: no live run fed this job's stream.
-			j.heartbeat(syntheticFinal(j, &res))
-		}
-		if j.finish(JobDone, &res, fromCache, nil) {
-			s.metrics.finished(JobDone)
-			s.metrics.jobSeconds(j.design.Name).Observe(time.Since(t0).Seconds())
+			j.heartbeat(syntheticFinal(j, res))
 		}
 	case errors.Is(o.err, context.Canceled) || errors.Is(o.err, context.DeadlineExceeded):
-		if j.finish(JobCancelled, nil, false, o.err) {
-			s.metrics.finished(JobCancelled)
-		}
-	default:
-		if j.finish(JobFailed, nil, false, o.err) {
-			s.metrics.finished(JobFailed)
-		}
+		state = JobCancelled
 	}
+	// The worker's slot and the terminal counters are released before
+	// the terminal state is published (see Job.finish).
+	j.finish(state, res, o.shared, o.err, func() {
+		release()
+		s.metrics.finished(state)
+		if state == JobDone {
+			if o.shared {
+				s.metrics.deduped.Inc()
+			}
+			s.metrics.jobSeconds(j.design.Name).Observe(time.Since(t0).Seconds())
+		}
+	})
 }

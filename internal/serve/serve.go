@@ -142,20 +142,17 @@ func (s *Server) Cancel(id string) (*Job, bool, error) {
 	if !ok {
 		return nil, false, fmt.Errorf("serve: no job %q", id)
 	}
+	count := func() { s.metrics.finished(JobCancelled) }
 	if s.sched.remove(j) {
 		// Still queued: finish it here; the worker never sees it.
-		if j.finish(JobCancelled, nil, false, context.Canceled) {
-			s.metrics.finished(JobCancelled)
-		}
+		j.finish(JobCancelled, nil, false, context.Canceled, count)
 		return j, true, nil
 	}
 	if s.sched.unpark(j) {
 		// Suspended: no worker owns it, so finish it here. finish cancels
 		// the job context, which also keeps a racing resume from reviving
 		// it.
-		if j.finish(JobCancelled, nil, false, context.Canceled) {
-			s.metrics.finished(JobCancelled)
-		}
+		j.finish(JobCancelled, nil, false, context.Canceled, count)
 		return j, true, nil
 	}
 	if j.State().Terminal() {

@@ -46,10 +46,8 @@ type hbState struct {
 	// Phase state.
 	phase  string
 	target uint64
-	icBase icache.Stats
-	bpBase bpu.Stats
 
-	// Rolling-rate state (phase-relative, like core stats).
+	// Rolling-rate state (phase-relative, like every counter).
 	prevCycles, prevInstr, prevMisses uint64
 
 	hb    obs.Heartbeat
@@ -104,21 +102,20 @@ func newHBState(ob obs.Observer, workload, design string,
 }
 
 // startPhase switches the heartbeat stream to a new phase with its
-// instruction target and warmup-subtraction bases.
-func (st *hbState) startPhase(phase string, target uint64, icBase icache.Stats, bpBase bpu.Stats) {
+// instruction target.
+func (st *hbState) startPhase(phase string, target uint64) {
 	if st == nil {
 		return
 	}
 	st.phase, st.target = phase, target
-	st.icBase, st.bpBase = icBase, bpBase
 	st.prevCycles, st.prevInstr, st.prevMisses = 0, 0, 0
 }
 
 // fill recomputes the reusable heartbeat buffer from live state.
 func (st *hbState) fill() {
 	cs := st.c.Stats()
-	is := st.ic.Stats().Delta(st.icBase)
-	bs := st.bp.Stats().Delta(st.bpBase)
+	is := st.ic.Stats()
+	bs := st.bp.Stats()
 	st.seq++
 	st.hb = obs.Heartbeat{
 		Workload: st.workload, Design: st.design, Phase: st.phase, Seq: st.seq,

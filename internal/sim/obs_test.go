@@ -111,8 +111,8 @@ func TestHeartbeatCadence(t *testing.T) {
 		t.Error("predictor hit rate unreported on UBS")
 	}
 
-	// The registry snapshot agrees with the final result: phase-relative
-	// icache counters equal the warmup-subtracted Result counters.
+	// The registry snapshot agrees with the final result: every source
+	// that reaches Result counts the measured window only.
 	snap := col.reg.Snapshot()
 	if v, ok := snap.Get("heartbeats"); !ok || v != float64(len(col.beats)) {
 		t.Errorf("heartbeats metric = %v, want %d", v, len(col.beats))
@@ -120,11 +120,60 @@ func TestHeartbeatCadence(t *testing.T) {
 	if v, ok := snap.Get("core_instructions"); !ok || v != float64(res.Core.Instructions) {
 		t.Errorf("core_instructions = %v, want %d", v, res.Core.Instructions)
 	}
-	if _, ok := snap.Get("ubs_predictor_hits"); !ok {
-		t.Error("ubs source not registered")
+	if v, ok := snap.Get("icache_fetches"); !ok || v != float64(res.ICache.Fetches) {
+		t.Errorf("icache_fetches = %v, want %d", v, res.ICache.Fetches)
+	}
+	if v, ok := snap.Get("bpu_mispredictions"); !ok || v != float64(res.BPU.Mispredictions) {
+		t.Errorf("bpu_mispredictions = %v, want %d", v, res.BPU.Mispredictions)
+	}
+	if v, ok := snap.Get("ubs_predictor_hits"); !ok || v != float64(res.UBS.PredictorHits) {
+		t.Errorf("ubs_predictor_hits = %v, want %d", v, res.UBS.PredictorHits)
 	}
 	if _, ok := snap.Get("dram_accesses"); !ok {
 		t.Error("dram source not registered")
+	}
+}
+
+// TestHeartbeatMatchesRegistry pins that the two observability views
+// never contradict each other: at every measure-phase heartbeat the
+// heartbeat's icache counters equal the registry's icache source.
+func TestHeartbeatMatchesRegistry(t *testing.T) {
+	wcfg, err := workload.Preset(workload.FamilyServer, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, design := range []string{"conv:32", "ubs"} {
+		d, err := ParseDesign(design)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reg *obs.Registry
+		measured := 0
+		p := obsParams()
+		p.Observer = obs.FuncObserver{
+			OnBegin: func(_ obs.RunInfo, r *obs.Registry) { reg = r },
+			OnHeartbeat: func(hb *obs.Heartbeat) {
+				if hb.Phase != "measure" {
+					return
+				}
+				measured++
+				snap := reg.Snapshot()
+				for _, c := range []struct {
+					metric string
+					hb     uint64
+				}{{"icache_fetches", hb.Fetches}, {"icache_misses", hb.Misses}} {
+					if v, ok := snap.Get(c.metric); !ok || v != float64(c.hb) {
+						t.Errorf("%s beat %d: %s = %v, heartbeat says %d", design, hb.Seq, c.metric, v, c.hb)
+					}
+				}
+			},
+		}
+		if _, err := Run(p, wcfg, d.Name, d.Factory); err != nil {
+			t.Fatal(err)
+		}
+		if measured == 0 {
+			t.Fatalf("%s: no measure-phase heartbeats", design)
+		}
 	}
 }
 

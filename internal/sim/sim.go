@@ -108,6 +108,12 @@ func DistillFactory(cfg icache.DistillConfig) FrontendFactory {
 	}
 }
 
+// ModelEpoch identifies the simulator's behaviour. Bump it in any change
+// that alters some Result for some input (params, workload, design):
+// result caches fold it into their content keys, so results computed
+// under another epoch are never served.
+const ModelEpoch = 1
+
 // Result is one simulation's outcome.
 type Result struct {
 	Workload string
@@ -203,8 +209,6 @@ type Machine struct {
 	st  *hbState // nil when no observer is configured
 
 	warmed bool
-	icWarm icache.Stats
-	bpWarm bpu.Stats
 
 	effSamples []float64
 	effStride  uint64 // keep every effStride-th sample tick
@@ -270,13 +274,14 @@ func (m *Machine) Core() *core.Core { return m.c }
 // Frontend exposes the instruction-cache design under test.
 func (m *Machine) Frontend() icache.Frontend { return m.ic }
 
-// Warmup runs the configured warmup phase and arms measurement. It is
-// idempotent; Advance calls it automatically if needed.
+// Warmup runs the configured warmup phase, zeroes the core, frontend,
+// and BPU counters, and arms measurement. It is idempotent; Advance
+// calls it automatically if needed.
 func (m *Machine) Warmup() error {
 	if m.warmed {
 		return nil
 	}
-	m.st.startPhase("warmup", m.p.Warmup, icache.Stats{}, bpu.Stats{})
+	m.st.startPhase("warmup", m.p.Warmup)
 	if m.p.Warmup > 0 {
 		if m.st == nil && !m.cancellable {
 			// Fast path: no heartbeats, no cancellation windows.
@@ -301,9 +306,12 @@ func (m *Machine) Warmup() error {
 			}
 		}
 	}
-	m.icWarm, m.bpWarm = m.ic.Stats(), m.bp.Stats()
+	// The warmup boundary: every layer that reaches Result zeroes its
+	// counters here, so Finish and the heartbeats read them as they are.
 	m.c.ResetStats()
-	m.st.startPhase("measure", m.p.Measure, m.icWarm, m.bpWarm)
+	m.ic.ResetStats()
+	m.bp.ResetStats()
+	m.st.startPhase("measure", m.p.Measure)
 	m.nextSample = m.p.SampleInterval
 	if m.st != nil || m.cancellable {
 		m.nextHB = m.every
@@ -388,8 +396,8 @@ func (m *Machine) traceEnded(phase string) error {
 func (m *Machine) Finish() Result {
 	res := Result{Workload: m.workload, Design: m.design}
 	res.Core = m.c.Stats()
-	res.ICache = m.ic.Stats().Delta(m.icWarm)
-	res.BPU = m.bp.Stats().Delta(m.bpWarm)
+	res.ICache = m.ic.Stats()
+	res.BPU = m.bp.Stats()
 	res.EffSamples = m.effSamples
 	if u, ok := m.ic.(*ubs.Cache); ok {
 		st := u.UBSStats()

@@ -1,8 +1,7 @@
 package sim
 
 import (
-	"fmt"
-	"reflect"
+	"context"
 	"strings"
 	"testing"
 
@@ -61,16 +60,35 @@ func TestRunConventional(t *testing.T) {
 	}
 }
 
+// TestRunUBSCarriesExtendedStats checks that a UBS run reports its
+// extended counters over the same measured window as Result.ICache: the
+// embedded common stats are identical, and every demand hit is served by
+// exactly one of the predictor and the ways.
 func TestRunUBSCarriesExtendedStats(t *testing.T) {
-	res, err := Run(tinyParams(), specCfg(t), "ubs", UBSFactory(ubs.DefaultConfig()))
+	server, err := workload.Preset(workload.FamilyServer, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.UBS == nil {
-		t.Fatal("UBS stats missing")
-	}
-	if res.UBS.PredictorHits+res.UBS.WayHits == 0 {
-		t.Error("no UBS hits recorded")
+	for _, wcfg := range []workload.Config{specCfg(t), server} {
+		for _, name := range ubsDesigns {
+			d, err := ParseDesign(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Run(tinyParams(), wcfg, d.Name, d.Factory)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.UBS == nil {
+				t.Fatalf("%s on %s: UBS stats missing", d.Name, wcfg.Name)
+			}
+			if res.UBS.Stats != res.ICache {
+				t.Errorf("%s on %s: UBS common stats %+v != ICache %+v", d.Name, wcfg.Name, res.UBS.Stats, res.ICache)
+			}
+			if hits := res.UBS.PredictorHits + res.UBS.WayHits; hits != res.ICache.Hits || hits == 0 {
+				t.Errorf("%s on %s: predictor+way hits = %d, ICache.Hits = %d", d.Name, wcfg.Name, hits, res.ICache.Hits)
+			}
+		}
 	}
 }
 
@@ -222,84 +240,55 @@ func TestResultHelpers(t *testing.T) {
 	}
 }
 
-// fillNumeric sets every numeric leaf of a stats struct to x, recursing
-// through nested structs and arrays. It fails the test on any field kind it
-// does not understand, so adding an exotic field forces extending this
-// helper alongside the Delta methods it audits.
-func fillNumeric(t *testing.T, v reflect.Value, path string, x uint64) {
-	t.Helper()
-	switch v.Kind() {
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		v.SetUint(x)
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		v.SetInt(int64(x))
-	case reflect.Float32, reflect.Float64:
-		v.SetFloat(float64(x))
-	case reflect.Array, reflect.Slice:
-		for i := 0; i < v.Len(); i++ {
-			fillNumeric(t, v.Index(i), fmt.Sprintf("%s[%d]", path, i), x)
-		}
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			fillNumeric(t, v.Field(i), path+"."+v.Type().Field(i).Name, x)
-		}
-	default:
-		t.Fatalf("%s: unsupported stats field kind %s; teach fillNumeric and Delta about it", path, v.Kind())
+// ubsDesigns are UBS variants whose extension counters (predictor
+// organisation, congruence extensions) the plain "ubs" design leaves
+// idle; warmupDesigns adds one design of every other frontend kind.
+var (
+	ubsDesigns = []string{
+		"ubs", "ubs-pred-full-fifo",
+		`{"kind":"ubs","config":{"dead_block_ways":true,"admission_filter":true}}`,
 	}
-}
+	warmupDesigns = append([]string{"conv:32", "ghrp", "acic", "smallblock16", "distill"}, ubsDesigns...)
+)
 
-// checkNumeric asserts every numeric leaf equals want, naming the first
-// offender by its field path.
-func checkNumeric(t *testing.T, v reflect.Value, path string, want uint64) {
-	t.Helper()
-	switch v.Kind() {
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		if v.Uint() != want {
-			t.Errorf("%s = %d after Delta, want %d (field not subtracted?)", path, v.Uint(), want)
-		}
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		if v.Int() != int64(want) {
-			t.Errorf("%s = %d after Delta, want %d (field not subtracted?)", path, v.Int(), want)
-		}
-	case reflect.Float32, reflect.Float64:
-		if v.Float() != float64(want) {
-			t.Errorf("%s = %g after Delta, want %d (field not subtracted?)", path, v.Float(), want)
-		}
-	case reflect.Array, reflect.Slice:
-		for i := 0; i < v.Len(); i++ {
-			checkNumeric(t, v.Index(i), fmt.Sprintf("%s[%d]", path, i), want)
-		}
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			checkNumeric(t, v.Field(i), path+"."+v.Type().Field(i).Name, want)
-		}
-	default:
-		t.Fatalf("%s: unsupported stats field kind %s", path, v.Kind())
+// TestWarmupZeroesEveryCounter pins the single warmup boundary: right
+// after Warmup, every counter that reaches Result — the frontend's
+// common stats, the UBS extensions, and the BPU's — reads zero, so the
+// measured window is whatever accumulates from there.
+func TestWarmupZeroesEveryCounter(t *testing.T) {
+	wcfg, err := workload.Preset(workload.FamilyServer, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestStatsDeltaExhaustive guards the warmup-subtraction path: every numeric
-// field of the frontend stats types must be handled by its Delta method.
-// Adding a counter without extending Delta leaves the new field at its
-// end-of-run value (warmup included) and fails here.
-func TestStatsDeltaExhaustive(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		zero interface{}
-	}{
-		{"icache.Stats", icache.Stats{}},
-		{"bpu.Stats", bpu.Stats{}},
-	} {
-		typ := reflect.TypeOf(tc.zero)
-		after := reflect.New(typ).Elem()
-		before := reflect.New(typ).Elem()
-		fillNumeric(t, after, tc.name, 3)
-		fillNumeric(t, before, tc.name, 1)
-		m := after.MethodByName("Delta")
-		if !m.IsValid() {
-			t.Fatalf("%s has no Delta method", tc.name)
+	for _, name := range warmupDesigns {
+		d, err := ParseDesign(name)
+		if err != nil {
+			t.Fatal(err)
 		}
-		out := m.Call([]reflect.Value{before})[0]
-		checkNumeric(t, out, tc.name, 2)
+		src, err := workload.New(wcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := NewMachine(context.Background(), tinyParams(), src, wcfg.Name, d.Name, d.Factory)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Warmup(); err != nil {
+			t.Fatal(err)
+		}
+		if m.Core().Clock() == 0 {
+			t.Fatalf("%s: warmup simulated nothing", d.Name)
+		}
+		if st := m.Frontend().Stats(); st != (icache.Stats{}) {
+			t.Errorf("%s: frontend stats after warmup = %+v, want zero", d.Name, st)
+		}
+		if u, ok := m.Frontend().(*ubs.Cache); ok {
+			if st := u.UBSStats(); st != (ubs.Stats{}) {
+				t.Errorf("%s: UBS stats after warmup = %+v, want zero", d.Name, st)
+			}
+		}
+		if st := m.bp.Stats(); st != (bpu.Stats{}) {
+			t.Errorf("%s: BPU stats after warmup = %+v, want zero", d.Name, st)
+		}
 	}
 }

@@ -36,8 +36,6 @@ import (
 //ubs:state
 type MachineState struct {
 	Warmed     bool
-	ICWarm     icache.Stats
-	BPWarm     bpu.Stats
 	EffSamples []float64
 	EffStride  uint64
 	EffTick    uint64
@@ -55,8 +53,8 @@ type MachineState struct {
 
 // Snapshot copies the machine's complete mutable state into dst. The
 // machine must be warmed (checkpoints are taken mid-measurement; the
-// warmup phase is cheap to replay and carries the warmup/measure stat
-// baselines only once it completes). Snapshot never runs on the cycle
+// warmup phase is cheap to replay, and only once it completes do the
+// counters cover the measured window alone). Snapshot never runs on the cycle
 // hot path — callers invoke it between Advance calls — so it may
 // allocate, though it reuses dst's backing storage across calls.
 func (m *Machine) Snapshot(dst *MachineState) error {
@@ -68,8 +66,6 @@ func (m *Machine) Snapshot(dst *MachineState) error {
 		return fmt.Errorf("sim: frontend %T is not checkpointable", m.ic)
 	}
 	dst.Warmed = m.warmed
-	dst.ICWarm = m.icWarm
-	dst.BPWarm = m.bpWarm
 	dst.EffSamples = append(dst.EffSamples[:0], m.effSamples...)
 	dst.EffStride = m.effStride
 	dst.EffTick = m.effTick
@@ -141,8 +137,6 @@ func (m *Machine) Restore(src *MachineState) error {
 	if err := m.h.Restore(&src.Hierarchy); err != nil {
 		return err
 	}
-	m.icWarm = src.ICWarm
-	m.bpWarm = src.BPWarm
 	m.effSamples = append(m.effSamples[:0], src.EffSamples...)
 	m.effStride = src.EffStride
 	m.effTick = src.EffTick
@@ -152,7 +146,7 @@ func (m *Machine) Restore(src *MachineState) error {
 	// heartbeat schedule against the restored clock. Beats fire exactly
 	// on multiples of the period, so the resumed run stays on the same
 	// cycle grid as the uninterrupted one.
-	m.st.startPhase("measure", m.p.Measure, m.icWarm, m.bpWarm)
+	m.st.startPhase("measure", m.p.Measure)
 	if m.st != nil || m.cancellable {
 		m.nextHB = (m.c.Stats().Cycles/m.every + 1) * m.every
 	} else {

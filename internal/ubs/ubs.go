@@ -144,6 +144,13 @@ func (u *Cache) UBSStats() Stats {
 	return st
 }
 
+// ResetStats zeroes the common counters and the UBS extensions
+// (icache.Frontend).
+func (u *Cache) ResetStats() {
+	u.Engine.ResetStats()
+	u.stats = Stats{}
+}
+
 func (u *Cache) setIndex(block uint64) int {
 	if u.setPow2 {
 		return int((block >> 6) & u.setMask)

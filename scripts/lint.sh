@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # lint.sh — the repo's single lint entry point: builds cmd/ubslint and
-# runs the nine-analyzer suite with the committed baseline.
+# runs the eight-analyzer suite with the committed baseline.
 #
 #   scripts/lint.sh                 # human-readable, exit 1 on unbaselined findings
 #   scripts/lint.sh -sarif          # SARIF 2.1.0 on stdout (CI code-scanning upload)
