@@ -14,7 +14,6 @@ import (
 	"ubscache/internal/bench"
 	"ubscache/internal/bpu"
 	"ubscache/internal/cache"
-	"ubscache/internal/exp"
 	"ubscache/internal/mem"
 	"ubscache/internal/sim"
 	"ubscache/internal/trace"
@@ -23,18 +22,18 @@ import (
 )
 
 // benchOpts returns reduced-scale harness options sized for benchmarks.
-func benchOpts() exp.Options {
+func benchOpts() ExperimentOptions {
 	p := sim.DefaultParams()
 	p.Warmup = 50_000
 	p.Measure = 200_000
-	return exp.Options{Params: p, PerFamily: 1}
+	return ExperimentOptions{Options: p, PerFamily: 1}
 }
 
 // benchExperiment runs one registered experiment per iteration.
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		out, err := exp.RunByID(id, benchOpts())
+		out, err := RunExperiment(id, benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}

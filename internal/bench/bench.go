@@ -171,7 +171,7 @@ func benchSimInstr(b *testing.B) {
 	}
 	p := sim.DefaultParams()
 	p.Warmup = 0
-	m, err := sim.NewMachine(context.Background(), p, src, wcfg.Name, "ubs", sim.UBSFactory(ubs.DefaultConfig()))
+	m, err := sim.NewMachine(context.Background(), p, src, wcfg.Name, "ubs", sim.MustDesign("ubs").Factory)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func benchNilObserver(b *testing.B) {
 	p := sim.DefaultParams()
 	p.Warmup = 0
 	p.SampleInterval = 0
-	m, err := sim.NewMachine(context.Background(), p, src, wcfg.Name, "ubs", sim.UBSFactory(ubs.DefaultConfig()))
+	m, err := sim.NewMachine(context.Background(), p, src, wcfg.Name, "ubs", sim.MustDesign("ubs").Factory)
 	if err != nil {
 		b.Fatal(err)
 	}

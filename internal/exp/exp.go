@@ -6,7 +6,6 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -29,22 +28,12 @@ type Options struct {
 	PerFamily int
 	// Out receives progress lines; nil silences progress.
 	Out io.Writer
-	// Exec, when non-nil, executes simulation points in place of direct
-	// sim.Run calls. The runner subsystem injects its parallel memoizing
-	// store here; p is already normalised.
+	// Exec executes and memoizes simulation points; p is already
+	// normalised. Rendering requires it; Capture never calls it.
+	// The runner subsystem binds a runner.Store and the caller's context
+	// here; experiments request repeated points freely and rely on Exec
+	// to serve repeats from its memo.
 	Exec func(p sim.Params, w workloadspec.Workload, design string, factory sim.FrontendFactory) (sim.Result, error)
-	// Context, when non-nil, cancels in-flight simulations between
-	// heartbeat intervals (see sim.RunContext). Exec implementations are
-	// expected to honour their own context.
-	Context context.Context
-}
-
-// ctx returns the effective context.
-func (o Options) ctx() context.Context {
-	if o.Context != nil {
-		return o.Context
-	}
-	return context.Background()
 }
 
 // params returns Opts.Params normalised field-by-field: zero-valued
@@ -135,15 +124,14 @@ type AuxPoint struct {
 	Run func() error
 }
 
-// Runner memoizes simulation results so experiments sharing design points
-// (e.g. fig8/fig9/fig10 all need conv32/conv64/UBS on the IPC-1 families)
-// run each (workload, design) pair once.
+// Runner renders experiments: it forwards simulation points to
+// Opts.Exec, memoizes functional analysis passes, and in capture mode
+// records the points an experiment requests instead of running them.
 type Runner struct {
 	Opts Options
 
-	mu    sync.Mutex
-	cache map[string]sim.Result
-	aux   map[string]interface{}
+	mu  sync.Mutex
+	aux map[string]interface{}
 
 	// Capture state; dry runs are single-goroutine.
 	capturing bool
@@ -155,19 +143,15 @@ type Runner struct {
 
 // NewRunner builds a Runner.
 func NewRunner(opts Options) *Runner {
-	return &Runner{
-		Opts:  opts,
-		cache: make(map[string]sim.Result),
-		aux:   make(map[string]interface{}),
-	}
+	return &Runner{Opts: opts, aux: make(map[string]interface{})}
 }
 
 // Capture dry-runs e, recording every simulation point and functional
 // pass its rendering requests without executing any of them (rendered
 // output of the dry run is discarded). The returned slices are in
 // first-request order with duplicates removed. Capture must not be called
-// concurrently with itself or with rendering on the same Runner; results
-// already memoized are unaffected.
+// concurrently with itself or with rendering on the same Runner, and it
+// never calls Opts.Exec; aux results already memoized are unaffected.
 func (r *Runner) Capture(e Experiment) (sims []SimPoint, aux []AuxPoint, err error) {
 	r.capturing = true
 	r.simSeen = make(map[string]bool)
@@ -201,20 +185,19 @@ func (r *Runner) workloads(f workload.Family) []workload.Config {
 	return out
 }
 
-// run simulates (workload, design) for a generator-backed workload,
-// memoized; it is runWorkload over the config's resolved form.
+// run simulates (workload, design) for a generator-backed workload; it is
+// runWorkload over the config's resolved form.
 func (r *Runner) run(wcfg workload.Config, design string, factory sim.FrontendFactory) (sim.Result, error) {
 	return r.runWorkload(workloadspec.FromConfig(wcfg), design, factory)
 }
 
-// runWorkload simulates (workload, design), memoized. In capture mode the
-// point is recorded and a zero result returned instead; experiment
-// rendering code must therefore tolerate zero results (it does: the
-// dry-run output is thrown away).
+// runWorkload simulates (workload, design) through Opts.Exec. In capture
+// mode the point is recorded and a zero result returned instead;
+// experiment rendering code must therefore tolerate zero results (it
+// does: the dry-run output is thrown away).
 func (r *Runner) runWorkload(w workloadspec.Workload, design string, factory sim.FrontendFactory) (sim.Result, error) {
-	key := w.Ident() + "|" + design
 	if r.capturing {
-		if !r.simSeen[key] {
+		if key := w.Ident() + "|" + design; !r.simSeen[key] {
 			r.simSeen[key] = true
 			r.sims = append(r.sims, SimPoint{
 				Params: r.Opts.params(), Workload: w,
@@ -223,29 +206,8 @@ func (r *Runner) runWorkload(w workloadspec.Workload, design string, factory sim
 		}
 		return sim.Result{Workload: w.Name, Design: design}, nil
 	}
-	r.mu.Lock()
-	if res, ok := r.cache[key]; ok {
-		r.mu.Unlock()
-		return res, nil
-	}
-	r.mu.Unlock()
 	r.Opts.progress("  running %s on %s ...", w.Name, design)
-	var (
-		res sim.Result
-		err error
-	)
-	if r.Opts.Exec != nil {
-		res, err = r.Opts.Exec(r.Opts.params(), w, design, factory)
-	} else {
-		res, err = workloadspec.Run(r.Opts.ctx(), r.Opts.params(), w, design, factory)
-	}
-	if err != nil {
-		return sim.Result{}, err
-	}
-	r.mu.Lock()
-	r.cache[key] = res
-	r.mu.Unlock()
-	return res, nil
+	return r.Opts.Exec(r.Opts.params(), w, design, factory)
 }
 
 // auxRun memoizes a functional analysis pass under key. In capture mode
@@ -360,15 +322,6 @@ func CustomExperiment(specs []sim.DesignSpec, workloads []workloadspec.Spec) (Ex
 			return "Speedup over conv-32KB, per workload spec\n" + tb.String(), nil
 		},
 	}, nil
-}
-
-// RunByID executes one experiment and returns its rendered output.
-func RunByID(id string, opts Options) (string, error) {
-	e, err := ByID(id)
-	if err != nil {
-		return "", err
-	}
-	return e.Run(NewRunner(opts))
 }
 
 // IDs returns all experiment ids in registration (paper) order.

@@ -1,19 +1,55 @@
 package exp
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"ubscache/internal/sim"
+	"ubscache/internal/workloadspec"
 )
 
-// tinyOpts keeps experiment tests fast: 2 workloads per family and short
-// runs.
+// tinyOpts keeps experiment tests fast: 1 workload per family and short
+// runs. Its Exec is a serial memo over workloadspec.Run, a test-local
+// stand-in for runner.Store (which imports exp), so a shared Runner
+// simulates each repeated point once.
 func tinyOpts() Options {
 	p := sim.DefaultParams()
 	p.Warmup = 50_000
 	p.Measure = 150_000
-	return Options{Params: p, PerFamily: 1}
+	memo := make(map[string]sim.Result)
+	exec := func(p sim.Params, w workloadspec.Workload, design string, factory sim.FrontendFactory) (sim.Result, error) {
+		key := w.Ident() + "|" + design
+		if res, ok := memo[key]; ok {
+			return res, nil
+		}
+		res, err := workloadspec.Run(context.Background(), p, w, design, factory)
+		if err == nil {
+			memo[key] = res
+		}
+		return res, err
+	}
+	return Options{Params: p, PerFamily: 1, Exec: exec}
+}
+
+// render runs one experiment on a fresh Runner.
+func render(id string, opts Options) (string, error) {
+	e, err := ByID(id)
+	if err != nil {
+		return "", err
+	}
+	return e.Run(NewRunner(opts))
+}
+
+// countingOpts is tinyOpts whose Exec counts its calls and fabricates
+// results; capture must never call it.
+func countingOpts(calls *int) Options {
+	o := tinyOpts()
+	o.Exec = func(_ sim.Params, w workloadspec.Workload, design string, _ sim.FrontendFactory) (sim.Result, error) {
+		*calls++
+		return sim.Result{Workload: w.Name, Design: design}, nil
+	}
+	return o
 }
 
 func TestRegistryComplete(t *testing.T) {
@@ -52,7 +88,7 @@ func TestByID(t *testing.T) {
 
 func TestTables(t *testing.T) {
 	for _, id := range []string{"table1", "table2", "table3", "table4"} {
-		out, err := RunByID(id, tinyOpts())
+		out, err := render(id, tinyOpts())
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -61,13 +97,13 @@ func TestTables(t *testing.T) {
 		}
 	}
 	// Table III must reproduce the paper's totals.
-	out, _ := RunByID("table3", tinyOpts())
+	out, _ := render("table3", tinyOpts())
 	for _, want := range []string{"33.875", "36.33", "2.46"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table3 missing %q:\n%s", want, out)
 		}
 	}
-	out, _ = RunByID("table4", tinyOpts())
+	out, _ = render("table4", tinyOpts())
 	for _, want := range []string{"0.09", "0.12", "0.77", "1.71", "0.131", "0.141"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table4 missing %q:\n%s", want, out)
@@ -77,7 +113,7 @@ func TestTables(t *testing.T) {
 
 func TestFig1SmallRun(t *testing.T) {
 	opts := tinyOpts()
-	out, err := RunByID("fig1", opts)
+	out, err := render("fig1", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +123,7 @@ func TestFig1SmallRun(t *testing.T) {
 }
 
 func TestFig4SmallRun(t *testing.T) {
-	out, err := RunByID("fig4", tinyOpts())
+	out, err := render("fig4", tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,26 +149,6 @@ func TestEfficiencyAndPerfExperiments(t *testing.T) {
 		if len(out) < 50 {
 			t.Errorf("%s output too short:\n%s", id, out)
 		}
-	}
-}
-
-func TestRunnerMemoizes(t *testing.T) {
-	r := NewRunner(tinyOpts())
-	d := designConv32()
-	w := r.workloads("spec")[0]
-	res1, err := r.run(w, d.Name, d.Factory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := r.run(w, d.Name, d.Factory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res1.Core.Cycles != res2.Core.Cycles {
-		t.Error("memoized result differs")
-	}
-	if len(r.cache) != 1 {
-		t.Errorf("cache has %d entries", len(r.cache))
 	}
 }
 
@@ -184,9 +200,10 @@ func TestParamsPartialOverride(t *testing.T) {
 
 // TestCaptureTimedExperiment: capturing fig10 with one workload per family
 // yields the 9 simulation points (3 families × 3 designs) without running
-// any simulation or polluting the runner's result cache.
+// any simulation.
 func TestCaptureTimedExperiment(t *testing.T) {
-	r := NewRunner(tinyOpts())
+	calls := 0
+	r := NewRunner(countingOpts(&calls))
 	e, err := ByID("fig10")
 	if err != nil {
 		t.Fatal(err)
@@ -216,8 +233,8 @@ func TestCaptureTimedExperiment(t *testing.T) {
 			t.Errorf("design %s captured %d times, want 3", d, designs[d])
 		}
 	}
-	if len(r.cache) != 0 {
-		t.Errorf("capture polluted the result cache (%d entries)", len(r.cache))
+	if calls != 0 {
+		t.Errorf("capture executed %d simulation points", calls)
 	}
 	if r.capturing {
 		t.Error("capture mode left enabled")
@@ -227,7 +244,8 @@ func TestCaptureTimedExperiment(t *testing.T) {
 // TestCaptureFunctionalExperiment: fig1 is all functional passes — capture
 // must surface them as aux points (one per workload) and no sim points.
 func TestCaptureFunctionalExperiment(t *testing.T) {
-	r := NewRunner(tinyOpts())
+	calls := 0
+	r := NewRunner(countingOpts(&calls))
 	e, err := ByID("fig1")
 	if err != nil {
 		t.Fatal(err)
@@ -241,6 +259,9 @@ func TestCaptureFunctionalExperiment(t *testing.T) {
 	}
 	if len(auxes) != 4 {
 		t.Fatalf("fig1 captured %d aux points, want 4 (one per family)", len(auxes))
+	}
+	if calls != 0 {
+		t.Errorf("capture executed %d simulation points", calls)
 	}
 	// Running a captured aux point memoizes it for the later real render.
 	if err := auxes[0].Run(); err != nil {

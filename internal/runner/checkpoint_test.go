@@ -25,20 +25,26 @@ func ckTestParams() sim.Params {
 
 // TestStoreCheckpointedRun pins the crash-safe sweep path end to end: a
 // killed run leaves a checkpoint behind, a retrying Store resumes it
-// instead of recomputing, the final result is byte-identical to an
-// uninterrupted run, and success cleans the checkpoint up.
+// instead of recomputing (no warmup-phase heartbeat), the final result is
+// byte-identical to an uninterrupted run, and success cleans the
+// checkpoint up. It covers a design whose name is not a parseable
+// shorthand (conv:32 is named conv-32KB): the Store resumes with the
+// design it was called with, not by re-parsing the name recorded in the
+// checkpoint.
 func TestStoreCheckpointedRun(t *testing.T) {
+	for _, shorthand := range []string{"ubs", "conv:32"} {
+		d := sim.MustDesign(shorthand)
+		t.Run(d.Name, func(t *testing.T) { checkpointedRun(t, d) })
+	}
+}
+
+func checkpointedRun(t *testing.T, d sim.Design) {
 	p := ckTestParams()
 	w, err := workloadspec.ParseWorkload("server_001")
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := sim.ParseDesign("ubs")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ref, err := workloadspec.Run(context.Background(), p, w, "ubs", d.Factory)
+	ref, err := workloadspec.Run(context.Background(), p, w, d.Name, d.Factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +56,10 @@ func TestStoreCheckpointedRun(t *testing.T) {
 	dir := t.TempDir()
 	s := NewStore(dir)
 	s.CheckpointEvery = 4_000
-	key := WorkloadKey(p, w, "ubs")
+	key := WorkloadKey(p, w, d.Name)
 
 	// Simulate a crash: drive part of the run, persisting checkpoints,
-	// then abandon it mid-measure. The design string "ubs" is
-	// ParseDesign-able, so the retry below can resume it.
+	// then abandon it mid-measure.
 	hb := p
 	hb.HeartbeatEvery = 500
 	ctx, cancel := context.WithCancel(context.Background())
@@ -62,11 +67,11 @@ func TestStoreCheckpointedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := sim.NewMachine(ctx, hb, src, w.Name, "ubs", d.Factory)
+	m, err := sim.NewMachine(ctx, hb, src, w.Name, d.Name, d.Factory)
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta := checkpoint.Meta{Workload: w.Spec, WorkloadName: w.Name, Design: "ubs", Params: p}
+	meta := checkpoint.Meta{Workload: w.Spec, WorkloadName: w.Name, Design: d.Name, Params: p}
 	_, err = checkpoint.Complete(m, meta, s.CheckpointEvery, func(data []byte) error {
 		cancel()
 		return writeFileAtomic(s.ckPath(key), data)
@@ -78,11 +83,22 @@ func TestStoreCheckpointedRun(t *testing.T) {
 		t.Fatalf("interrupted run left no checkpoint: %v", err)
 	}
 
-	// The retrying Store resumes from the checkpoint and converges to
-	// the uninterrupted result.
-	res, err := s.RunWorkloadContext(context.Background(), p, w, "ubs", d.Factory)
+	// The retrying Store resumes from the checkpoint, so it never passes
+	// through warmup, and converges to the uninterrupted result.
+	warmBeats := 0
+	hp := p
+	hp.HeartbeatEvery = 500
+	hp.Observer = obs.FuncObserver{OnHeartbeat: func(hb *obs.Heartbeat) {
+		if hb.Phase == "warmup" {
+			warmBeats++
+		}
+	}}
+	res, err := s.RunWorkloadContext(context.Background(), hp, w, d.Name, d.Factory)
 	if err != nil {
 		t.Fatalf("checkpointed run: %v", err)
+	}
+	if warmBeats != 0 {
+		t.Errorf("retry recomputed from warmup (%d warmup heartbeats) instead of resuming", warmBeats)
 	}
 	got, err := json.Marshal(res)
 	if err != nil {

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -9,6 +10,8 @@ import (
 	"testing"
 
 	"ubscache/internal/exp"
+	"ubscache/internal/sim"
+	"ubscache/internal/workloadspec"
 )
 
 // tinySpec keeps end-to-end sweeps fast: one workload per family, short
@@ -41,8 +44,8 @@ func renderedText(out *Outcome) string {
 }
 
 // TestSweepParallelMatchesSequential is the headline guarantee: rendered
-// tables are byte-identical whatever the worker count, and both match the
-// legacy serial path (exp.Runner without an Exec hook).
+// tables are byte-identical whatever the worker count, and both match a
+// plain serial render (no capture or warm phase) against a fresh Store.
 func TestSweepParallelMatchesSequential(t *testing.T) {
 	seq := runSweep(t, &Sweep{Spec: tinySpec(1)})
 	par := runSweep(t, &Sweep{Spec: tinySpec(8)})
@@ -51,10 +54,15 @@ func TestSweepParallelMatchesSequential(t *testing.T) {
 			renderedText(seq), renderedText(par))
 	}
 
-	// Legacy path: same runner semantics, no capture/schedule phases.
-	opts := exp.Options{Params: tinySpec(1).SimParams(), PerFamily: 1}
-	r := exp.NewRunner(opts)
-	var legacy strings.Builder
+	// Serial render: every point runs lazily as the tables request it.
+	store := NewStore("")
+	r := exp.NewRunner(exp.Options{
+		Params: tinySpec(1).SimParams(), PerFamily: 1,
+		Exec: func(p sim.Params, w workloadspec.Workload, design string, factory sim.FrontendFactory) (sim.Result, error) {
+			return store.RunWorkloadContext(context.Background(), p, w, design, factory)
+		},
+	})
+	var serial strings.Builder
 	for _, id := range []string{"fig9", "fig10"} {
 		e, err := exp.ByID(id)
 		if err != nil {
@@ -64,11 +72,11 @@ func TestSweepParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		legacy.WriteString(e.ID + "\n" + text + "\n")
+		serial.WriteString(e.ID + "\n" + text + "\n")
 	}
-	if legacy.String() != renderedText(par) {
-		t.Fatalf("sweep output differs from the legacy serial path:\n--- legacy\n%s\n--- sweep\n%s",
-			legacy.String(), renderedText(par))
+	if serial.String() != renderedText(par) {
+		t.Fatalf("sweep output differs from the serial render:\n--- serial\n%s\n--- sweep\n%s",
+			serial.String(), renderedText(par))
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"ubscache/internal/sim"
-	"ubscache/internal/workload"
 	"ubscache/internal/workloadspec"
 )
 
@@ -74,17 +73,12 @@ type Store struct {
 	// CheckpointEvery measured instructions (atomic rename,
 	// content-keyed like the result cache), and a run that finds an
 	// existing checkpoint for its key resumes from it instead of
-	// starting over. 0 disables; requires a non-empty Dir. Injection
-	// seams (SimWorkload, SimContext, Sim) bypass checkpointing.
+	// starting over. 0 disables; requires a non-empty Dir. The
+	// SimWorkload seam bypasses checkpointing.
 	CheckpointEvery uint64
-	// Sim runs one simulation; nil means sim.Run (tests inject stubs). It
-	// only sees generator-backed workloads; SimWorkload covers all kinds.
-	Sim func(p sim.Params, wcfg workload.Config, design string, factory sim.FrontendFactory) (sim.Result, error)
-	// SimContext, when non-nil, takes precedence over Sim and receives
-	// the caller's context (tests inject blocking, cancellable stubs).
-	SimContext func(ctx context.Context, p sim.Params, wcfg workload.Config, design string, factory sim.FrontendFactory) (sim.Result, error)
-	// SimWorkload, when non-nil, takes precedence over SimContext and Sim
-	// for every workload kind, including source-backed ones.
+	// SimWorkload, when non-nil, runs every simulation in place of
+	// workloadspec.Run and receives the caller's context (tests inject
+	// counting, blocking or failing stubs; benchmarks inject probes).
 	SimWorkload func(ctx context.Context, p sim.Params, w workloadspec.Workload, design string, factory sim.FrontendFactory) (sim.Result, error)
 
 	mu sync.Mutex
@@ -106,28 +100,11 @@ func NewStore(dir string) *Store {
 	}
 }
 
-// Run returns the memoized result for (p, wcfg, design), computing it at
-// most once per key no matter how many goroutines ask concurrently.
-func (s *Store) Run(p sim.Params, wcfg workload.Config, design string, factory sim.FrontendFactory) (sim.Result, error) {
-	return s.RunContext(context.Background(), p, wcfg, design, factory)
-}
-
-// RunContext is Run honouring ctx: an uncached computation is cancelled
+// RunWorkloadContext returns the memoized result for (p, w, design),
+// computing it at most once per key no matter how many goroutines ask
+// concurrently. An uncached computation honours ctx: it is cancelled
 // between heartbeat intervals (see sim.RunContext) and its error is not
 // memoized, so a resumed sweep retries the point.
-func (s *Store) RunContext(ctx context.Context, p sim.Params, wcfg workload.Config, design string, factory sim.FrontendFactory) (sim.Result, error) {
-	res, _, err := s.RunWorkloadShared(ctx, p, workloadspec.FromConfig(wcfg), design, factory)
-	return res, err
-}
-
-// RunContextShared is RunContext that additionally reports whether the
-// result was shared (see RunWorkloadShared).
-func (s *Store) RunContextShared(ctx context.Context, p sim.Params, wcfg workload.Config, design string, factory sim.FrontendFactory) (sim.Result, bool, error) {
-	return s.RunWorkloadShared(ctx, p, workloadspec.FromConfig(wcfg), design, factory)
-}
-
-// RunWorkloadContext is RunContext over a registry workload of any kind.
-// Its signature matches exp.Options.Exec.
 func (s *Store) RunWorkloadContext(ctx context.Context, p sim.Params, w workloadspec.Workload, design string, factory sim.FrontendFactory) (sim.Result, error) {
 	res, _, err := s.RunWorkloadShared(ctx, p, w, design, factory)
 	return res, err
@@ -198,13 +175,10 @@ func (s *Store) compute(ctx context.Context, key string, p sim.Params, w workloa
 }
 
 // simulate isolates per-run panics into errors so one bad design point
-// cannot take down a whole sweep. The injection seams dispatch in
-// precedence order: SimWorkload sees every kind; SimContext and Sim keep
-// their historical workload.Config signature and so only see
-// generator-backed workloads (source-backed kinds fall through to the
-// real simulation). With CheckpointEvery set and no seam installed, the
-// real simulation runs through the checkpointing driver instead, keyed
-// by the same content hash as the result cache entry.
+// cannot take down a whole sweep. With CheckpointEvery set and no
+// SimWorkload seam installed, the real simulation runs through the
+// checkpointing driver, keyed by the same content hash as the result
+// cache entry.
 func (s *Store) simulate(ctx context.Context, key string, p sim.Params, w workloadspec.Workload, design string, factory sim.FrontendFactory) (res sim.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -213,14 +187,6 @@ func (s *Store) simulate(ctx context.Context, key string, p sim.Params, w worklo
 	}()
 	if s.SimWorkload != nil {
 		return s.SimWorkload(ctx, p, w, design, factory)
-	}
-	if cfg, ok := w.Config(); ok {
-		if s.SimContext != nil {
-			return s.SimContext(ctx, p, cfg, design, factory)
-		}
-		if s.Sim != nil {
-			return s.Sim(p, cfg, design, factory)
-		}
 	}
 	if s.CheckpointEvery > 0 && s.Dir != "" {
 		return s.runCheckpointed(ctx, key, p, w, design, factory)

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -25,14 +26,19 @@ func testPoint(t *testing.T, family workload.Family, idx int) (sim.Params, workl
 	return p, wcfg
 }
 
-// stubSim returns a Sim hook that counts invocations and fabricates a
-// deterministic result after an optional delay.
-func stubSim(calls *atomic.Int64, delay time.Duration) func(sim.Params, workload.Config, string, sim.FrontendFactory) (sim.Result, error) {
-	return func(p sim.Params, wcfg workload.Config, design string, _ sim.FrontendFactory) (sim.Result, error) {
+// runPoint requests a generator-backed point from s.
+func runPoint(s *Store, p sim.Params, wcfg workload.Config, design string) (sim.Result, error) {
+	return s.RunWorkloadContext(context.Background(), p, workloadspec.FromConfig(wcfg), design, nil)
+}
+
+// stubSim returns a SimWorkload hook that counts invocations and
+// fabricates a deterministic result after an optional delay.
+func stubSim(calls *atomic.Int64, delay time.Duration) func(context.Context, sim.Params, workloadspec.Workload, string, sim.FrontendFactory) (sim.Result, error) {
+	return func(_ context.Context, p sim.Params, w workloadspec.Workload, design string, _ sim.FrontendFactory) (sim.Result, error) {
 		calls.Add(1)
 		time.Sleep(delay)
 		return sim.Result{
-			Workload: wcfg.Name,
+			Workload: w.Name,
 			Design:   design,
 			Core:     core.Stats{Cycles: 1000, Instructions: 1500},
 		}, nil
@@ -48,7 +54,7 @@ func TestStoreSingleflight(t *testing.T) {
 	s := NewStore("")
 	// The delay keeps the first simulation in flight while every other
 	// goroutine arrives, so a cache-check-then-run race would overcount.
-	s.Sim = stubSim(&calls, 50*time.Millisecond)
+	s.SimWorkload = stubSim(&calls, 50*time.Millisecond)
 	p, wcfg := testPoint(t, workload.FamilyServer, 0)
 
 	const n = 32
@@ -59,7 +65,7 @@ func TestStoreSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = s.Run(p, wcfg, "ubs", nil)
+			results[i], errs[i] = runPoint(s, p, wcfg, "ubs")
 		}(i)
 	}
 	wg.Wait()
@@ -80,7 +86,7 @@ func TestStoreSingleflight(t *testing.T) {
 func TestStoreDistinctKeysRunSeparately(t *testing.T) {
 	var calls atomic.Int64
 	s := NewStore("")
-	s.Sim = stubSim(&calls, 0)
+	s.SimWorkload = stubSim(&calls, 0)
 	p, wcfg := testPoint(t, workload.FamilyServer, 0)
 	p2 := p
 	p2.Measure = 30_000
@@ -99,7 +105,7 @@ func TestStoreDistinctKeysRunSeparately(t *testing.T) {
 		{p, wcfg2, "ubs"},      // other workload
 		{p2, wcfg, "ubs"},      // other params
 	} {
-		if _, err := s.Run(c.p, c.w, c.design, nil); err != nil {
+		if _, err := runPoint(s, c.p, c.w, c.design); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -107,7 +113,7 @@ func TestStoreDistinctKeysRunSeparately(t *testing.T) {
 		t.Fatalf("4 distinct points ran %d simulations", got)
 	}
 	// Re-running any of them hits the memo.
-	if _, err := s.Run(p, wcfg, "ubs", nil); err != nil {
+	if _, err := runPoint(s, p, wcfg, "ubs"); err != nil {
 		t.Fatal(err)
 	}
 	if got := calls.Load(); got != 4 {
@@ -146,8 +152,8 @@ func TestStoreDiskCache(t *testing.T) {
 
 	var calls1 atomic.Int64
 	s1 := NewStore(dir)
-	s1.Sim = stubSim(&calls1, 0)
-	res1, err := s1.Run(p, wcfg, "ubs", nil)
+	s1.SimWorkload = stubSim(&calls1, 0)
+	res1, err := runPoint(s1, p, wcfg, "ubs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,8 +163,8 @@ func TestStoreDiskCache(t *testing.T) {
 
 	var calls2 atomic.Int64
 	s2 := NewStore(dir)
-	s2.Sim = stubSim(&calls2, 0)
-	res2, err := s2.Run(p, wcfg, "ubs", nil)
+	s2.SimWorkload = stubSim(&calls2, 0)
+	res2, err := runPoint(s2, p, wcfg, "ubs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,18 +185,18 @@ func TestStoreDiskCache(t *testing.T) {
 func TestStorePanicIsolation(t *testing.T) {
 	var calls atomic.Int64
 	s := NewStore("")
-	s.Sim = func(p sim.Params, wcfg workload.Config, design string, _ sim.FrontendFactory) (sim.Result, error) {
+	s.SimWorkload = func(_ context.Context, p sim.Params, w workloadspec.Workload, design string, _ sim.FrontendFactory) (sim.Result, error) {
 		if calls.Add(1) == 1 {
 			panic("synthetic failure")
 		}
-		return sim.Result{Workload: wcfg.Name, Design: design}, nil
+		return sim.Result{Workload: w.Name, Design: design}, nil
 	}
 	p, wcfg := testPoint(t, workload.FamilyServer, 0)
-	if _, err := s.Run(p, wcfg, "ubs", nil); err == nil {
+	if _, err := runPoint(s, p, wcfg, "ubs"); err == nil {
 		t.Fatal("panic did not surface as an error")
 	}
 	// Errors are not cached: the retry succeeds.
-	if _, err := s.Run(p, wcfg, "ubs", nil); err != nil {
+	if _, err := runPoint(s, p, wcfg, "ubs"); err != nil {
 		t.Fatalf("retry after panic: %v", err)
 	}
 	if calls.Load() != 2 {
@@ -201,17 +207,17 @@ func TestStorePanicIsolation(t *testing.T) {
 func TestStoreErrorNotCached(t *testing.T) {
 	var calls atomic.Int64
 	s := NewStore("")
-	s.Sim = func(sim.Params, workload.Config, string, sim.FrontendFactory) (sim.Result, error) {
+	s.SimWorkload = func(context.Context, sim.Params, workloadspec.Workload, string, sim.FrontendFactory) (sim.Result, error) {
 		if calls.Add(1) == 1 {
 			return sim.Result{}, fmt.Errorf("transient")
 		}
 		return sim.Result{Workload: "w", Design: "d"}, nil
 	}
 	p, wcfg := testPoint(t, workload.FamilyServer, 0)
-	if _, err := s.Run(p, wcfg, "ubs", nil); err == nil {
+	if _, err := runPoint(s, p, wcfg, "ubs"); err == nil {
 		t.Fatal("error swallowed")
 	}
-	if _, err := s.Run(p, wcfg, "ubs", nil); err != nil {
+	if _, err := runPoint(s, p, wcfg, "ubs"); err != nil {
 		t.Fatalf("error was cached: %v", err)
 	}
 }

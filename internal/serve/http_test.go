@@ -17,7 +17,7 @@ import (
 
 	"ubscache/internal/runner"
 	"ubscache/internal/sim"
-	"ubscache/internal/workload"
+	"ubscache/internal/workloadspec"
 )
 
 func postJob(t *testing.T, ts *httptest.Server, body string) (*http.Response, SubmitResponse) {
@@ -311,7 +311,7 @@ func promValue(t *testing.T, body, name string) float64 {
 // is terminal and the counters must match exactly. Run it under -race.
 func TestHTTPMetricsBeforeTerminalState(t *testing.T) {
 	store := runner.NewStore("")
-	store.SimContext = func(ctx context.Context, _ sim.Params, wcfg workload.Config, design string, _ sim.FrontendFactory) (sim.Result, error) {
+	store.SimWorkload = func(ctx context.Context, _ sim.Params, w workloadspec.Workload, design string, _ sim.FrontendFactory) (sim.Result, error) {
 		select {
 		case <-time.After(100 * time.Microsecond):
 		case <-ctx.Done():
@@ -320,7 +320,7 @@ func TestHTTPMetricsBeforeTerminalState(t *testing.T) {
 		if strings.Contains(design, "distill") {
 			return sim.Result{}, errors.New("synthetic failure")
 		}
-		return sim.Result{Workload: wcfg.Name, Design: design}, nil
+		return sim.Result{Workload: w.Name, Design: design}, nil
 	}
 	s := New(testConfig(store, 2))
 	defer s.Close()

@@ -13,7 +13,7 @@ import (
 	"ubscache/internal/core"
 	"ubscache/internal/runner"
 	"ubscache/internal/sim"
-	"ubscache/internal/workload"
+	"ubscache/internal/workloadspec"
 )
 
 // stubStore returns a Store whose simulations are fabricated: each
@@ -21,7 +21,7 @@ import (
 // release → immediate) or the context fires.
 func stubStore(calls *atomic.Int64, release <-chan struct{}) *runner.Store {
 	s := runner.NewStore("")
-	s.SimContext = func(ctx context.Context, p sim.Params, wcfg workload.Config, design string, _ sim.FrontendFactory) (sim.Result, error) {
+	s.SimWorkload = func(ctx context.Context, p sim.Params, w workloadspec.Workload, design string, _ sim.FrontendFactory) (sim.Result, error) {
 		calls.Add(1)
 		if release != nil {
 			select {
@@ -31,7 +31,7 @@ func stubStore(calls *atomic.Int64, release <-chan struct{}) *runner.Store {
 			}
 		}
 		return sim.Result{
-			Workload: wcfg.Name,
+			Workload: w.Name,
 			Design:   design,
 			Core:     core.Stats{Cycles: 1000, Instructions: 1500},
 		}, nil

@@ -12,7 +12,7 @@ import (
 	"ubscache/internal/core"
 	"ubscache/internal/runner"
 	"ubscache/internal/sim"
-	"ubscache/internal/workload"
+	"ubscache/internal/workloadspec"
 )
 
 // waitTerminal blocks until the job reaches any terminal state.
@@ -173,7 +173,7 @@ func TestHTTPSuspendResume(t *testing.T) {
 func TestSuspendResumeHammer(t *testing.T) {
 	var calls atomic.Int64
 	store := runner.NewStore("")
-	store.SimContext = func(ctx context.Context, p sim.Params, wcfg workload.Config, design string, _ sim.FrontendFactory) (sim.Result, error) {
+	store.SimWorkload = func(ctx context.Context, p sim.Params, w workloadspec.Workload, design string, _ sim.FrontendFactory) (sim.Result, error) {
 		calls.Add(1)
 		// Long enough to be suspended mid-flight, short enough that the
 		// hammer converges quickly; always honours cancellation.
@@ -183,7 +183,7 @@ func TestSuspendResumeHammer(t *testing.T) {
 			return sim.Result{}, ctx.Err()
 		}
 		return sim.Result{
-			Workload: wcfg.Name, Design: design,
+			Workload: w.Name, Design: design,
 			Core: core.Stats{Cycles: 1000, Instructions: 1500},
 		}, nil
 	}

@@ -7,7 +7,6 @@ import (
 
 	"ubscache/internal/obs"
 	"ubscache/internal/testutil"
-	"ubscache/internal/ubs"
 	"ubscache/internal/workload"
 )
 
@@ -45,7 +44,7 @@ func TestHeartbeatCadence(t *testing.T) {
 	col := &collector{}
 	p := obsParams()
 	p.Observer = col
-	res, err := Run(p, wcfg, "ubs", UBSFactory(ubs.DefaultConfig()))
+	res, err := Run(p, wcfg, "ubs", ubsFactory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,13 +184,13 @@ func TestObserverDoesNotChangeResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := Run(obsParams(), wcfg, "ubs", UBSFactory(ubs.DefaultConfig()))
+	base, err := Run(obsParams(), wcfg, "ubs", ubsFactory)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := obsParams()
 	p.Observer = &collector{}
-	withObs, err := Run(p, wcfg, "ubs", UBSFactory(ubs.DefaultConfig()))
+	withObs, err := Run(p, wcfg, "ubs", ubsFactory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +214,7 @@ func TestRunContextCancel(t *testing.T) {
 			}
 		},
 	}}
-	_, err = RunContext(ctx, p, wcfg, "ubs", UBSFactory(ubs.DefaultConfig()))
+	_, err = RunContext(ctx, p, wcfg, "ubs", ubsFactory)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -240,7 +239,7 @@ func TestRunContextCancelDuringWarmup(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before the first cycle
 	p := obsParams()
-	_, err = RunContext(ctx, p, wcfg, "ubs", UBSFactory(ubs.DefaultConfig()))
+	_, err = RunContext(ctx, p, wcfg, "ubs", ubsFactory)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -259,7 +258,7 @@ func TestMachineStepping(t *testing.T) {
 	p := DefaultParams()
 	p.Warmup = 10_000
 	p.Measure = 0 // driven manually below
-	m, err := NewMachine(context.Background(), p, src, wcfg.Name, "ubs", UBSFactory(ubs.DefaultConfig()))
+	m, err := NewMachine(context.Background(), p, src, wcfg.Name, "ubs", ubsFactory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +301,7 @@ func TestNilObserverAllocFree(t *testing.T) {
 	p := DefaultParams()
 	p.Warmup = 0
 	p.SampleInterval = 0
-	m, err := NewMachine(context.Background(), p, src, wcfg.Name, "ubs", UBSFactory(ubs.DefaultConfig()))
+	m, err := NewMachine(context.Background(), p, src, wcfg.Name, "ubs", ubsFactory)
 	if err != nil {
 		t.Fatal(err)
 	}

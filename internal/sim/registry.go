@@ -10,6 +10,7 @@ import (
 
 	"ubscache/internal/cache"
 	"ubscache/internal/icache"
+	"ubscache/internal/mem"
 	"ubscache/internal/ubs"
 )
 
@@ -140,7 +141,9 @@ func buildConvDesign(d ConvDesign) (Design, error) {
 	if d.Name != "" {
 		cfg.Name = d.Name
 	}
-	return Design{Name: cfg.Name, Factory: ConvFactory(cfg)}, nil
+	return Design{Name: cfg.Name, Factory: func(h *mem.Hierarchy) (icache.Frontend, error) {
+		return icache.NewConventional(cfg, h)
+	}}, nil
 }
 
 // UBSDesign declares a UBS cache. The zero value is the Table II default;
@@ -204,7 +207,9 @@ func buildUBSDesign(d UBSDesign) (Design, error) {
 	if err := cfg.Validate(); err != nil {
 		return Design{}, err
 	}
-	return Design{Name: cfg.Name, Factory: UBSFactory(cfg)}, nil
+	return Design{Name: cfg.Name, Factory: func(h *mem.Hierarchy) (icache.Frontend, error) {
+		return ubs.New(cfg, h)
+	}}, nil
 }
 
 // SmallBlockDesign declares the Figure 12 small-block baseline. BlockSize
@@ -243,7 +248,9 @@ func buildSmallBlockDesign(d SmallBlockDesign) (Design, error) {
 	if d.Name != "" {
 		cfg.Name = d.Name
 	}
-	return Design{Name: cfg.Name, Factory: SmallBlockFactory(cfg)}, nil
+	return Design{Name: cfg.Name, Factory: func(h *mem.Hierarchy) (icache.Frontend, error) {
+		return icache.NewSmallBlock(cfg, h)
+	}}, nil
 }
 
 // DistillDesign declares the Figure 13 Line Distillation baseline; the
@@ -262,7 +269,9 @@ func buildDistillDesign(d DistillDesign) (Design, error) {
 	if d.Name != "" {
 		cfg.Name = d.Name
 	}
-	return Design{Name: cfg.Name, Factory: DistillFactory(cfg)}, nil
+	return Design{Name: cfg.Name, Factory: func(h *mem.Hierarchy) (icache.Frontend, error) {
+		return icache.NewDistill(cfg, h)
+	}}, nil
 }
 
 // The built-in kinds, bound to their typed constructors: code that knows

@@ -67,47 +67,6 @@ func DefaultParams() Params {
 // FrontendFactory builds the instruction-cache design under test.
 type FrontendFactory func(h *mem.Hierarchy) (icache.Frontend, error)
 
-// ConvFactory builds a conventional L1-I.
-//
-// Deprecated: resolve designs through the registry (ResolveDesign,
-// ParseDesign, or NewConvDesign) instead; the registry reaches this same
-// constructor and additionally yields the design's canonical name.
-func ConvFactory(cfg icache.ConventionalConfig) FrontendFactory {
-	return func(h *mem.Hierarchy) (icache.Frontend, error) {
-		return icache.NewConventional(cfg, h)
-	}
-}
-
-// UBSFactory builds a UBS cache.
-//
-// Deprecated: resolve designs through the registry (ResolveDesign,
-// ParseDesign, or NewUBSDesign) instead.
-func UBSFactory(cfg ubs.Config) FrontendFactory {
-	return func(h *mem.Hierarchy) (icache.Frontend, error) {
-		return ubs.New(cfg, h)
-	}
-}
-
-// SmallBlockFactory builds a small-block L1-I.
-//
-// Deprecated: resolve designs through the registry (ResolveDesign,
-// ParseDesign, or NewSmallBlockDesign) instead.
-func SmallBlockFactory(cfg icache.SmallBlockConfig) FrontendFactory {
-	return func(h *mem.Hierarchy) (icache.Frontend, error) {
-		return icache.NewSmallBlock(cfg, h)
-	}
-}
-
-// DistillFactory builds a Line Distillation L1-I.
-//
-// Deprecated: resolve designs through the registry (ResolveDesign,
-// ParseDesign, or NewDistillDesign) instead.
-func DistillFactory(cfg icache.DistillConfig) FrontendFactory {
-	return func(h *mem.Hierarchy) (icache.Frontend, error) {
-		return icache.NewDistill(cfg, h)
-	}
-}
-
 // ModelEpoch identifies the simulator's behaviour. Bump it in any change
 // that alters some Result for some input (params, workload, design):
 // result caches fold it into their content keys, so results computed

@@ -12,6 +12,20 @@ import (
 	"ubscache/internal/workload"
 )
 
+// The registry's default conventional and UBS designs (Baseline32K and
+// the Table II configuration).
+var (
+	convFactory = mustFactory(NewConvDesign(ConvDesign{}))
+	ubsFactory  = mustFactory(NewUBSDesign(UBSDesign{}))
+)
+
+func mustFactory(d Design, err error) FrontendFactory {
+	if err != nil {
+		panic(err)
+	}
+	return d.Factory
+}
+
 func tinyParams() Params {
 	p := DefaultParams()
 	p.Warmup = 30_000
@@ -39,7 +53,7 @@ func TestDefaultParams(t *testing.T) {
 }
 
 func TestRunConventional(t *testing.T) {
-	res, err := Run(tinyParams(), specCfg(t), "conv", ConvFactory(icache.Baseline32K()))
+	res, err := Run(tinyParams(), specCfg(t), "conv", convFactory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,14 +110,14 @@ func TestWarmupExcludedFromStats(t *testing.T) {
 	// Measured icache stats must exclude warmup: a run with warmup must
 	// report fewer fetches than warmup+measure would produce.
 	p := tinyParams()
-	resWarm, err := Run(p, specCfg(t), "conv", ConvFactory(icache.Baseline32K()))
+	resWarm, err := Run(p, specCfg(t), "conv", convFactory)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p2 := p
 	p2.Warmup = 0
 	p2.Measure = p.Warmup + p.Measure
-	resAll, err := Run(p2, specCfg(t), "conv", ConvFactory(icache.Baseline32K()))
+	resAll, err := Run(p2, specCfg(t), "conv", convFactory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +132,11 @@ func TestWarmupExcludedFromStats(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	a, err := Run(tinyParams(), specCfg(t), "ubs", UBSFactory(ubs.DefaultConfig()))
+	a, err := Run(tinyParams(), specCfg(t), "ubs", ubsFactory)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(tinyParams(), specCfg(t), "ubs", UBSFactory(ubs.DefaultConfig()))
+	b, err := Run(tinyParams(), specCfg(t), "ubs", ubsFactory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +149,7 @@ func TestDeterminism(t *testing.T) {
 func TestEfficiencySampling(t *testing.T) {
 	p := tinyParams()
 	p.SampleInterval = 10_000
-	res, err := Run(p, specCfg(t), "conv", ConvFactory(icache.Baseline32K()))
+	res, err := Run(p, specCfg(t), "conv", convFactory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +163,7 @@ func TestEfficiencySampling(t *testing.T) {
 	}
 	// Disabled sampling yields none.
 	p.SampleInterval = 0
-	res, err = Run(p, specCfg(t), "conv", ConvFactory(icache.Baseline32K()))
+	res, err = Run(p, specCfg(t), "conv", convFactory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +175,7 @@ func TestEfficiencySampling(t *testing.T) {
 func TestTraceEndsDuringWarmup(t *testing.T) {
 	short := trace.NewSlice(trace.Collect(mustWalker(t), 1000))
 	_, err := RunSource(tinyParams(), short, "short", "conv",
-		ConvFactory(icache.Baseline32K()))
+		convFactory)
 	if err == nil || !strings.Contains(err.Error(), "warmup") {
 		t.Errorf("expected warmup error, got %v", err)
 	}
@@ -172,7 +186,7 @@ func TestTraceEndsDuringMeasurement(t *testing.T) {
 	p := tinyParams()
 	p.Warmup = 10_000
 	p.Measure = 1_000_000
-	_, err := RunSource(p, short, "short", "conv", ConvFactory(icache.Baseline32K()))
+	_, err := RunSource(p, short, "short", "conv", convFactory)
 	if err == nil || !strings.Contains(err.Error(), "measurement") {
 		t.Errorf("expected measurement error, got %v", err)
 	}
@@ -189,10 +203,10 @@ func mustWalker(t *testing.T) trace.Source {
 
 func TestAllFactoriesBuild(t *testing.T) {
 	factories := map[string]FrontendFactory{
-		"conv":       ConvFactory(icache.Baseline32K()),
-		"ubs":        UBSFactory(ubs.DefaultConfig()),
-		"smallblock": SmallBlockFactory(icache.SmallBlock16()),
-		"distill":    DistillFactory(icache.DefaultDistill()),
+		"conv":       convFactory,
+		"ubs":        ubsFactory,
+		"smallblock": mustFactory(NewSmallBlockDesign(SmallBlockDesign{})),
+		"distill":    mustFactory(NewDistillDesign(DistillDesign{})),
 	}
 	p := tinyParams()
 	p.Warmup = 5_000
@@ -205,11 +219,10 @@ func TestAllFactoriesBuild(t *testing.T) {
 }
 
 func TestBadFactoryConfigRejected(t *testing.T) {
-	bad := UBSFactory(ubs.Config{}) // zero config is invalid
-	if _, err := Run(tinyParams(), specCfg(t), "bad", bad); err == nil {
-		t.Error("invalid UBS config accepted")
+	if _, err := NewUBSDesign(UBSDesign{Custom: &ubs.Config{}}); err == nil {
+		t.Error("invalid UBS config accepted") // zero config is invalid
 	}
-	badSB := SmallBlockFactory(icache.SmallBlockConfig{BlockSize: 24})
+	badSB := mustFactory(NewSmallBlockDesign(SmallBlockDesign{Custom: &icache.SmallBlockConfig{BlockSize: 24}}))
 	if _, err := Run(tinyParams(), specCfg(t), "bad", badSB); err == nil {
 		t.Error("invalid small-block config accepted")
 	}
@@ -218,7 +231,7 @@ func TestBadFactoryConfigRejected(t *testing.T) {
 func TestNoDataCacheMode(t *testing.T) {
 	p := tinyParams()
 	p.DataCache = false
-	res, err := Run(p, specCfg(t), "conv", ConvFactory(icache.Baseline32K()))
+	res, err := Run(p, specCfg(t), "conv", convFactory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +241,7 @@ func TestNoDataCacheMode(t *testing.T) {
 }
 
 func TestResultHelpers(t *testing.T) {
-	res, err := Run(tinyParams(), specCfg(t), "conv", ConvFactory(icache.Baseline32K()))
+	res, err := Run(tinyParams(), specCfg(t), "conv", convFactory)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -386,19 +386,25 @@ type ExperimentOptions struct {
 }
 
 // RunExperiment regenerates one paper artifact and returns its rendered
-// text.
+// text. Simulation points run serially, as the rendering requests them,
+// through a fresh in-memory ResultStore, so a point the artifact needs
+// twice runs once.
 func RunExperiment(id string, eo ExperimentOptions) (string, error) {
-	return exp.RunByID(id, exp.Options{
+	e, err := exp.ByID(id)
+	if err != nil {
+		return "", err
+	}
+	ctx := eo.Context
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	store := runner.NewStore("")
+	return e.Run(exp.NewRunner(exp.Options{
 		Params: eo.Options, PerFamily: eo.PerFamily, Out: eo.Progress,
-		Context: eo.Context,
-	})
-}
-
-// RunExperimentArgs is the positional predecessor of RunExperiment.
-//
-// Deprecated: use RunExperiment with ExperimentOptions.
-func RunExperimentArgs(id string, opts Options, perFamily int, progress io.Writer) (string, error) {
-	return RunExperiment(id, ExperimentOptions{Options: opts, PerFamily: perFamily, Progress: progress})
+		Exec: func(p sim.Params, w workloadspec.Workload, design string, factory sim.FrontendFactory) (sim.Result, error) {
+			return store.RunWorkloadContext(ctx, p, w, design, factory)
+		},
+	}))
 }
 
 // JobServer is the embeddable simulation-as-a-service core behind the

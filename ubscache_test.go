@@ -2,6 +2,7 @@ package ubscache
 
 import (
 	"context"
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -63,7 +64,12 @@ func TestConventional32IsTableIBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Simulate(Design{base.Name, sim.ConvFactory(base)}, w, quickTest())
+	// The zero ConvDesign is Baseline32K itself.
+	bd, err := sim.NewConvDesign(sim.ConvDesign{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Simulate(Design{base.Name, bd.Factory}, w, quickTest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,6 +188,18 @@ func TestExperimentFacade(t *testing.T) {
 	}
 	if _, err := RunExperiment("nope", ExperimentOptions{Options: quickTest(), PerFamily: 1}); err == nil {
 		t.Error("unknown experiment accepted")
+	}
+}
+
+// TestRunExperimentCancelled pins the context wiring: RunExperiment
+// hands ExperimentOptions.Context to every simulation point it runs, so
+// an already-cancelled context fails the artifact with context.Canceled.
+func TestRunExperimentCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := RunExperiment("fig9", ExperimentOptions{Options: quickTest(), PerFamily: 1, Context: ctx})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled RunExperiment returned %v, want context.Canceled", err)
 	}
 }
 
