@@ -158,7 +158,7 @@ func benchUBSFetch(b *testing.B) {
 // warmed to steady state outside the timer, so the number is the marginal
 // cost of simulated instructions: exactly what billion-instruction sweeps
 // and ubsd jobs pay. The steady-state loop must report 0 allocs/op
-// (TestHotPathAllocGate): every pool — ROB, in-flight heap, decode FIFO,
+// (TestHotPathAllocGate): every pool — ROB, in-flight wheel, decode FIFO,
 // FTQ, efficiency window — is pre-sized at construction.
 func benchSimInstr(b *testing.B) {
 	wcfg, err := workload.Preset(workload.FamilyServer, 0)

@@ -5,9 +5,9 @@
 // snap-encoded MachineState, and a CRC-32 over everything before it.
 // Writes go through an atomic rename so a crash mid-write never leaves
 // a truncated file where a valid checkpoint used to be, and Read
-// rejects any file whose checksum, magic, version, or framing does not
-// check out — a corrupted checkpoint fails loudly instead of resuming a
-// subtly wrong machine.
+// rejects any file whose checksum, magic, version, model epoch, or
+// framing does not check out — a corrupted or stale checkpoint fails
+// loudly instead of resuming a subtly wrong machine.
 package checkpoint
 
 import (
@@ -35,15 +35,19 @@ const magic = "UBSC"
 // Version must be bumped whenever any //ubs:state struct (or the snap
 // codec itself) changes shape. Readers reject other versions; there is
 // no migration: checkpoints are restart accelerators, not archives.
-const Version = 2
+const Version = 3
 
 // Meta names what a checkpoint is a checkpoint OF. Everything needed to
 // rebuild an identical fresh machine travels in the file: the workload
 // spec (resolved through the workloadspec registry), the design string
 // (resolved through sim.ParseDesign), and the full simulation
 // parameters. Observer wiring is process-local and deliberately absent
-// (sim.Params excludes it from JSON).
+// (sim.Params excludes it from JSON). ModelEpoch is the sim.ModelEpoch
+// the state was simulated under; Encode stamps it, and Decode rejects a
+// file from another epoch, whose state the current model would continue
+// differently from the run that produced it.
 type Meta struct {
+	ModelEpoch   int               `json:"model_epoch"`
 	Workload     workloadspec.Spec `json:"workload"`
 	WorkloadName string            `json:"workload_name"`
 	Design       string            `json:"design"`
@@ -56,6 +60,7 @@ type Meta struct {
 // Encode serializes a metadata block and machine state into the
 // checkpoint wire format.
 func Encode(meta Meta, st *sim.MachineState) ([]byte, error) {
+	meta.ModelEpoch = sim.ModelEpoch
 	mj, err := json.Marshal(meta)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: encoding meta: %w", err)
@@ -100,6 +105,9 @@ func Decode(data []byte) (Meta, *sim.MachineState, error) {
 	}
 	if err := json.Unmarshal(payload[off:off+metaLen], &meta); err != nil {
 		return meta, nil, fmt.Errorf("checkpoint: decoding meta: %w", err)
+	}
+	if meta.ModelEpoch != sim.ModelEpoch {
+		return meta, nil, fmt.Errorf("checkpoint: model epoch %d, this build simulates epoch %d", meta.ModelEpoch, sim.ModelEpoch)
 	}
 	off += metaLen
 	stateLen := int(binary.LittleEndian.Uint32(payload[off:]))

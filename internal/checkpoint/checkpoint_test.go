@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ubscache/internal/sim"
@@ -274,6 +275,59 @@ func TestCorruptedCheckpointRejected(t *testing.T) {
 		binary.LittleEndian.PutUint16(b[4:], 1)
 		return reseal(b)
 	})
+	// Version 2 checkpointed the core's completion heap and occupancy
+	// counters; its layout no longer decodes either.
+	mutate("version-2", func(b []byte) []byte {
+		binary.LittleEndian.PutUint16(b[4:], 2)
+		return reseal(b)
+	})
+}
+
+// TestOtherModelEpochRejected pins that a checkpoint records the model
+// epoch it was simulated under and that Read refuses one from another
+// epoch, even when it is otherwise intact.
+func TestOtherModelEpochRejected(t *testing.T) {
+	_, data := writeGoodCheckpoint(t)
+	meta, _, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.ModelEpoch != sim.ModelEpoch {
+		t.Fatalf("checkpoint records model epoch %d, want %d", meta.ModelEpoch, sim.ModelEpoch)
+	}
+	for _, epoch := range []int{0, sim.ModelEpoch + 1} {
+		bad := editMeta(t, data, func(m map[string]any) { m["model_epoch"] = epoch })
+		p := filepath.Join(t.TempDir(), "stale.ubsc")
+		if err := os.WriteFile(p, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := Read(p)
+		if err == nil || !strings.Contains(err.Error(), "model epoch") {
+			t.Errorf("epoch %d: want a model epoch error, got %v", epoch, err)
+		}
+	}
+}
+
+// editMeta rewrites the JSON metadata block of an encoded checkpoint
+// through edit, re-frames it, and reseals the checksum.
+func editMeta(t *testing.T, data []byte, edit func(map[string]any)) []byte {
+	t.Helper()
+	off := len(magic) + 2
+	metaLen := int(binary.LittleEndian.Uint32(data[off:]))
+	var m map[string]any
+	if err := json.Unmarshal(data[off+4:off+4+metaLen], &m); err != nil {
+		t.Fatal(err)
+	}
+	edit(m)
+	mj, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := append([]byte(nil), data[:off]...)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(mj)))
+	out = append(out, mj...)
+	out = append(out, data[off+4+metaLen:]...)
+	return reseal(out)
 }
 
 // reseal recomputes the trailing CRC so structural mutations are tested

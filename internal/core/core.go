@@ -132,87 +132,103 @@ type decodeItem struct {
 	readyAt uint64
 }
 
-// inflightEntry is one dispatched-but-incomplete instruction in the
-// completion heap: its completion cycle plus the queue resources it holds.
-type inflightEntry struct {
-	done    uint64
-	isLoad  bool
-	isStore bool
-}
+// wheelSize is the timing wheel's horizon in cycles, a power of two.
+// Completion distances (done - now) on the presets almost never reach
+// it; the rare instruction due beyond it waits in the far list.
+const wheelSize = 1024
 
-// inflight maintains the scheduler/LQ/SQ occupancy incrementally: counters
-// rise at dispatch and fall when the clock passes each instruction's
-// completion cycle. A fixed-capacity min-heap on completion time (capacity
-// ROBSize, sized at construction — the same shape as the memory system's
-// MSHR file) orders the expiries, replacing the per-cycle O(ROB) occupancy
-// scan the dispatch stage previously performed. The counters are, by
-// construction, exactly |{e in ROB : e.done > now}| split by class: entries
-// enter at dispatch (done is always > now then) and commit only removes
-// entries whose completion already expired here.
+// wheelSlot counts the dispatched instructions completing in one cycle.
+type wheelSlot struct{ n, loads, stores int32 }
+
+// inflight maintains the scheduler/LQ/SQ occupancy incrementally:
+// counters rise at dispatch and fall when the clock passes each
+// instruction's completion cycle. A timing wheel orders the expiries:
+// slot done%wheelSize counts the instructions completing at cycle done,
+// for every done in [next, next+wheelSize), and expire releases one slot
+// per elapsed cycle. An instruction due later waits in far (capacity
+// ROBSize, sized at construction) and moves into its slot once it comes
+// within the horizon. The counters are, by construction, exactly
+// |{e in ROB : e.done >= next}| split by class: entries enter at
+// dispatch (done is always > now then) and commit only removes entries
+// whose completion already expired here. The wheel is derived state:
+// Restore rebuilds it from the ROB and Validate checks it against a scan.
 type inflight struct {
-	heap   []inflightEntry
+	slots  [wheelSize]wheelSlot
+	far    []robEntry // copies of the ROB entries due beyond the horizon
+	next   uint64     // first cycle whose slot has not been released
 	sched  int
 	loads  int
 	stores int
 }
 
-// add registers a dispatched instruction completing at done.
+// add registers a dispatched instruction, completing at e.done >= next.
 //
 //ubs:hotpath
-func (f *inflight) add(done uint64, isLoad, isStore bool) {
+func (f *inflight) add(e robEntry) {
 	f.sched++
-	if isLoad {
+	if e.isLoad {
 		f.loads++
 	}
-	if isStore {
+	if e.isStore {
 		f.stores++
 	}
-	//ubs:allowalloc the heap's backing array is pre-sized to ROBSize at construction
-	f.heap = append(f.heap, inflightEntry{done: done, isLoad: isLoad, isStore: isStore})
-	i := len(f.heap) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if f.heap[p].done <= f.heap[i].done {
-			break
-		}
-		f.heap[p], f.heap[i] = f.heap[i], f.heap[p]
-		i = p
+	if e.done-f.next >= wheelSize {
+		//ubs:allowalloc far is pre-sized to ROBSize and holds only in-flight ROB entries
+		f.far = append(f.far, e)
+		return
+	}
+	f.slot(e)
+}
+
+// slot counts an instruction due within the horizon into its slot.
+//
+//ubs:hotpath
+func (f *inflight) slot(e robEntry) {
+	s := &f.slots[e.done&(wheelSize-1)]
+	s.n++
+	if e.isLoad {
+		s.loads++
+	}
+	if e.isStore {
+		s.stores++
 	}
 }
 
 // expire releases every instruction whose completion cycle has been
-// reached. Amortised O(1) per cycle: each dispatched instruction is popped
-// exactly once.
+// reached: one slot per cycle elapsed since the last call. Each released
+// slot becomes the horizon's new last cycle, which far entries due then
+// move into.
 //
 //ubs:hotpath
 func (f *inflight) expire(now uint64) {
-	for len(f.heap) > 0 && f.heap[0].done <= now {
-		e := f.heap[0]
-		f.sched--
-		if e.isLoad {
-			f.loads--
+	for f.next <= now {
+		s := &f.slots[f.next&(wheelSize-1)]
+		f.sched -= int(s.n)
+		f.loads -= int(s.loads)
+		f.stores -= int(s.stores)
+		*s = wheelSlot{}
+		f.next++
+		if len(f.far) > 0 {
+			f.pullFar()
 		}
-		if e.isStore {
-			f.stores--
+	}
+}
+
+// pullFar moves the far entries that came within the horizon into their
+// slots. Called after every one-cycle advance, so no far entry is ever
+// overtaken by the horizon's start.
+//
+//ubs:hotpath
+func (f *inflight) pullFar() {
+	for i := 0; i < len(f.far); {
+		if f.far[i].done-f.next >= wheelSize {
+			i++
+			continue
 		}
-		n := len(f.heap) - 1
-		f.heap[0] = f.heap[n]
-		f.heap = f.heap[:n]
-		i := 0
-		for {
-			l, r, s := 2*i+1, 2*i+2, i
-			if l < n && f.heap[l].done < f.heap[s].done {
-				s = l
-			}
-			if r < n && f.heap[r].done < f.heap[s].done {
-				s = r
-			}
-			if s == i {
-				break
-			}
-			f.heap[i], f.heap[s] = f.heap[s], f.heap[i]
-			i = s
-		}
+		f.slot(f.far[i])
+		last := len(f.far) - 1
+		f.far[i] = f.far[last]
+		f.far = f.far[:last]
 	}
 }
 
@@ -256,7 +272,7 @@ func New(cfg Config, ftq *fdip.FTQ, ic icache.Frontend, dc *mem.DataCache) *Core
 	if cfg.FetchWidth == 0 {
 		cfg = DefaultConfig()
 	}
-	return &Core{
+	c := &Core{
 		cfg: cfg, ftq: ftq, ic: ic, dc: dc,
 		rob: make([]robEntry, cfg.ROBSize),
 		// The decode FIFO's backing array covers its worst-case occupancy
@@ -264,8 +280,9 @@ func New(cfg Config, ftq *fdip.FTQ, ic icache.Frontend, dc *mem.DataCache) *Core
 		// chunk), so pushDecode's compact-in-place keeps every steady-state
 		// push within this capacity — the queue never reallocates.
 		decode: make([]decodeItem, 0, cfg.DecodeQueue+cfg.FetchWidth),
-		busy:   inflight{heap: make([]inflightEntry, 0, cfg.ROBSize)},
 	}
+	c.busy.far = make([]robEntry, 0, cfg.ROBSize)
+	return c
 }
 
 // Stats returns the accumulated statistics.
@@ -443,7 +460,7 @@ func (c *Core) dispatch(now uint64) {
 		c.doneRing[c.seq%uint64(len(c.doneRing))] = done
 		c.seq++
 		c.robCount++
-		c.busy.add(done, e.isLoad, e.isStore)
+		c.busy.add(*e)
 		if d.item.Mispredict {
 			// The redirect reaches fetch when the branch executes.
 			c.redirectAt = done + c.cfg.RedirectLat
@@ -595,35 +612,37 @@ func (c *Core) stall(r StallReason) {
 	c.stats.Stalls[r]++
 }
 
-// Validate checks internal consistency; tests call it after runs.
+// Validate checks internal consistency; tests call it after runs. The
+// occupancy counters must equal a brute-force scan of the ROB for the
+// instructions still in flight.
 func (c *Core) Validate() error {
 	if c.robCount < 0 || c.robCount > c.cfg.ROBSize {
 		return fmt.Errorf("core: ROB count %d out of range", c.robCount)
 	}
-	if c.busy.sched != len(c.busy.heap) {
-		return fmt.Errorf("core: inflight count %d disagrees with heap size %d",
-			c.busy.sched, len(c.busy.heap))
-	}
-	if cap(c.busy.heap) != c.cfg.ROBSize {
-		return fmt.Errorf("core: inflight heap capacity %d, want ROB size %d",
-			cap(c.busy.heap), c.cfg.ROBSize)
-	}
-	loads, stores := 0, 0
-	for i := range c.busy.heap {
-		if c.busy.heap[i].isLoad {
-			loads++
-		}
-		if c.busy.heap[i].isStore {
-			stores++
+	f := &c.busy
+	var n, loads, stores int
+	for i := 0; i < c.robCount; i++ {
+		if e := &c.rob[(c.robHead+i)%c.cfg.ROBSize]; e.done >= c.clock {
+			n, loads, stores = n+1, loads+b2i(e.isLoad), stores+b2i(e.isStore)
 		}
 	}
-	if loads != c.busy.loads || stores != c.busy.stores {
-		return fmt.Errorf("core: inflight load/store counters %d/%d disagree with heap %d/%d",
-			c.busy.loads, c.busy.stores, loads, stores)
+	if n != f.sched || loads != f.loads || stores != f.stores {
+		return fmt.Errorf("core: inflight counters %d/%d/%d disagree with the ROB's %d/%d/%d in flight",
+			f.sched, f.loads, f.stores, n, loads, stores)
 	}
-	if c.busy.sched > c.robCount {
-		return fmt.Errorf("core: %d in-flight instructions exceed ROB occupancy %d",
-			c.busy.sched, c.robCount)
+	if f.next != c.clock {
+		return fmt.Errorf("core: inflight wheel at cycle %d, clock at %d", f.next, c.clock)
+	}
+	if cap(f.far) != c.cfg.ROBSize {
+		return fmt.Errorf("core: inflight far capacity %d, want ROB size %d", cap(f.far), c.cfg.ROBSize)
 	}
 	return nil
+}
+
+// b2i counts a flag.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -22,21 +22,13 @@ type DecodeItem struct {
 	ReadyAt uint64
 }
 
-// InflightEntry is the exported image of one entry in the completion
-// min-heap.
-type InflightEntry struct {
-	Done    uint64
-	IsLoad  bool
-	IsStore bool
-}
-
 // State is the checkpointable image of the core backend and its
 // front-end redirect machinery. The ROB is captured as the full raw
-// ring (head/count index into it); the completion heap is captured in
-// raw heap order, which a straight copy preserves. The clock is the
-// machine's monotonic time base — every completion cycle in every layer
-// is an absolute cycle number against it — so it is part of the state,
-// not of the stats.
+// ring (head/count index into it). The scheduler/LQ/SQ occupancy wheel
+// is not captured: it is a function of the ROB and the clock, and
+// Restore rebuilds it. The clock is the machine's monotonic time base —
+// every completion cycle in every layer is an absolute cycle number
+// against it — so it is part of the state, not of the stats.
 //
 //ubs:state
 type State struct {
@@ -44,10 +36,6 @@ type State struct {
 	ROBHead  int
 	ROBCount int
 	Decode   []DecodeItem
-	Inflight []InflightEntry
-	Sched    int
-	Loads    int
-	Stores   int
 	Seq      uint64
 	DoneRing [512]uint64
 	// Front-end redirect state.
@@ -79,16 +67,6 @@ func (c *Core) Snapshot(dst *State) {
 	for i, d := range live {
 		dst.Decode[i] = DecodeItem{Item: d.item, ReadyAt: d.readyAt}
 	}
-	if cap(dst.Inflight) < len(c.busy.heap) {
-		dst.Inflight = make([]InflightEntry, len(c.busy.heap))
-	}
-	dst.Inflight = dst.Inflight[:len(c.busy.heap)]
-	for i, e := range c.busy.heap {
-		dst.Inflight[i] = InflightEntry{Done: e.done, IsLoad: e.isLoad, IsStore: e.isStore}
-	}
-	dst.Sched = c.busy.sched
-	dst.Loads = c.busy.loads
-	dst.Stores = c.busy.stores
 	dst.Seq = c.seq
 	dst.DoneRing = c.doneRing
 	dst.WaitMispredict = c.waitMispredict
@@ -101,7 +79,8 @@ func (c *Core) Snapshot(dst *State) {
 
 // Restore installs a previously captured State into a core of the same
 // configuration, copying into the pre-sized backings so the steady-state
-// capacity invariants (Validate) keep holding afterwards.
+// capacity invariants (Validate) keep holding afterwards, and rebuilds
+// the occupancy wheel from the restored ROB.
 func (c *Core) Restore(src *State) error {
 	if len(src.ROB) != len(c.rob) {
 		return fmt.Errorf("core: snapshot ROB has %d slots, core has %d", len(src.ROB), len(c.rob))
@@ -109,8 +88,8 @@ func (c *Core) Restore(src *State) error {
 	if len(src.Decode) > cap(c.decode) {
 		return fmt.Errorf("core: snapshot decode window %d exceeds queue capacity %d", len(src.Decode), cap(c.decode))
 	}
-	if len(src.Inflight) > cap(c.busy.heap) {
-		return fmt.Errorf("core: snapshot inflight heap %d exceeds capacity %d", len(src.Inflight), cap(c.busy.heap))
+	if src.ROBHead < 0 || src.ROBHead >= len(c.rob) || src.ROBCount < 0 || src.ROBCount > len(c.rob) {
+		return fmt.Errorf("core: snapshot ROB head/count %d/%d out of range for %d slots", src.ROBHead, src.ROBCount, len(c.rob))
 	}
 	for i, e := range src.ROB {
 		c.rob[i] = robEntry{done: e.Done, seq: e.Seq, isLoad: e.IsLoad, isStore: e.IsStore, mispredict: e.Mispredict}
@@ -122,13 +101,6 @@ func (c *Core) Restore(src *State) error {
 		c.decode = append(c.decode, decodeItem{item: d.Item, readyAt: d.ReadyAt})
 	}
 	c.decodeHead = 0
-	c.busy.heap = c.busy.heap[:0]
-	for _, e := range src.Inflight {
-		c.busy.heap = append(c.busy.heap, inflightEntry{done: e.Done, isLoad: e.IsLoad, isStore: e.IsStore})
-	}
-	c.busy.sched = src.Sched
-	c.busy.loads = src.Loads
-	c.busy.stores = src.Stores
 	c.seq = src.Seq
 	c.doneRing = src.DoneRing
 	c.waitMispredict = src.WaitMispredict
@@ -137,5 +109,13 @@ func (c *Core) Restore(src *State) error {
 	c.blockReason = src.BlockReason
 	c.clock = src.Clock
 	c.stats = src.Stats
+	// Rebuild the occupancy wheel: the instructions in flight are the
+	// live ROB entries not yet complete at the clock.
+	c.busy = inflight{far: c.busy.far[:0], next: c.clock}
+	for i := 0; i < c.robCount; i++ {
+		if e := &c.rob[(c.robHead+i)%len(c.rob)]; e.done >= c.clock {
+			c.busy.add(*e)
+		}
+	}
 	return nil
 }

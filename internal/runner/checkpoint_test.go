@@ -181,7 +181,16 @@ func TestStoreCorruptCheckpointFallsBack(t *testing.T) {
 // under layout version 1 (which carried warmup stat baselines the
 // current layout does not) is never resumed: the Store discards it and
 // recomputes the point from its warmup.
-func TestStoreVersion1CheckpointRecomputes(t *testing.T) {
+func TestStoreVersion1CheckpointRecomputes(t *testing.T) { oldVersionRecomputes(t, 1) }
+
+// TestStoreVersion2CheckpointRecomputes is the same for layout version
+// 2, which carried the core's completion heap and occupancy counters.
+func TestStoreVersion2CheckpointRecomputes(t *testing.T) { oldVersionRecomputes(t, 2) }
+
+// oldVersionRecomputes relabels a genuine checkpoint as the given layout
+// version and checks the Store recomputes the point to the
+// uninterrupted bytes.
+func oldVersionRecomputes(t *testing.T, version uint16) {
 	p := ckTestParams()
 	w, err := workloadspec.ParseWorkload("server_001")
 	if err != nil {
@@ -198,7 +207,7 @@ func TestStoreVersion1CheckpointRecomputes(t *testing.T) {
 	want, _ := json.Marshal(ref)
 
 	// A genuine mid-measure checkpoint of this point, relabelled as
-	// version 1 with its checksum resealed.
+	// the old version with its checksum resealed.
 	src, err := w.NewSource()
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +228,7 @@ func TestStoreVersion1CheckpointRecomputes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint16(data[4:], 1)
+	binary.LittleEndian.PutUint16(data[4:], version)
 	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(data[:len(data)-4]))
 
 	s := NewStore(t.TempDir())
@@ -240,10 +249,10 @@ func TestStoreVersion1CheckpointRecomputes(t *testing.T) {
 	}}
 	res, err := s.RunWorkloadContext(context.Background(), hp, w, "conv:32", d.Factory)
 	if err != nil {
-		t.Fatalf("version-1 checkpoint should fall back, got %v", err)
+		t.Fatalf("version-%d checkpoint should fall back, got %v", version, err)
 	}
 	if warmBeats == 0 {
-		t.Error("version-1 checkpoint was resumed instead of recomputed")
+		t.Errorf("version-%d checkpoint was resumed instead of recomputed", version)
 	}
 	if got, _ := json.Marshal(res); string(got) != string(want) {
 		t.Errorf("recomputed point diverged:\n got:  %s\n want: %s", got, want)

@@ -35,8 +35,8 @@ func steadyMachine(t *testing.T, kind string) *Machine {
 // measured simulation window — core cycle loop, FDIP fill, frontend
 // fetches, L1-D, hierarchy, efficiency sampling — performs zero
 // allocations at steady state, for every registered design kind. Every
-// pool (ROB, in-flight completion heap, decode FIFO, FTQ backing, walker
-// stack, efficiency window) is pre-sized at construction, so the marginal
+// pool (ROB, in-flight wheel and its far list, decode FIFO, FTQ backing,
+// walker stack, efficiency window) is pre-sized at construction, so the marginal
 // cost of a simulated instruction never includes the allocator.
 func TestSimulateSteadyStateAllocFree(t *testing.T) {
 	kinds := DesignKinds()
