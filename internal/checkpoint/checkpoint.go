@@ -35,7 +35,7 @@ const magic = "UBSC"
 // Version must be bumped whenever any //ubs:state struct (or the snap
 // codec itself) changes shape. Readers reject other versions; there is
 // no migration: checkpoints are restart accelerators, not archives.
-const Version = 3
+const Version = 4
 
 // Meta names what a checkpoint is a checkpoint OF. Everything needed to
 // rebuild an identical fresh machine travels in the file: the workload
@@ -179,6 +179,7 @@ func (r *Resumed) Close() error {
 
 // Resume rebuilds a runnable machine from the checkpoint at path: it
 // re-resolves the recorded workload and design, opens a fresh source,
+// restores it from the recorded walker image or, without one,
 // fast-forwards it to the recorded replay cursor, and restores every
 // layer's state. The returned machine continues with Advance and ends
 // with Finish exactly as an uninterrupted run would.

@@ -281,6 +281,12 @@ func TestCorruptedCheckpointRejected(t *testing.T) {
 		binary.LittleEndian.PutUint16(b[4:], 2)
 		return reseal(b)
 	})
+	// Version 3 carried no walker image and resumed generator workloads
+	// by replay; its layout no longer decodes either.
+	mutate("version-3", func(b []byte) []byte {
+		binary.LittleEndian.PutUint16(b[4:], 3)
+		return reseal(b)
+	})
 }
 
 // TestOtherModelEpochRejected pins that a checkpoint records the model

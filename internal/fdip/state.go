@@ -3,10 +3,11 @@ package fdip
 import "fmt"
 
 // State is the checkpointable image of the FTQ: the live queue window,
-// the absolute walk counters, and the walker flags. EnqueuedTot doubles
-// as the trace replay cursor — it counts exactly the successful
-// src.Next() calls, so a restored machine fast-forwards a fresh source
-// by that many instructions to land on the same next instruction.
+// the absolute walk counters, and the walker flags. EnqueuedTot counts
+// exactly the successful src.Next() calls. It is the trace replay
+// cursor for sources restored by replay, which a restored machine
+// fast-forwards by that many instructions to land on the same next
+// instruction, and the check on a restored walker image's emitted count.
 //
 //ubs:state
 type State struct {

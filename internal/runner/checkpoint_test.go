@@ -187,6 +187,10 @@ func TestStoreVersion1CheckpointRecomputes(t *testing.T) { oldVersionRecomputes(
 // 2, which carried the core's completion heap and occupancy counters.
 func TestStoreVersion2CheckpointRecomputes(t *testing.T) { oldVersionRecomputes(t, 2) }
 
+// TestStoreVersion3CheckpointRecomputes is the same for layout version
+// 3, which carried no walker image.
+func TestStoreVersion3CheckpointRecomputes(t *testing.T) { oldVersionRecomputes(t, 3) }
+
 // oldVersionRecomputes relabels a genuine checkpoint as the given layout
 // version and checks the Store recomputes the point to the
 // uninterrupted bytes.

@@ -155,8 +155,9 @@ type Machine struct {
 
 	workload, design string
 
-	// src is the trace source feeding the FTQ, retained for the
-	// restore-by-replay fast-forward (see Restore).
+	// src is the trace source feeding the FTQ, retained for Snapshot and
+	// Restore: a walker's image is captured and installed, any other
+	// source is replayed (see MachineState).
 	src trace.Source
 
 	h   *mem.Hierarchy

@@ -9,6 +9,7 @@ import (
 	"ubscache/internal/icache"
 	"ubscache/internal/mem"
 	"ubscache/internal/trace"
+	"ubscache/internal/workload"
 )
 
 // MachineState is the complete checkpointable image of a Machine: every
@@ -18,16 +19,21 @@ import (
 // Params/design/workload, run to completion, and the final stats are
 // byte-identical to an uninterrupted run.
 //
-// Two things are deliberately NOT part of the state:
+// The trace source is part of the state only when it is a bare
+// *workload.Walker: Walker then holds the walker's image (its generator
+// register, call stack and cursor), and Restore installs it directly, at
+// a cost that does not grow with the snapshot's position. Every other
+// source (mixes, file-backed traces, wrapped walkers) carries state the
+// image cannot hold (the stdlib generator behind a mix's distributions,
+// open file readers), so Walker is nil and Restore replays instead: the
+// FTQ's EnqueuedTot counts exactly the successful Next calls, and Restore
+// fast-forwards the freshly opened source by that many instructions
+// (trace.Skip).
 //
-//   - The trace source. Sources carry unserializable state (workload
-//     RNGs, open file readers), so restore replays instead: the FTQ's
-//     EnqueuedTot counts exactly the successful Next calls, and Restore
-//     fast-forwards a freshly opened source by that many instructions
-//     (trace.Skip).
-//   - Observer plumbing (the heartbeat schedule). Heartbeats never touch
-//     simulated state; Restore recomputes the next beat cycle from the
-//     restored clock so a resumed run beats on the same cycle grid.
+// Observer plumbing (the heartbeat schedule) is deliberately NOT part of
+// the state. Heartbeats never touch simulated state; Restore recomputes
+// the next beat cycle from the restored clock so a resumed run beats on
+// the same cycle grid.
 //
 // The file-format version lives in the checkpoint header (package
 // checkpoint), not here: MachineState's layout IS the format, and the
@@ -49,6 +55,9 @@ type MachineState struct {
 	Frontend  []byte
 	DataCache *mem.DataCacheState
 	Hierarchy mem.HierarchyState
+	// Walker is the source's image, nil when the source is not a bare
+	// *workload.Walker (see above).
+	Walker *workload.State
 }
 
 // Snapshot copies the machine's complete mutable state into dst. The
@@ -87,15 +96,24 @@ func (m *Machine) Snapshot(dst *MachineState) error {
 		m.dc.Snapshot(dst.DataCache)
 	}
 	m.h.Snapshot(&dst.Hierarchy)
+	if w, ok := m.src.(*workload.Walker); ok {
+		if dst.Walker == nil {
+			dst.Walker = &workload.State{}
+		}
+		w.Snapshot(dst.Walker)
+	} else {
+		dst.Walker = nil
+	}
 	return nil
 }
 
 // Restore installs a previously captured MachineState into a fresh
 // Machine built from the same Params, design, and workload. The
-// machine's trace source is fast-forwarded to the snapshot's replay
-// cursor, every layer's state is copied into its pre-sized backings,
-// and the observer (if any) is re-armed at the measure phase, so the
-// next Advance continues exactly where the snapshot left off.
+// machine's trace source is restored from the snapshot's walker image
+// or, without one, fast-forwarded to its replay cursor; every layer's
+// state is copied into its pre-sized backings, and the observer (if any)
+// is re-armed at the measure phase, so the next Advance continues
+// exactly where the snapshot left off.
 func (m *Machine) Restore(src *MachineState) error {
 	if m.warmed || m.c.Clock() != 0 {
 		return fmt.Errorf("sim: restore target must be a fresh machine")
@@ -110,11 +128,23 @@ func (m *Machine) Restore(src *MachineState) error {
 	if (src.DataCache == nil) != (m.dc == nil) {
 		return fmt.Errorf("sim: snapshot and params disagree on data-cache modelling")
 	}
-	// Replay: position the fresh source on the instruction the FTQ would
-	// pull next. EnqueuedTot counts exactly the successful Next calls; a
-	// source that already ended (SourceDone) is restored via the flag
-	// alone, so no extra Next is needed here.
-	if err := trace.Skip(m.src, src.FTQ.EnqueuedTot); err != nil {
+	// Position the fresh source on the instruction the FTQ would pull
+	// next. The image decides how: a walker image is installed directly;
+	// without one the source is replayed. EnqueuedTot counts exactly the
+	// successful Next calls; a source that already ended (SourceDone) is
+	// restored via the flag alone, so no extra Next is needed here.
+	if src.Walker != nil {
+		w, ok := m.src.(*workload.Walker)
+		if !ok {
+			return fmt.Errorf("sim: snapshot holds a walker image but the source is %T", m.src)
+		}
+		if src.Walker.Emitted != src.FTQ.EnqueuedTot {
+			return fmt.Errorf("sim: walker image emitted %d instructions, the FTQ consumed %d", src.Walker.Emitted, src.FTQ.EnqueuedTot)
+		}
+		if err := w.Restore(src.Walker); err != nil {
+			return err
+		}
+	} else if err := trace.Skip(m.src, src.FTQ.EnqueuedTot); err != nil {
 		return err
 	}
 	if err := m.c.Restore(&src.Core); err != nil {

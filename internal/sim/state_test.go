@@ -1,0 +1,89 @@
+package sim
+
+import (
+	"context"
+	"testing"
+
+	"ubscache/internal/trace"
+	"ubscache/internal/workload"
+)
+
+// TestWalkerImageCorruptionRejected pins that a walker image read from
+// file bytes is checked before it is installed: a real mid-measure
+// snapshot restores, and the same snapshot with any one walker field
+// corrupted is refused with an error, never a panic. The generator
+// register itself has no invalid values; its taps do.
+func TestWalkerImageCorruptionRejected(t *testing.T) {
+	prog, err := workload.Build(specCfg(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := DefaultParams()
+	p.Warmup, p.Measure = 5_000, 20_000
+	fresh := func(src trace.Source) *Machine {
+		m, err := NewMachine(context.Background(), p, src, "spec", "conv", convFactory)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	m := fresh(workload.NewWalker(prog))
+	if err := m.Advance(7_000); err != nil {
+		t.Fatal(err)
+	}
+	var good MachineState
+	if err := m.Snapshot(&good); err != nil {
+		t.Fatal(err)
+	}
+	if good.Walker == nil {
+		t.Fatal("snapshot of a walker-fed machine carries no walker image")
+	}
+	if err := fresh(workload.NewWalker(prog)).Restore(&good); err != nil {
+		t.Fatalf("pristine image rejected: %v", err)
+	}
+
+	nf := len(prog.Funcs)
+	nb := len(prog.Funcs[good.Walker.Fn].Blocks)
+	ni := prog.Funcs[good.Walker.Fn].Blocks[good.Walker.Blk].NInstr
+	cases := map[string]func(w *workload.State){
+		"tap-negative":       func(w *workload.State) { w.RNG.Tap = -1 },
+		"tap-high":           func(w *workload.State) { w.RNG.Tap = 607 },
+		"feed-negative":      func(w *workload.State) { w.RNG.Feed = -1 },
+		"feed-high":          func(w *workload.State) { w.RNG.Feed = 607 },
+		"stack-too-deep":     func(w *workload.State) { w.Stack = make([]workload.Frame, 65) },
+		"frame-fn-negative":  func(w *workload.State) { w.Stack = append(w.Stack, workload.Frame{Fn: -1}) },
+		"frame-fn-high":      func(w *workload.State) { w.Stack = append(w.Stack, workload.Frame{Fn: nf}) },
+		"frame-block-high":   func(w *workload.State) { w.Stack = append(w.Stack, workload.Frame{ResumeBlk: 1 << 30}) },
+		"frame-block-neg":    func(w *workload.State) { w.Stack = append(w.Stack, workload.Frame{ResumeBlk: -1}) },
+		"fn-negative":        func(w *workload.State) { w.Fn = -1 },
+		"fn-high":            func(w *workload.State) { w.Fn = nf },
+		"block-negative":     func(w *workload.State) { w.Blk = -1 },
+		"block-high":         func(w *workload.State) { w.Blk = nb },
+		"pos-negative":       func(w *workload.State) { w.Pos = -1 },
+		"pos-high":           func(w *workload.State) { w.Pos = ni },
+		"mode-unknown":       func(w *workload.State) { w.Mode = 3 },
+		"working-set-neg":    func(w *workload.State) { w.WSStart = -1 },
+		"working-set-high":   func(w *workload.State) { w.WSStart = nf },
+		"requests-negative":  func(w *workload.State) { w.Requests = -1 },
+		"emitted-off-cursor": func(w *workload.State) { w.Emitted++ },
+		"emitted-behind-ftq": func(w *workload.State) { w.Emitted-- },
+	}
+	for name, corrupt := range cases {
+		t.Run(name, func(t *testing.T) {
+			bad := good
+			w := *good.Walker
+			w.Stack = append([]workload.Frame(nil), good.Walker.Stack...)
+			corrupt(&w)
+			bad.Walker = &w
+			if err := fresh(workload.NewWalker(prog)).Restore(&bad); err == nil {
+				t.Fatal("corrupted walker image restored without error")
+			}
+		})
+	}
+
+	// The image, not the fresh source's type, picks the restore path: a
+	// walker image cannot be installed into any other source.
+	if err := fresh(trace.NewLoop(make([]trace.Instr, 8))).Restore(&good); err == nil {
+		t.Error("walker image restored into a non-walker source")
+	}
+}

@@ -10,12 +10,13 @@ type Skipper interface {
 }
 
 // Skip advances src past exactly n instructions, as if Next had been
-// called n times successfully. This is the restore-by-replay primitive
-// behind checkpointing: trace sources carry unserializable state (RNG
-// cursors, open file readers), so a restored machine opens a fresh
-// source and skips to the consumed-instruction count recorded in the
-// snapshot instead of deserializing the source itself. A source that
-// ends early is an error — the checkpoint does not match the workload.
+// called n times successfully. It is the restore path for every source
+// whose state a checkpoint cannot hold (mixes, open file readers,
+// wrapped sources): a restored machine opens a fresh source and skips to
+// the consumed-instruction count recorded in the snapshot. A bare
+// synthetic walker is restored from its image instead (see
+// sim.MachineState). A source that ends early is an error — the
+// checkpoint does not match the workload.
 func Skip(src Source, n uint64) error {
 	if n == 0 {
 		return nil

@@ -1,7 +1,7 @@
 package workload
 
 import (
-	"math/rand"
+	"fmt"
 
 	"ubscache/internal/trace"
 )
@@ -16,10 +16,10 @@ import (
 type Walker struct {
 	prog *Program
 	cfg  Config
-	rng  *rand.Rand
+	rng  RNG
 
 	// Interpreter state.
-	stack []frame
+	stack []Frame
 	fn    int // current function
 	blk   int // current block
 	pos   int // next instruction index within the block
@@ -32,9 +32,10 @@ type Walker struct {
 	emitted uint64
 }
 
-type frame struct {
-	fn, resumeBlk int
-	sp            uint64
+// Frame is one call-stack entry: the caller's function and the block
+// its call returns to.
+type Frame struct {
+	Fn, ResumeBlk int
 }
 
 // walkState tracks whether the interpreter is inside a function or in the
@@ -53,15 +54,15 @@ const (
 
 // NewWalker returns a Walker over p, seeded from the program's config.
 func NewWalker(p *Program) *Walker {
-	cfg := p.Config()
-	return &Walker{
+	w := &Walker{
 		prog: p,
-		cfg:  cfg,
-		rng:  rand.New(rand.NewSource(cfg.Seed ^ 0x5eed_0001)),
+		cfg:  p.Config(),
 		// The call stack's depth is bounded by the program's static level
 		// structure; pre-sizing keeps the emit path allocation-free.
-		stack: make([]frame, 0, 64),
+		stack: make([]Frame, 0, 64),
 	}
+	w.rng.Seed(w.cfg.Seed ^ 0x5eed_0001)
+	return w
 }
 
 // Emitted returns the number of instructions produced so far.
@@ -189,7 +190,7 @@ func (w *Walker) terminate(in trace.Instr, b *Block) trace.Instr {
 		in.Target = cf.Blocks[cf.Entry].Addr
 		in.Taken = true
 		//ubs:allowalloc the stack is pre-sized to the static depth bound at construction
-		w.stack = append(w.stack, frame{fn: w.fn, resumeBlk: b.Next})
+		w.stack = append(w.stack, Frame{Fn: w.fn, ResumeBlk: b.Next})
 		w.fn, w.blk, w.pos = callee, cf.Entry, 0
 	case TermReturn:
 		in.Class = trace.ClassReturn
@@ -201,9 +202,9 @@ func (w *Walker) terminate(in trace.Instr, b *Block) trace.Instr {
 		} else {
 			fr := w.stack[len(w.stack)-1]
 			w.stack = w.stack[:len(w.stack)-1]
-			rf := &w.prog.Funcs[fr.fn]
-			in.Target = rf.Blocks[fr.resumeBlk].Addr
-			w.fn, w.blk, w.pos = fr.fn, fr.resumeBlk, 0
+			rf := &w.prog.Funcs[fr.Fn]
+			in.Target = rf.Blocks[fr.ResumeBlk].Addr
+			w.fn, w.blk, w.pos = fr.Fn, fr.ResumeBlk, 0
 		}
 	default:
 		panic("workload: fallthrough reached terminate")
@@ -265,4 +266,87 @@ func New(cfg Config) (*Walker, error) {
 		return nil, err
 	}
 	return NewWalker(p), nil
+}
+
+// State is the checkpointable image of a Walker: the generator register,
+// the interpreter's call stack and cursor, and the dispatcher's position.
+// Together with the Program, which is rebuilt from the workload's config,
+// it determines the rest of the stream, so a restored walker continues
+// without replaying what came before. Emitted doubles as the replay
+// cursor check: it must equal the FTQ's EnqueuedTot (sim.Machine.Restore).
+//
+//ubs:state
+type State struct {
+	RNG      RNG
+	Stack    []Frame
+	Fn       int
+	Blk      int
+	Pos      int
+	Mode     uint8 // the walkState
+	WSStart  int
+	Requests int
+	Emitted  uint64
+}
+
+// Snapshot copies the walker's mutable state into dst, reusing dst's
+// stack storage.
+func (w *Walker) Snapshot(dst *State) {
+	dst.RNG = w.rng
+	dst.Stack = append(dst.Stack[:0], w.stack...)
+	dst.Fn, dst.Blk, dst.Pos = w.fn, w.blk, w.pos
+	dst.Mode = uint8(w.state)
+	dst.WSStart = w.wsStart
+	dst.Requests = w.requests
+	dst.Emitted = w.emitted
+}
+
+// Restore installs a State captured from a walker over the same Program.
+// The image comes from file bytes, so every index is checked against the
+// program first: a bad image is an error, never a panic in a later Next.
+// The stack is filled in place, so Next stays allocation-free.
+func (w *Walker) Restore(src *State) error {
+	if err := w.check(src); err != nil {
+		return fmt.Errorf("workload %s: walker image: %w", w.cfg.Name, err)
+	}
+	w.rng = src.RNG
+	w.stack = append(w.stack[:0], src.Stack...)
+	w.fn, w.blk, w.pos = src.Fn, src.Blk, src.Pos
+	w.state = walkState(src.Mode)
+	w.wsStart = src.WSStart
+	w.requests = src.Requests
+	w.emitted = src.Emitted
+	return nil
+}
+
+// check validates an image against this walker's program.
+func (w *Walker) check(src *State) error {
+	if src.RNG.Tap < 0 || src.RNG.Tap >= rngLen || src.RNG.Feed < 0 || src.RNG.Feed >= rngLen {
+		return fmt.Errorf("generator taps %d/%d outside [0,%d)", src.RNG.Tap, src.RNG.Feed, rngLen)
+	}
+	if len(src.Stack) > cap(w.stack) {
+		return fmt.Errorf("call depth %d exceeds the stack capacity %d", len(src.Stack), cap(w.stack))
+	}
+	for i, fr := range src.Stack {
+		if !w.validBlock(fr.Fn, fr.ResumeBlk) {
+			return fmt.Errorf("stack frame %d (function %d, block %d) is not in the program", i, fr.Fn, fr.ResumeBlk)
+		}
+	}
+	if !w.validBlock(src.Fn, src.Blk) || src.Pos < 0 || src.Pos >= w.prog.Funcs[src.Fn].Blocks[src.Blk].NInstr {
+		return fmt.Errorf("cursor (function %d, block %d, instruction %d) is not in the program", src.Fn, src.Blk, src.Pos)
+	}
+	if walkState(src.Mode) > stateInFn {
+		return fmt.Errorf("unknown walk state %d", src.Mode)
+	}
+	if src.WSStart < 0 || src.WSStart >= len(w.prog.Funcs) {
+		return fmt.Errorf("working-set start %d outside [0,%d)", src.WSStart, len(w.prog.Funcs))
+	}
+	if src.Requests < 0 {
+		return fmt.Errorf("negative request count %d", src.Requests)
+	}
+	return nil
+}
+
+// validBlock reports whether (fn, blk) names a block of the program.
+func (w *Walker) validBlock(fn, blk int) bool {
+	return fn >= 0 && fn < len(w.prog.Funcs) && blk >= 0 && blk < len(w.prog.Funcs[fn].Blocks)
 }

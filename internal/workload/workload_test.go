@@ -159,6 +159,46 @@ func TestWalkerDeterministic(t *testing.T) {
 	}
 }
 
+// TestWalkerRestoreContinuesStream pins the walker image: a fresh walker
+// restored from a snapshot taken at instruction N emits exactly what the
+// original emits after N, across many requests and working-set drifts
+// (the test config drifts every 10 requests), and reports the same
+// position. The image is taken through a reused State, as checkpoint
+// writers do.
+func TestWalkerRestoreContinuesStream(t *testing.T) {
+	p, err := Build(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWalker(p)
+	var st State
+	for _, skip := range []int{0, 1, 977, 20_000} {
+		// Past skip instructions, then on to a call depth of 2, so the
+		// call stack is part of the image.
+		for i := 0; i < skip || (skip > 0 && w.Depth() < 2); i++ {
+			w.Next()
+		}
+		n := w.Emitted()
+		w.Snapshot(&st)
+		r := NewWalker(p)
+		if err := r.Restore(&st); err != nil {
+			t.Fatalf("restore at %d: %v", n, err)
+		}
+		if r.Emitted() != w.Emitted() || r.Depth() != w.Depth() {
+			t.Fatalf("restore at %d: position %d depth %d, want %d depth %d", n, r.Emitted(), r.Depth(), w.Emitted(), w.Depth())
+		}
+		// Run the original and the copy in lockstep; the original then
+		// skips on to the next snapshot point from where it stands.
+		for i := 0; i < 100_000; i++ {
+			a, _ := w.Next()
+			b, _ := r.Next()
+			if a != b {
+				t.Fatalf("restored at %d: instruction %d after restore differs: %+v vs %+v", n, i, b, a)
+			}
+		}
+	}
+}
+
 func TestWalkerStreamIsValid(t *testing.T) {
 	w, err := New(testConfig())
 	if err != nil {

@@ -340,8 +340,9 @@ type CheckpointMeta = checkpoint.Meta
 type ResumeRunOptions = checkpoint.ResumeOptions
 
 // ResumedRun is a simulation rebuilt from a checkpoint file: the
-// recorded workload re-resolved, its source fast-forwarded to the
-// replay cursor, and every simulator layer's state restored. Run it to
+// recorded workload re-resolved, its source restored (a synthetic
+// walker from its image, any other source by replay to the recorded
+// cursor), and every simulator layer's state restored. Run it to
 // completion with CompleteRun and release the source with Close.
 type ResumedRun = checkpoint.Resumed
 
