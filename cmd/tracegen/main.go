@@ -7,7 +7,6 @@
 //	tracegen convert -i trace.champsim -o out.ubst -n 1000000
 //	tracegen inspect server_001.ubst.gz           # summary statistics
 //	tracegen inspect a.champsim b.ubst.gz         # mixed formats by extension
-//	tracegen -inspect server_001.ubst.gz          # legacy spelling, still works
 //
 // Input formats are inferred from the file name: a path containing
 // ".champsim" is decoded as a ChampSim trace (64-byte records, optionally
@@ -37,7 +36,7 @@ func main() {
 			return
 		}
 	}
-	legacyMain()
+	generateMain()
 }
 
 // runConvert decodes a foreign-format trace (ChampSim by extension) and
@@ -118,15 +117,14 @@ func inspectFiles(paths []string) {
 	}
 }
 
-// legacyMain is the original flag-based interface, preserved verbatim for
-// existing scripts.
-func legacyMain() {
+// generateMain lists the synthetic workloads or materialises one into a
+// trace file (-list, -workload).
+func generateMain() {
 	var (
-		list    = flag.Bool("list", false, "list workload names and exit")
-		wl      = flag.String("workload", "", "workload to materialise")
-		n       = flag.Uint64("n", 1_000_000, "instructions to emit")
-		out     = flag.String("o", "", "output file (.ubst or .ubst.gz)")
-		inspect = flag.String("inspect", "", "trace file to summarise")
+		list = flag.Bool("list", false, "list workload names and exit")
+		wl   = flag.String("workload", "", "workload to materialise")
+		n    = flag.Uint64("n", 1_000_000, "instructions to emit")
+		out  = flag.String("o", "", "output file (.ubst or .ubst.gz)")
 	)
 	flag.Parse()
 
@@ -139,8 +137,6 @@ func legacyMain() {
 			}
 			fmt.Println()
 		}
-	case *inspect != "":
-		inspectFiles(append([]string{*inspect}, flag.Args()...))
 	case *wl != "":
 		cfg, err := workload.ByName(*wl)
 		if err != nil {

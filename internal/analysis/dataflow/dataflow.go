@@ -1,5 +1,5 @@
 // Package dataflow is the shared flow-sensitive substrate of the
-// ubslint dataflow tier (wallclocktaint, ctxleak, mutexguard). It walks
+// ubslint dataflow tier (determinism, ctxleak, mutexguard). It walks
 // the control-flow graphs built by the vendored ctrlflow pass and runs
 // simple forward fixpoints over them — a deliberately small stand-in
 // for go/ssa (which the hermetic third_party/ subset of x/tools does

@@ -1,5 +1,5 @@
 // Package stats reproduces the internal/stats role: its struct fields
-// are published counters, a deterministic sink for wallclocktaint.
+// are published counters, a deterministic sink for the clock rule.
 package stats
 
 // Stats mirrors the simulator's counter block.

@@ -1,9 +1,8 @@
 // Package serve mirrors the repository's serving layer: inside the
 // determinism scope for the global-RNG and map-order rules, but outside
-// timeNowScope — the daemon reads the clock routinely (job timestamps,
-// latency histograms, retry hints), and the flow-sensitive
-// wallclocktaint analyzer checks where those values flow instead of
-// flagging every read.
+// the simulation core — the daemon reads the clock routinely (job
+// timestamps, latency histograms, retry hints), so the clock rule
+// tracks where those values flow instead of flagging every read.
 package serve
 
 import (
@@ -14,8 +13,7 @@ import (
 )
 
 // SubmitStamp records a job's admission time: in the serving layer a
-// bare clock read needs no waiver — only a flow into an artifact would
-// (and wallclocktaint, not determinism, reports that).
+// bare clock read needs no waiver — only a flow into a sink would.
 func SubmitStamp() time.Time {
 	return time.Now()
 }

@@ -1,6 +1,6 @@
-// Package sim sits inside the determinism scope (path suffix
-// internal/sim): wall-clock reads, the global RNG, and map-ordered
-// output are violations here.
+// Package sim sits in the simulation core (path suffix internal/sim):
+// wall-clock reads, the global RNG, and map-ordered output are
+// violations here.
 package sim
 
 import (
@@ -13,14 +13,19 @@ import (
 
 // Stamp leaks the host clock into a result-producing package.
 func Stamp() int64 {
-	return time.Now().UnixNano() // want `time\.Now in a result-producing package`
+	return time.Now().UnixNano() // want `time\.Now in the simulation core`
 }
 
-// Paced reports scheduler pacing; its wall-clock read is metadata only.
-//
-//ubs:wallclock
+// Elapsed measures host time; time.Since is banned in the core too.
+func Elapsed(start time.Time) time.Duration {
+	return time.Since(start) // want `time\.Since in the simulation core`
+}
+
+// Paced tries the orchestration layers' sink waiver: in the core the
+// clock is banned outright, so no waiver applies.
 func Paced() time.Time {
-	return time.Now()
+	//ubs:wallclock pacing metadata only
+	return time.Now() // want `time\.Now in the simulation core`
 }
 
 // Roll draws from the global math/rand source.

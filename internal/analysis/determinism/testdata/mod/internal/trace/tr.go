@@ -28,13 +28,11 @@ func Decode(buf []byte) Record {
 // StampImport tags an imported trace with the host clock: import
 // metadata must come from the trace contents, not the wall clock.
 func StampImport() int64 {
-	return time.Now().Unix() // want `time\.Now in a result-producing package`
+	return time.Now().Unix() // want `time\.Now in the simulation core`
 }
 
-// ReportProgress is decode-rate telemetry on stderr, metadata only: the
-// audited read is waived at the function level.
-//
-//ubs:wallclock
+// ReportProgress is decode-rate telemetry on stderr: even metadata-only
+// clock reads belong in the orchestration layers, not the decoder.
 func ReportProgress(records uint64, start time.Time) {
-	fmt.Fprintf(os.Stderr, "%d records in %s\n", records, time.Since(start))
+	fmt.Fprintf(os.Stderr, "%d records in %s\n", records, time.Since(start)) // want `time\.Since in the simulation core`
 }

@@ -36,7 +36,7 @@ func PickClient(n int) int {
 // SeedFromClock derives a mix seed from the host clock: the canonical
 // spec must carry the seed explicitly instead.
 func SeedFromClock() int64 {
-	return time.Now().UnixNano() // want `time\.Now in a result-producing package`
+	return time.Now().UnixNano() // want `time\.Now in the simulation core`
 }
 
 // DumpClients writes resolved clients in map order: the canonical spec

@@ -3,19 +3,15 @@
 // architectural roles like "internal/mem" rather than to this module's
 // import path, which also lets analysistest-style fixtures reproduce the
 // layout under their own module name), test-file detection, and the
-// `//ubs:...` directive comments that mark hot paths and waive individual
+// `//ubs:...` directive comments that mark structs and waive individual
 // diagnostics.
 //
 // Directives understood across the suite:
 //
-//	//ubs:hotpath        (func doc)   the body must not allocate; checked by hotpathalloc
-//	//ubs:allowalloc     (stmt/line)  waive one hotpathalloc diagnostic (audited allocation)
-//	//ubs:wallclock      (func doc)   time.Now here feeds wall-clock metadata only (determinism, core scope)
-//	//ubs:wallclock <why> (sink line) waive one wallclocktaint sink diagnostic; justification required
-//	//ubs:deterministic  (stmt/line)  waive one determinism diagnostic (order audited)
-//	//ubs:nonatomic      (stmt/line)  waive one atomicfield diagnostic (init-time access)
-//	//ubs:state          (type doc)   checkpointable state struct; checked by snapstate, a wallclocktaint sink
-//	//ubs:artifact       (type doc)   struct marshalled into a results artifact; a wallclocktaint sink
+//	//ubs:deterministic  (stmt/line)  waive one determinism map-range diagnostic (order audited)
+//	//ubs:wallclock <why> (sink line) waive one determinism clock-sink diagnostic; justification required
+//	//ubs:state          (type doc)   checkpointable state struct; checked by snapstate, a determinism sink
+//	//ubs:artifact       (type doc)   struct marshalled into a results artifact; a determinism sink
 //	//ubs:detached <why> (stmt/line)  waive one ctxleak diagnostic; justification required
 //	//ubs:guardedby(mu)  (field doc/line) field may only be accessed holding sibling mutex mu; checked by mutexguard
 //	//ubs:locked(mu)     (func doc)   callers hold the receiver's mutex mu on entry (mutexguard entry state)
@@ -146,7 +142,7 @@ func (w *Waivers) Waived(pos token.Pos, name string) bool {
 
 // WaivedJustified reports whether a `//ubs:name` directive sits on
 // pos's line or the line above it, and whether it carries a non-empty
-// justification — the dataflow-tier waivers (//ubs:wallclock at sinks,
+// justification — the dataflow-tier waivers (//ubs:wallclock,
 // //ubs:detached, //ubs:unguarded) are only honoured when justified, so
 // every surviving exemption records why it is safe.
 func (w *Waivers) WaivedJustified(pos token.Pos, name string) (waived, justified bool) {

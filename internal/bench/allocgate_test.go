@@ -7,10 +7,9 @@ import (
 // TestHotPathAllocGate enforces the AllocFree contract programmatically:
 // every case that declares a 0 allocs/op steady state is run under
 // testing.Benchmark and its measured AllocsPerOp asserted, replacing the
-// old CI gates that grepped benchmark output. hotpathalloc catches
-// allocating source patterns in //ubs:hotpath bodies at vet time; this
-// gate is the dynamic backstop that also sees allocation smuggled in
-// through unmarked callees.
+// old CI gates that grepped benchmark output. Together with the
+// packages' own AllocFree tests it is the only alloc check: it sees
+// every allocation on the measured path, including in callees.
 func TestHotPathAllocGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc gate benchmarks are not short")

@@ -167,8 +167,6 @@ func (b *BPU) tableIndex(i int, pc uint64) int {
 
 // predictDirection computes the perceptron sum for pc. The returned idx
 // slice aliases a scratch buffer and is overwritten by the next call.
-//
-//ubs:hotpath
 func (b *BPU) predictDirection(pc uint64) (taken bool, sum int, idx []int) {
 	idx = b.idxScratch
 	sum = int(b.bias[int(mix(pc>>2))&(b.cfg.TableEntries-1)])
@@ -190,8 +188,6 @@ func sat8(v int) int8 {
 }
 
 // train adjusts weights towards the actual outcome.
-//
-//ubs:hotpath
 func (b *BPU) train(pc uint64, idx []int, taken bool) {
 	dir := -1
 	if taken {
@@ -218,8 +214,6 @@ func (b *BPU) btbLookup(pc uint64) (target uint64, hit bool) {
 }
 
 // btbInsert installs or updates pc→target.
-//
-//ubs:hotpath
 func (b *BPU) btbInsert(pc, target uint64) {
 	set := int(mix(pc>>2)) & (b.btbSets - 1)
 	victim, oldest := 0, ^uint32(0)
@@ -261,8 +255,6 @@ type Result struct {
 // PredictAndTrain runs the full prediction pipeline for a committed-path
 // branch instruction and immediately trains all structures with the actual
 // outcome. Non-branch instructions are rejected by panic: callers filter.
-//
-//ubs:hotpath
 func (b *BPU) PredictAndTrain(in *trace.Instr) Result {
 	if !in.Class.IsBranch() {
 		panic("bpu: PredictAndTrain on non-branch")
@@ -349,13 +341,11 @@ func (b *BPU) PredictAndTrain(in *trace.Instr) Result {
 	return r
 }
 
-//ubs:hotpath
 func (b *BPU) rasPush(ret uint64) {
 	b.rasTop = (b.rasTop + 1) % len(b.ras)
 	b.ras[b.rasTop] = ret
 }
 
-//ubs:hotpath
 func (b *BPU) rasPop() (uint64, bool) {
 	v := b.ras[b.rasTop]
 	if v == 0 {

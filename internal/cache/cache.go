@@ -44,7 +44,6 @@ type Block struct {
 
 	// Policy scratch.
 	LRU       uint64
-	RRPV      uint8
 	Signature uint32
 	DeadPred  bool
 }

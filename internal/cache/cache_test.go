@@ -128,41 +128,6 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-func TestFIFOIgnoresHits(t *testing.T) {
-	c := small(NewFIFO)
-	ctx := AccessContext{}
-	c.Fill(0x0000, ctx)
-	c.Fill(0x0100, ctx)
-	c.Access(0x0000, 4, ctx) // hit must not refresh FIFO order
-	v := c.Fill(0x0200, ctx)
-	if v.Tag != 0 {
-		t.Errorf("FIFO evicted tag %#x, want oldest (0)", v.Tag)
-	}
-}
-
-func TestRandomPolicyValidVictims(t *testing.T) {
-	c := small(NewRandom(1))
-	ctx := AccessContext{}
-	for i := 0; i < 100; i++ {
-		c.Fill(uint64(i)*0x40, ctx)
-	}
-	if c.ResidentBlocks() != 8 {
-		t.Errorf("resident %d, want 8 (full)", c.ResidentBlocks())
-	}
-}
-
-func TestSRRIPPromotesOnHit(t *testing.T) {
-	c := small(NewSRRIP)
-	ctx := AccessContext{}
-	c.Fill(0x0000, ctx)
-	c.Fill(0x0100, ctx)
-	c.Access(0x0000, 4, ctx) // RRPV -> 0
-	v := c.Fill(0x0200, ctx)
-	if v.Tag != 0x0100>>6 {
-		t.Errorf("SRRIP evicted %#x, want unreferenced block", v.Tag<<6)
-	}
-}
-
 func TestInvalidate(t *testing.T) {
 	c := small(nil)
 	c.Fill(0x1000, AccessContext{})
@@ -338,7 +303,7 @@ func TestGHRPVictimsAlwaysValid(t *testing.T) {
 // maps to the set it sits in, and (d) hits+misses == accesses.
 func TestInvariantsProperty(t *testing.T) {
 	policies := map[string]func(int, int) Policy{
-		"lru": NewLRU, "fifo": NewFIFO, "srrip": NewSRRIP, "ghrp": NewGHRP,
+		"lru": NewLRU, "ghrp": NewGHRP,
 	}
 	for name, pol := range policies {
 		pol := pol
@@ -401,14 +366,11 @@ func TestStatsDerived(t *testing.T) {
 
 func TestPolicyNames(t *testing.T) {
 	want := map[string]func(int, int) Policy{
-		"lru": NewLRU, "fifo": NewFIFO, "srrip": NewSRRIP, "ghrp": NewGHRP,
+		"lru": NewLRU, "ghrp": NewGHRP,
 	}
 	for name, pol := range want {
 		if got := pol(4, 2).Name(); got != name {
 			t.Errorf("policy name %q, want %q", got, name)
 		}
-	}
-	if NewRandom(1)(4, 2).Name() != "random" {
-		t.Error("random policy name wrong")
 	}
 }

@@ -18,22 +18,14 @@ type State struct {
 
 // PolicyState is the union of every stateful replacement policy's
 // mutable fields. Exactly the fields the cache's policy uses are
-// meaningful; the rest stay zero. A policy that does not implement
-// StatefulPolicy is treated as stateless (true for srrip, whose state
-// lives in Block.RRPV; the seeded random policy is NOT checkpoint-safe
-// and no registered design uses it).
+// meaningful; the rest stay zero.
 type PolicyState struct {
-	// Clock is the lru/fifo monotonic tick and the ghrp access clock.
+	// Clock is the lru monotonic tick and the ghrp access clock.
 	Clock uint64
 	// History is ghrp's global branchless access history.
 	History uint32
 	// Tables holds ghrp's dead-block predictor tables.
 	Tables [][]uint8
-	// Bits holds plru's per-set tree bits.
-	Bits []uint64
-	// PSel and BRCnt are drrip's set-dueling selector and BRRIP counter.
-	PSel  int64
-	BRCnt uint32
 }
 
 // StatefulPolicy is implemented by replacement policies whose decisions
@@ -58,8 +50,6 @@ func (c *Cache) Snapshot(dst *State) {
 	// Reset the policy union to zero while keeping backing storage
 	// reusable for the policy that is actually installed.
 	dst.Policy.Clock, dst.Policy.History = 0, 0
-	dst.Policy.PSel, dst.Policy.BRCnt = 0, 0
-	dst.Policy.Bits = dst.Policy.Bits[:0]
 	for i := range dst.Policy.Tables {
 		dst.Policy.Tables[i] = dst.Policy.Tables[i][:0]
 	}
@@ -88,27 +78,6 @@ func (c *Cache) Restore(src *State) error {
 
 func (p *lru) SnapshotPolicy(dst *PolicyState) { dst.Clock = p.clock }
 func (p *lru) RestorePolicy(src *PolicyState)  { p.clock = src.Clock }
-
-func (p *fifo) SnapshotPolicy(dst *PolicyState) { dst.Clock = p.clock }
-func (p *fifo) RestorePolicy(src *PolicyState)  { p.clock = src.Clock }
-
-func (p *plru) SnapshotPolicy(dst *PolicyState) {
-	dst.Bits = append(dst.Bits[:0], p.bits...)
-}
-
-func (p *plru) RestorePolicy(src *PolicyState) {
-	copy(p.bits, src.Bits)
-}
-
-func (d *drrip) SnapshotPolicy(dst *PolicyState) {
-	dst.PSel = int64(d.psel)
-	dst.BRCnt = d.brCnt
-}
-
-func (d *drrip) RestorePolicy(src *PolicyState) {
-	d.psel = int(src.PSel)
-	d.brCnt = src.BRCnt
-}
 
 func (g *ghrp) SnapshotPolicy(dst *PolicyState) {
 	if cap(dst.Tables) < ghrpTables {

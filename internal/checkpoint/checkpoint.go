@@ -35,7 +35,7 @@ const magic = "UBSC"
 // Version must be bumped whenever any //ubs:state struct (or the snap
 // codec itself) changes shape. Readers reject other versions; there is
 // no migration: checkpoints are restart accelerators, not archives.
-const Version = 4
+const Version = 5
 
 // Meta names what a checkpoint is a checkpoint OF. Everything needed to
 // rebuild an identical fresh machine travels in the file: the workload

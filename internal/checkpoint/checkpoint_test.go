@@ -143,6 +143,69 @@ func TestRoundTripByteIdentity(t *testing.T) {
 	}
 }
 
+// TestResnapshotIdentity pins that Restore installs everything Snapshot
+// captured: the machine a checkpoint resumes into, snapshotted again and
+// encoded with the same Meta, reproduces the checkpoint file byte for
+// byte. A field Restore forgets shows up here even when the resumed run
+// happens to overwrite it before reading it, which the stat-identity
+// tests cannot see.
+func TestResnapshotIdentity(t *testing.T) {
+	p := testParams()
+	for wname, w := range goldenWorkloads(t) {
+		for _, design := range goldenDesigns {
+			t.Run(wname+"/"+design, func(t *testing.T) {
+				d, err := sim.ParseDesign(design)
+				if err != nil {
+					t.Fatal(err)
+				}
+				src, err := w.NewSource()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if c, ok := src.(interface{ Close() error }); ok {
+					defer c.Close()
+				}
+				m, err := sim.NewMachine(context.Background(), p, src, w.Name, d.Name, d.Factory)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := m.Warmup(); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.Advance(7_000); err != nil {
+					t.Fatal(err)
+				}
+				ckPath := filepath.Join(t.TempDir(), "run.ubsc")
+				meta := Meta{Workload: w.Spec, WorkloadName: w.Name, Design: design, Params: p}
+				if err := Write(ckPath, meta, m); err != nil {
+					t.Fatal(err)
+				}
+				want, err := os.ReadFile(ckPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				r, err := Resume(context.Background(), ckPath, ResumeOptions{})
+				if err != nil {
+					t.Fatalf("Resume: %v", err)
+				}
+				defer r.Close()
+				var st sim.MachineState
+				if err := r.Machine.Snapshot(&st); err != nil {
+					t.Fatal(err)
+				}
+				got, err := Encode(r.Meta, &st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("re-snapshot of the resumed machine differs from the checkpoint (%d vs %d bytes)", len(got), len(want))
+				}
+			})
+		}
+	}
+}
+
 // TestCancelWritesCheckpointAndResumes pins the crash-safety path: a
 // cancelled run persists its position, and resuming it still converges
 // to the uninterrupted result, byte for byte.
@@ -285,6 +348,12 @@ func TestCorruptedCheckpointRejected(t *testing.T) {
 	// by replay; its layout no longer decodes either.
 	mutate("version-3", func(b []byte) []byte {
 		binary.LittleEndian.PutUint16(b[4:], 3)
+		return reseal(b)
+	})
+	// Version 4 carried the state of replacement policies no design can
+	// select (plru bits, drrip selectors, per-block RRPVs).
+	mutate("version-4", func(b []byte) []byte {
+		binary.LittleEndian.PutUint16(b[4:], 4)
 		return reseal(b)
 	})
 }

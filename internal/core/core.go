@@ -162,8 +162,6 @@ type inflight struct {
 }
 
 // add registers a dispatched instruction, completing at e.done >= next.
-//
-//ubs:hotpath
 func (f *inflight) add(e robEntry) {
 	f.sched++
 	if e.isLoad {
@@ -173,7 +171,7 @@ func (f *inflight) add(e robEntry) {
 		f.stores++
 	}
 	if e.done-f.next >= wheelSize {
-		//ubs:allowalloc far is pre-sized to ROBSize and holds only in-flight ROB entries
+		// far is pre-sized to ROBSize and holds only in-flight ROB entries.
 		f.far = append(f.far, e)
 		return
 	}
@@ -181,8 +179,6 @@ func (f *inflight) add(e robEntry) {
 }
 
 // slot counts an instruction due within the horizon into its slot.
-//
-//ubs:hotpath
 func (f *inflight) slot(e robEntry) {
 	s := &f.slots[e.done&(wheelSize-1)]
 	s.n++
@@ -198,8 +194,6 @@ func (f *inflight) slot(e robEntry) {
 // reached: one slot per cycle elapsed since the last call. Each released
 // slot becomes the horizon's new last cycle, which far entries due then
 // move into.
-//
-//ubs:hotpath
 func (f *inflight) expire(now uint64) {
 	for f.next <= now {
 		s := &f.slots[f.next&(wheelSize-1)]
@@ -217,8 +211,6 @@ func (f *inflight) expire(now uint64) {
 // pullFar moves the far entries that came within the horizon into their
 // slots. Called after every one-cycle advance, so no far entry is ever
 // overtaken by the horizon's start.
-//
-//ubs:hotpath
 func (f *inflight) pullFar() {
 	for i := 0; i < len(f.far); {
 		if f.far[i].done-f.next >= wheelSize {
@@ -296,8 +288,6 @@ func (c *Core) ResetStats() { c.stats = Stats{} }
 func (c *Core) Clock() uint64 { return c.clock }
 
 // Cycle advances the model by one clock.
-//
-//ubs:hotpath
 func (c *Core) Cycle() {
 	now := c.clock
 	c.busy.expire(now)
@@ -339,8 +329,6 @@ func (c *Core) RunUntil(instructions, cycleCeil uint64) bool {
 }
 
 // commit retires completed instructions in order.
-//
-//ubs:hotpath
 func (c *Core) commit(now uint64) {
 	for n := 0; n < c.cfg.CommitWidth && c.robCount > 0; n++ {
 		e := &c.rob[c.robHead]
@@ -359,22 +347,17 @@ func (c *Core) decodeLen() int { return len(c.decode) - c.decodeHead }
 // pushDecode enqueues d. When the buffer runs out of spare capacity it
 // compacts the live window to the front instead of growing, so the
 // steady-state fetch/dispatch cycle never reallocates.
-//
-//ubs:hotpath
 func (c *Core) pushDecode(d decodeItem) {
 	if c.decodeHead > 0 && len(c.decode) == cap(c.decode) {
 		n := copy(c.decode, c.decode[c.decodeHead:])
 		c.decode = c.decode[:n]
 		c.decodeHead = 0
 	}
-	//ubs:allowalloc compact-in-place above keeps this push within capacity at steady state
 	c.decode = append(c.decode, d)
 }
 
 // popDecode drops the queue head, rewinding to the start of the backing
 // array whenever the queue drains.
-//
-//ubs:hotpath
 func (c *Core) popDecode() {
 	c.decodeHead++
 	if c.decodeHead == len(c.decode) {
@@ -387,8 +370,6 @@ func (c *Core) popDecode() {
 // computing their completion times. Scheduler/LQ/SQ occupancy comes from
 // the incrementally maintained counters in c.busy (expired at the top of
 // Cycle), not from scanning the ROB.
-//
-//ubs:hotpath
 func (c *Core) dispatch(now uint64) {
 	if c.decodeLen() == 0 {
 		return
@@ -484,8 +465,6 @@ func (c *Core) resolveRedirect(now uint64) {
 // A chunk is a run of consecutive instructions limited by fetch width,
 // fetch bytes, a 64B block boundary, and the first taken branch — exactly
 // the fetch-range interface of §IV-A.
-//
-//ubs:hotpath
 func (c *Core) fetch(now uint64) {
 	if c.fetchBlocked > now {
 		c.stall(c.blockReason)
@@ -588,8 +567,6 @@ func (c *Core) fetch(now uint64) {
 // probe stays within one block per the frontend contract). The combined
 // result hits only if every piece hits; otherwise the first non-hit piece
 // governs the stall.
-//
-//ubs:hotpath
 func (c *Core) fetchRange(start uint64, bytes int, now uint64) icache.Result {
 	end := start + uint64(bytes)
 	for addr := start; addr < end; {
@@ -607,7 +584,6 @@ func (c *Core) fetchRange(start uint64, bytes int, now uint64) icache.Result {
 	return icache.Result{Kind: icache.Hit}
 }
 
-//ubs:hotpath
 func (c *Core) stall(r StallReason) {
 	c.stats.Stalls[r]++
 }

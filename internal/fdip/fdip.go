@@ -106,8 +106,6 @@ func (f *FTQ) SourceDone() bool { return f.sourceDone }
 func (f *FTQ) Len() int { return len(f.queue) - f.head }
 
 // Peek returns the i-th queued item without consuming it.
-//
-//ubs:hotpath
 func (f *FTQ) Peek(i int) *Item {
 	if f.head+i >= len(f.queue) {
 		return nil
@@ -116,8 +114,6 @@ func (f *FTQ) Peek(i int) *Item {
 }
 
 // Pop consumes n items from the head.
-//
-//ubs:hotpath
 func (f *FTQ) Pop(n int) {
 	if f.head+n > len(f.queue) {
 		panic("fdip: pop past queue end")
@@ -145,8 +141,6 @@ func (f *FTQ) Pop(n int) {
 // capacity it compacts the live window to the front — zeroing the vacated
 // tail so consumed items are never retained or resurrected — instead of
 // growing, so the steady-state fill cycle performs no allocations.
-//
-//ubs:hotpath
 func (f *FTQ) push(item Item) {
 	if f.head > 0 && len(f.queue) == cap(f.queue) {
 		live := copy(f.queue, f.queue[f.head:])
@@ -154,7 +148,6 @@ func (f *FTQ) push(item Item) {
 		f.queue = f.queue[:live]
 		f.head = 0
 	}
-	//ubs:allowalloc compact-in-place above keeps this push within the pre-sized capacity
 	f.queue = append(f.queue, item)
 }
 
@@ -165,8 +158,6 @@ func (f *FTQ) Resume() { f.blocked = false }
 // Fill runs the BPU ahead of fetch, enqueuing instructions and issuing
 // FDIP prefetches, until the FTQ is full, the runahead hits a mispredicted
 // branch, or the trace ends.
-//
-//ubs:hotpath
 func (f *FTQ) Fill(now uint64) {
 	if f.blocked {
 		f.stats.BlockedFills++
@@ -201,8 +192,6 @@ func (f *FTQ) Fill(now uint64) {
 
 // issuePrefetches walks the FTQ in order, issuing FDIP prefetches for
 // queued instructions within PrefetchWindow of the fetch head.
-//
-//ubs:hotpath
 func (f *FTQ) issuePrefetches(now uint64) {
 	if !f.cfg.Prefetch {
 		return
@@ -228,8 +217,6 @@ func (f *FTQ) Regions() int { return f.regions }
 // 64B block boundaries. Every instruction's span is forwarded: frontends
 // deduplicate cheaply, and range-aware designs (UBS) accumulate the whole
 // predicted-path byte range per block.
-//
-//ubs:hotpath
 func (f *FTQ) prefetch(in *trace.Instr, now uint64) {
 	first := in.PC &^ 63
 	last := (in.EndPC() - 1) &^ 63

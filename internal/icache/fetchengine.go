@@ -50,8 +50,6 @@ func (e *Engine) MSHRInFlight(now uint64) int { return e.eng.InFlight(now) }
 // the outstanding miss — merged=true with the completed Result the
 // frontend must return (after applying any frontend-specific byte
 // accounting for the arriving block).
-//
-//ubs:hotpath
 func (e *Engine) Begin(block, now uint64) (r Result, merged bool) {
 	e.stats.Fetches++
 	if done, pending := e.eng.Pending(block, now); pending {
@@ -63,8 +61,6 @@ func (e *Engine) Begin(block, now uint64) (r Result, merged bool) {
 }
 
 // Hit records a demand hit and returns its Result.
-//
-//ubs:hotpath
 func (e *Engine) Hit() Result {
 	e.stats.Hits++
 	e.stats.ByKind[Hit]++
@@ -76,8 +72,6 @@ func (e *Engine) Hit() Result {
 // MSHRStall recorded — the fetch unit retries next cycle; otherwise the
 // miss is counted under kind and the Result carries the completion cycle.
 // The frontend installs the block only when Issued.
-//
-//ubs:hotpath
 func (e *Engine) Miss(block uint64, kind Kind, now uint64, ctx cache.AccessContext) Result {
 	done, st := e.eng.Issue(block, now, ctx, true)
 	if st.Stalled() {
@@ -93,8 +87,6 @@ func (e *Engine) Miss(block uint64, kind Kind, now uint64, ctx cache.AccessConte
 // flight is left alone (the prefetch is redundant), MSHR backpressure
 // drops the prefetch, and otherwise the fetch is issued and counted. The
 // frontend installs the block only on true.
-//
-//ubs:hotpath
 func (e *Engine) Prefetch(block, now uint64, ctx cache.AccessContext) bool {
 	if _, pending := e.eng.Pending(block, now); pending {
 		return false
@@ -110,15 +102,6 @@ func (e *Engine) Prefetch(block, now uint64, ctx cache.AccessContext) bool {
 // Pending reports an outstanding miss for block at cycle now, merging the
 // request into it. Frontends with pre-probe early-outs (e.g. SmallBlock's
 // fill buffer) use it to keep their probe order.
-//
-//ubs:hotpath
 func (e *Engine) Pending(block, now uint64) (done uint64, pending bool) {
 	return e.eng.Pending(block, now)
-}
-
-// Peek is Pending without the merge accounting.
-//
-//ubs:hotpath
-func (e *Engine) Peek(block, now uint64) (done uint64, pending bool) {
-	return e.eng.Peek(block, now)
 }

@@ -118,15 +118,13 @@ func (sb *SmallBlock) Cache() *cache.Cache { return sb.c }
 // chunks returns the small-block addresses covering [addr, addr+size).
 // The returned slice aliases sb.chunkScratch and is valid until the next
 // call; the fetch path iterates it immediately and never holds it.
-//
-//ubs:hotpath
 func (sb *SmallBlock) chunks(addr uint64, size int) []uint64 {
 	bs := uint64(sb.cfg.BlockSize)
 	first := addr &^ (bs - 1)
 	last := (addr + uint64(size) - 1) &^ (bs - 1)
 	out := sb.chunkScratch[:0]
 	for a := first; a <= last; a += bs {
-		//ubs:allowalloc scratch is pre-sized to the 64B-range worst case at construction
+		// The scratch is pre-sized to the 64B-range worst case.
 		out = append(out, a)
 	}
 	sb.chunkScratch = out

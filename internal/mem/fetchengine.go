@@ -51,18 +51,8 @@ func (e *FetchEngine) File() *MSHR { return e.mshr }
 
 // Pending reports an outstanding miss for block at cycle now, merging the
 // request into it (the caller's access completes when the miss does).
-//
-//ubs:hotpath
 func (e *FetchEngine) Pending(block, now uint64) (done uint64, pending bool) {
 	return e.mshr.Lookup(block, now)
-}
-
-// Peek is Pending without the merge accounting: probe phases use it to
-// test for an outstanding miss without committing to the merge.
-//
-//ubs:hotpath
-func (e *FetchEngine) Peek(block, now uint64) (done uint64, pending bool) {
-	return e.mshr.Peek(block, now)
 }
 
 // Issue runs the miss path for block at cycle now: an MSHR entry is
@@ -73,8 +63,6 @@ func (e *FetchEngine) Peek(block, now uint64) (done uint64, pending bool) {
 // downstream backpressure aborts with MissStallDownstream (the level that
 // forced the abort has already recorded its own stall). The caller must
 // have resolved merges via Pending first.
-//
-//ubs:hotpath
 func (e *FetchEngine) Issue(block, now uint64, ctx cache.AccessContext, demand bool) (done uint64, st MissStatus) {
 	if e.mshr.Full(now) {
 		if demand {

@@ -63,8 +63,6 @@ func (m *MSHR) InFlight(now uint64) int {
 }
 
 // expire drops entries whose miss has completed (done <= now).
-//
-//ubs:hotpath
 func (m *MSHR) expire(now uint64) {
 	for len(m.heap) > 0 && m.heap[0].done <= now {
 		n := len(m.heap) - 1
@@ -74,7 +72,6 @@ func (m *MSHR) expire(now uint64) {
 	}
 }
 
-//ubs:hotpath
 func (m *MSHR) siftDown(i int) {
 	n := len(m.heap)
 	for {
@@ -93,7 +90,6 @@ func (m *MSHR) siftDown(i int) {
 	}
 }
 
-//ubs:hotpath
 func (m *MSHR) siftUp(i int) {
 	for i > 0 {
 		p := (i - 1) / 2
@@ -106,8 +102,6 @@ func (m *MSHR) siftUp(i int) {
 }
 
 // find returns the index of the live entry for block, or -1.
-//
-//ubs:hotpath
 func (m *MSHR) find(block uint64) int {
 	for i := range m.heap {
 		if m.heap[i].block == block {
@@ -119,8 +113,6 @@ func (m *MSHR) find(block uint64) int {
 
 // Lookup returns the completion time of an outstanding miss for block, if
 // any. A successful lookup is a merge.
-//
-//ubs:hotpath
 func (m *MSHR) Lookup(block, now uint64) (done uint64, ok bool) {
 	m.expire(now)
 	if i := m.find(block); i >= 0 {
@@ -132,8 +124,6 @@ func (m *MSHR) Lookup(block, now uint64) (done uint64, ok bool) {
 
 // Peek is Lookup without the merge accounting: probe phases use it to test
 // for an outstanding miss without committing to the merge.
-//
-//ubs:hotpath
 func (m *MSHR) Peek(block, now uint64) (done uint64, ok bool) {
 	m.expire(now)
 	if i := m.find(block); i >= 0 {
@@ -145,8 +135,6 @@ func (m *MSHR) Peek(block, now uint64) (done uint64, ok bool) {
 // Full reports whether a new allocation would exceed capacity at cycle
 // now. It is a pure capacity query; callers that abort because of it must
 // record the stall with RecordFullStall.
-//
-//ubs:hotpath
 func (m *MSHR) Full(now uint64) bool {
 	m.expire(now)
 	return len(m.heap) >= m.cap
@@ -156,19 +144,15 @@ func (m *MSHR) Full(now uint64) bool {
 // when — and only when — a full MSHR actually forces them to abort and
 // retry, so FullStall equals the retry count rather than the number of
 // speculative capacity probes.
-//
-//ubs:hotpath
 func (m *MSHR) RecordFullStall() { m.FullStall++ }
 
 // Insert allocates an entry; the caller must have checked Full. Each block
 // may have at most one live entry (callers merge via Lookup first).
-//
-//ubs:hotpath
 func (m *MSHR) Insert(block, done uint64) {
 	if len(m.heap) >= m.cap {
 		panic("mem: MSHR overflow (caller did not check Full)")
 	}
-	//ubs:allowalloc push into the cap-sized backing array NewMSHR preallocated
+	// NewMSHR preallocated the backing array at capacity.
 	m.heap = append(m.heap, mshrEntry{done: done, block: block})
 	m.siftUp(len(m.heap) - 1)
 	m.Allocs++
@@ -235,8 +219,6 @@ func NewDRAM(cfg DRAMConfig) *DRAM {
 }
 
 // Access issues a block read at cycle now and returns its completion time.
-//
-//ubs:hotpath
 func (d *DRAM) Access(addr, now uint64) uint64 {
 	d.Accesses++
 	var bank int
@@ -350,8 +332,6 @@ func MustNewHierarchy(cfg HierarchyConfig) *Hierarchy {
 // to before the call — its retry next cycle does not double-count L2/L3
 // accesses or misses — except for the one FullStall recorded on the MSHR
 // that forced the abort.
-//
-//ubs:hotpath
 func (h *Hierarchy) FetchBlock(addr, now uint64, ctx cache.AccessContext) (complete uint64, ok bool) {
 	block := h.L2.Cache.BlockAddr(addr)
 
@@ -446,8 +426,6 @@ func NewDataCache(cfg DataCacheConfig, h *Hierarchy) (*DataCache, error) {
 
 // Load issues a load at cycle now; it returns the data-ready cycle, or
 // ok=false when the access must retry (L1-D or downstream MSHRs full).
-//
-//ubs:hotpath
 func (d *DataCache) Load(addr, now uint64, ctx cache.AccessContext) (complete uint64, ok bool) {
 	if d.C.Access(addr, 1, ctx) {
 		return now + d.Lat, true
@@ -468,8 +446,6 @@ func (d *DataCache) Load(addr, now uint64, ctx cache.AccessContext) (complete ui
 // Store issues a store at cycle now. Stores retire without stalling the
 // pipeline (the store queue hides their latency); misses write-allocate.
 // ok=false reports MSHR backpressure.
-//
-//ubs:hotpath
 func (d *DataCache) Store(addr, now uint64, ctx cache.AccessContext) (ok bool) {
 	if d.C.Access(addr, 1, ctx) {
 		d.C.SetDirty(addr)

@@ -50,13 +50,9 @@ type Counter struct {
 func (c *Counter) Name() string { return c.name }
 
 // Inc adds one.
-//
-//ubs:hotpath
 func (c *Counter) Inc() { c.v.Add(1) }
 
 // Add adds n.
-//
-//ubs:hotpath
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
@@ -72,8 +68,6 @@ type Gauge struct {
 func (g *Gauge) Name() string { return g.name }
 
 // Set stores v.
-//
-//ubs:hotpath
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Value returns the last stored value.
@@ -94,8 +88,6 @@ type Histogram struct {
 func (h *Histogram) Name() string { return h.name }
 
 // Observe records v.
-//
-//ubs:hotpath
 func (h *Histogram) Observe(v float64) {
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {

@@ -186,3 +186,28 @@ func TestSnakeCase(t *testing.T) {
 		}
 	}
 }
+
+// TestInstrumentsAllocFree pins the update half of the instruments to 0
+// allocs per call: the serving layers and the runner bump counters,
+// gauges and histograms per job and per point, so an allocation here
+// would grow with traffic.
+func TestInstrumentsAllocFree(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("jobs")
+	g := r.Gauge("depth")
+	h := r.Histogram("lat", []float64{1, 2, 4, 8})
+	v := 0.0
+	allocs := testing.AllocsPerRun(10_000, func() {
+		c.Inc()
+		c.Add(3)
+		g.Set(v)
+		h.Observe(v)
+		v += 0.5
+	})
+	if allocs != 0 {
+		t.Errorf("instrument updates allocate %.1f allocs/run, want 0", allocs)
+	}
+	if c.Value() != 4*10_001 {
+		t.Errorf("counter = %d, want %d", c.Value(), 4*10_001)
+	}
+}

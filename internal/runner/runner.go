@@ -37,7 +37,7 @@ type Sweep struct {
 
 // ExperimentOutcome is one rendered experiment. It is returned to
 // callers that publish it (the daemon's job results embed it), so
-// wallclocktaint treats its fields as sinks.
+// ubslint's determinism clock rule treats its fields as sinks.
 //
 //ubs:artifact
 type ExperimentOutcome struct {

@@ -43,7 +43,8 @@ func WorkloadKey(p sim.Params, w workloadspec.Workload, design string) string {
 }
 
 // RunMeta records how a result was obtained. It is persisted alongside
-// cached results, so wallclocktaint treats its fields as sinks.
+// cached results, so ubslint's determinism clock rule treats its fields
+// as sinks.
 //
 //ubs:artifact
 type RunMeta struct {

@@ -23,7 +23,7 @@
 // The package sits inside the determinism lint scope: simulation results
 // remain pure functions of (spec, workload, design). Wall-clock reads
 // here — job timestamps, latency histograms, retry hints — are service
-// metadata; the flow-sensitive wallclocktaint analyzer verifies they
+// metadata; the determinism analyzer's clock taint verifies they
 // never reach a results artifact, checkpoint image, or stats counter.
 package serve
 

@@ -29,6 +29,22 @@ func waitTerminal(t *testing.T, j *Job) JobState {
 	return ""
 }
 
+// waitCalls blocks until the stub store has been entered n times. A job
+// turns running before its attempt reaches the store, so a test that
+// counts attempts waits for the store call itself before suspending;
+// otherwise the attempt can be cancelled before it executes at all.
+func waitCalls(t *testing.T, calls *atomic.Int64, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		if calls.Load() >= n {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("store entered %d times, want %d", calls.Load(), n)
+}
+
 // TestSuspendResume pins the basic lifecycle: a running job parks on
 // Suspend (its attempt unwinds via the per-attempt context), Resume
 // requeues it, and the retried attempt completes normally. Each attempt
@@ -42,6 +58,7 @@ func TestSuspendResume(t *testing.T) {
 
 	j := submitOK(t, s, SubmitRequest{Design: "ubs", Workload: "server_001", Priority: Batch})
 	waitState(t, j, JobRunning)
+	waitCalls(t, &calls, 1)
 
 	if _, ok, err := s.Suspend(j.ID()); err != nil || !ok {
 		t.Fatalf("Suspend: ok=%v err=%v", ok, err)
@@ -76,6 +93,7 @@ func TestPreemptionByInteractive(t *testing.T) {
 
 	batch := submitOK(t, s, SubmitRequest{Design: "ubs", Workload: "server_001", Priority: Batch})
 	waitState(t, batch, JobRunning)
+	waitCalls(t, &calls, 1)
 
 	inter := submitOK(t, s, SubmitRequest{Design: "conv:32", Workload: "client_001", Priority: Interactive})
 	waitState(t, batch, JobSuspended)
@@ -105,6 +123,7 @@ func TestCancelSuspended(t *testing.T) {
 
 	j := submitOK(t, s, SubmitRequest{Design: "ubs", Workload: "server_001", Priority: Batch})
 	waitState(t, j, JobRunning)
+	waitCalls(t, &calls, 1)
 	if _, ok, err := s.Suspend(j.ID()); err != nil || !ok {
 		t.Fatalf("Suspend: ok=%v err=%v", ok, err)
 	}
@@ -135,6 +154,7 @@ func TestHTTPSuspendResume(t *testing.T) {
 
 	j := submitOK(t, s, SubmitRequest{Design: "ubs", Workload: "server_001", Priority: Batch})
 	waitState(t, j, JobRunning)
+	waitCalls(t, &calls, 1)
 
 	post := func(path string) int {
 		resp, err := http.Post(ts.URL+path, "application/json", nil)

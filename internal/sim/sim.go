@@ -283,8 +283,6 @@ func (m *Machine) Warmup() error {
 // Advance runs n more measured instructions, taking storage-efficiency
 // samples every SampleInterval cycles and emitting heartbeats (and
 // checking cancellation) every heartbeat interval.
-//
-//ubs:hotpath
 func (m *Machine) Advance(n uint64) error {
 	if err := m.Warmup(); err != nil {
 		return err
@@ -323,8 +321,6 @@ func (m *Machine) Advance(n uint64) error {
 // the window stays evenly spaced over the whole run; the decimation is
 // deterministic (no RNG, no clock) and reuses the window's pre-sized
 // backing array, so sampling allocates nothing after construction.
-//
-//ubs:hotpath
 func (m *Machine) recordEff(eff float64) {
 	tick := m.effTick
 	m.effTick++
@@ -342,7 +338,6 @@ func (m *Machine) recordEff(eff float64) {
 			return
 		}
 	}
-	//ubs:allowalloc the window's backing array is pre-sized to effWindowCap at construction
 	m.effSamples = append(m.effSamples, eff)
 }
 

@@ -156,8 +156,6 @@ func (c *ChampSim) Err() error {
 
 // Next implements Source. Each emitted instruction is the previously read
 // record finalised against the current record's ip (see the type comment).
-//
-//ubs:hotpath
 func (c *ChampSim) Next() (Instr, bool) {
 	for {
 		in, ok := c.readRecord()
@@ -196,8 +194,6 @@ func finalizeChampSim(in *Instr, nextPC uint64) {
 // readRecord decodes one raw 64-byte record into a partially finalised
 // Instr (Target/Size pending lookahead). It reports false at end of stream
 // or on a decode error, recorded in c.err.
-//
-//ubs:hotpath
 func (c *ChampSim) readRecord() (Instr, bool) {
 	if c.err != nil {
 		return Instr{}, false
@@ -206,7 +202,6 @@ func (c *ChampSim) readRecord() (Instr, bool) {
 		if err == io.EOF {
 			c.err = io.EOF
 		} else {
-			//ubs:allowalloc error construction on the truncated-record failure path
 			c.err = fmt.Errorf("trace: champsim record %d: %w", c.idx, err)
 		}
 		return Instr{}, false

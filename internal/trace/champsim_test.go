@@ -187,3 +187,27 @@ func TestChampSimTruncated(t *testing.T) {
 		t.Fatal("truncated stream decoded without error")
 	}
 }
+
+// TestChampSimNextAllocFree pins the decode loop (Next and readRecord) to
+// 0 allocs per instruction. The stream is one pass over the fixture
+// repeated in memory: a looping file source reopens the file at each
+// wrap, and that per-pass cost is not part of the per-record path.
+func TestChampSimNextAllocFree(t *testing.T) {
+	raw, err := os.ReadFile("testdata/tiny.champsim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 10_000
+	c := NewChampSim(bytes.NewReader(bytes.Repeat(raw, runs/14+2)))
+	ok := true
+	allocs := testing.AllocsPerRun(runs, func() {
+		_, more := c.Next()
+		ok = ok && more
+	})
+	if !ok || c.Err() != nil {
+		t.Fatalf("stream ended early (err %v)", c.Err())
+	}
+	if allocs != 0 {
+		t.Errorf("ChampSim.Next allocates %.1f allocs/instruction, want 0", allocs)
+	}
+}

@@ -210,8 +210,6 @@ func Collect(src Source, n int) []Instr {
 // place, so repeated refills with a large-enough buffer perform no
 // allocations. It returns the refilled slice (which must replace dst, as
 // with append).
-//
-//ubs:hotpath
 func CollectInto(dst []Instr, src Source, n int) []Instr {
 	dst = dst[:0]
 	for len(dst) < n {
@@ -219,7 +217,6 @@ func CollectInto(dst []Instr, src Source, n int) []Instr {
 		if !ok {
 			break
 		}
-		//ubs:allowalloc within capacity whenever the caller's buffer holds n instructions
 		dst = append(dst, in)
 	}
 	return dst
@@ -242,8 +239,6 @@ func NewWindow(n int) *Window {
 // instructions: up to the window capacity, fewer if src ended first, and
 // an empty slice once src is exhausted. The returned slice aliases the
 // window and is valid until the next Refill.
-//
-//ubs:hotpath
 func (w *Window) Refill(src Source) []Instr {
 	w.buf = CollectInto(w.buf, src, cap(w.buf))
 	return w.buf

@@ -72,8 +72,6 @@ func (w *Walker) Emitted() uint64 { return w.emitted }
 func (w *Walker) Depth() int { return len(w.stack) }
 
 // Next produces the next dynamic instruction. It always reports true.
-//
-//ubs:hotpath
 func (w *Walker) Next() (trace.Instr, bool) {
 	switch w.state {
 	case stateDispJump:
@@ -116,8 +114,6 @@ func (w *Walker) Next() (trace.Instr, bool) {
 }
 
 // plain fills in a non-control instruction (ALU, load, or store).
-//
-//ubs:hotpath
 func (w *Walker) plain(in trace.Instr) trace.Instr {
 	x := w.rng.Float64()
 	switch {
@@ -159,8 +155,6 @@ func (w *Walker) dataAddr() uint64 {
 
 // terminate realises a block's terminator as a branch instruction and moves
 // the interpreter to the next block.
-//
-//ubs:hotpath
 func (w *Walker) terminate(in trace.Instr, b *Block) trace.Instr {
 	f := &w.prog.Funcs[w.fn]
 	switch b.Term.Kind {
@@ -189,7 +183,7 @@ func (w *Walker) terminate(in trace.Instr, b *Block) trace.Instr {
 		cf := &w.prog.Funcs[callee]
 		in.Target = cf.Blocks[cf.Entry].Addr
 		in.Taken = true
-		//ubs:allowalloc the stack is pre-sized to the static depth bound at construction
+		// The stack is pre-sized to the static depth bound at construction.
 		w.stack = append(w.stack, Frame{Fn: w.fn, ResumeBlk: b.Next})
 		w.fn, w.blk, w.pos = callee, cf.Entry, 0
 	case TermReturn:

@@ -297,8 +297,6 @@ func newMixSource(seed int64, clients []resolvedClient) (*mixSource, error) {
 }
 
 // Next emits the next instruction of the interleaved stream.
-//
-//ubs:hotpath
 func (m *mixSource) Next() (trace.Instr, bool) {
 	if m.left == 0 {
 		m.reschedule()

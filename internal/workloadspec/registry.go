@@ -280,8 +280,6 @@ type fileLoop struct {
 }
 
 // Next returns the next instruction, reopening the file at end of stream.
-//
-//ubs:hotpath
 func (l *fileLoop) Next() (trace.Instr, bool) {
 	in, ok := l.src.Next()
 	if ok {

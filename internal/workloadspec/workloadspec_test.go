@@ -378,3 +378,66 @@ n: null
 		}
 	}
 }
+
+// TestSourcesAllocFree pins the per-instruction path of the source-backed
+// workloads (the mix interleaver and the looping file replay) to 0 allocs
+// per Next at steady state. The file is long enough that the measured
+// window is a single pass: the reopen at each wrap is a per-pass cost.
+func TestSourcesAllocFree(t *testing.T) {
+	const runs = 10_000
+	gen, err := MustWorkload("server_001").NewSource()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "pass.ubst")
+	w, err := trace.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2*runs; i++ {
+		in, _ := gen.Next()
+		if err := w.Write(in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cases := []struct {
+		name, spec string
+		warm       int // Next calls before measuring
+	}{
+		{"mix", "mix:../../examples/specs/clients.yaml", 50_000}, // grow the clients' call stacks
+		{"fileLoop", "trace:" + path, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			wl, err := ParseWorkload(c.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, err := wl.NewSource()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cl, ok := src.(interface{ Close() error }); ok {
+				defer cl.Close()
+			}
+			for i := 0; i < c.warm; i++ {
+				src.Next()
+			}
+			ok := true
+			allocs := testing.AllocsPerRun(runs, func() {
+				_, more := src.Next()
+				ok = ok && more
+			})
+			if !ok {
+				t.Fatal("stream ended")
+			}
+			if allocs != 0 {
+				t.Errorf("%T.Next allocates %.1f allocs/instruction, want 0", src, allocs)
+			}
+		})
+	}
+}
