@@ -65,17 +65,18 @@ func Encode(meta Meta, st *sim.MachineState) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: encoding meta: %w", err)
 	}
-	body, err := snap.Marshal(st)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: encoding state: %w", err)
-	}
-	buf := make([]byte, 0, len(magic)+2+4+len(mj)+4+len(body)+4)
+	// The state is encoded straight into the file buffer, sized once.
+	buf := make([]byte, 0, len(magic)+2+4+len(mj)+4+snap.Size(st)+4)
 	buf = append(buf, magic...)
 	buf = binary.LittleEndian.AppendUint16(buf, Version)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(mj)))
 	buf = append(buf, mj...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(body)))
-	buf = append(buf, body...)
+	buf = append(buf, 0, 0, 0, 0) // state length, filled in below
+	start := len(buf)
+	if buf, err = snap.Append(buf, st); err != nil {
+		return nil, fmt.Errorf("checkpoint: encoding state: %w", err)
+	}
+	binary.LittleEndian.PutUint32(buf[start-4:], uint32(len(buf)-start))
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 	return buf, nil
 }

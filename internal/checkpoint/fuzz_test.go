@@ -113,3 +113,37 @@ func FuzzResumeAtN(f *testing.F) {
 		}
 	})
 }
+
+// tinyCheckpoint encodes a ubs machine with shrunken L2, L3 and no L1-D
+// a few thousand instructions into its run, small enough to fuzz.
+func tinyCheckpoint(tb testing.TB) []byte {
+	p := testParams()
+	p.Warmup, p.Measure = 1_000, 4_000
+	p.Hierarchy.L2Sets, p.Hierarchy.L2Ways = 4, 2
+	p.Hierarchy.L3Sets, p.Hierarchy.L3Ways = 4, 2
+	p.DataCache = false
+	return encodeAt(tb, p, "server_001", "ubs", 1_000)
+}
+
+// FuzzDecode feeds corrupted checkpoints to the reader, which must
+// never panic. A fuzzed input is an edit of a tiny ubs checkpoint: patch
+// overwrites the bytes at off, the file loses its last cut bytes, and
+// the checksum is resealed, so the edit reaches the framing, the
+// metadata and the state decoder behind the CRC. The patch alone is also
+// read as a whole file. Edits keep the fuzzed inputs small, which keeps
+// the fuzzer's minimization of each new input fast.
+func FuzzDecode(f *testing.F) {
+	base := tinyCheckpoint(f)
+	f.Add(uint32(0), []byte(nil), uint32(0))
+	f.Add(uint32(len(magic)+2), []byte{0xff, 0xff}, uint32(0))
+	f.Add(uint32(len(base)/2), []byte{2, 0xff, 0xff, 0xff, 0x7f}, uint32(0))
+	f.Add(uint32(0), []byte(nil), uint32(9))
+	f.Fuzz(func(t *testing.T, off uint32, patch []byte, cut uint32) {
+		// Only a panic fails; rejecting the input is the usual outcome.
+		_, _, _ = Decode(patch)
+		data := append([]byte(nil), base...)
+		copy(data[int(off%uint32(len(data))):], patch)
+		data = data[:len(data)-int(cut%uint32(len(data)-3))]
+		_, _, _ = Decode(reseal(data))
+	})
+}

@@ -14,31 +14,74 @@
 // rebuilds). Unexported fields are an error rather than a silent skip:
 // state structs exist to be serialized, so a field the codec cannot see
 // is a checkpointing bug, not a convenience.
+//
+// Each type is compiled once into a plan (see planOf), so tags,
+// exportedness and kinds are inspected per type, not per value. Types
+// whose every leaf is a fixed-width scalar are copied straight from and
+// into memory by flat.go, the only file that uses unsafe. Errors stay
+// lazy: a type the codec cannot encode fails only when a value of it is
+// actually encoded or decoded, so a nil pointer to it or an empty slice
+// of it still encodes.
 package snap
 
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"reflect"
+	"sync"
 )
 
 // Marshal encodes v (a struct or pointer to struct, but any supported
 // value works) into the deterministic binary form.
 func Marshal(v any) ([]byte, error) {
-	rv := reflect.ValueOf(v)
-	if rv.Kind() == reflect.Pointer {
-		if rv.IsNil() {
-			return nil, fmt.Errorf("snap: cannot marshal nil pointer")
-		}
-		rv = rv.Elem()
-	}
-	var buf []byte
-	buf, err := encode(buf, rv)
+	rv, err := root(v)
 	if err != nil {
 		return nil, err
 	}
-	return buf, nil
+	p := planOf(rv.Type())
+	return p.enc(make([]byte, 0, p.size(rv)), rv)
+}
+
+// Append appends the encoding of v to buf, exactly the bytes Marshal
+// returns, and returns the extended buffer. On error buf is returned
+// unextended.
+func Append(buf []byte, v any) ([]byte, error) {
+	rv, err := root(v)
+	if err != nil {
+		return buf, err
+	}
+	out, err := planOf(rv.Type()).enc(buf, rv)
+	if err != nil {
+		return buf, err
+	}
+	return out, nil
+}
+
+// Size returns the length of v's encoding, so a caller of Append can
+// size its buffer once. It is exact for every value Marshal accepts.
+func Size(v any) int {
+	rv, err := root(v)
+	if err != nil {
+		return 0
+	}
+	return planOf(rv.Type()).size(rv)
+}
+
+// root returns the addressable value Marshal, Append and Size encode:
+// the target of a pointer, or a copy of a value passed directly.
+func root(v any) (reflect.Value, error) {
+	rv := reflect.ValueOf(v)
+	switch {
+	case !rv.IsValid():
+		return rv, fmt.Errorf("snap: cannot marshal nil")
+	case rv.Kind() != reflect.Pointer:
+		c := reflect.New(rv.Type()).Elem()
+		c.Set(rv)
+		return c, nil
+	case rv.IsNil():
+		return rv, fmt.Errorf("snap: cannot marshal nil pointer")
+	}
+	return rv.Elem(), nil
 }
 
 // Unmarshal decodes data into v, which must be a non-nil pointer to a
@@ -51,7 +94,7 @@ func Unmarshal(data []byte, v any) error {
 		return fmt.Errorf("snap: unmarshal target must be a non-nil pointer, got %T", v)
 	}
 	r := &reader{data: data}
-	if err := decode(r, rv.Elem()); err != nil {
+	if err := planOf(rv.Type().Elem()).dec(r, rv.Elem()); err != nil {
 		return err
 	}
 	if r.off != len(data) {
@@ -60,83 +103,239 @@ func Unmarshal(data []byte, v any) error {
 	return nil
 }
 
-func encode(buf []byte, v reflect.Value) ([]byte, error) {
-	switch v.Kind() {
-	case reflect.Bool:
-		b := byte(0)
-		if v.Bool() {
-			b = 1
-		}
-		return append(buf, b), nil
-	case reflect.Int8:
-		return append(buf, byte(v.Int())), nil
-	case reflect.Int16:
-		return binary.LittleEndian.AppendUint16(buf, uint16(v.Int())), nil
-	case reflect.Int32:
-		return binary.LittleEndian.AppendUint32(buf, uint32(v.Int())), nil
-	case reflect.Int64, reflect.Int:
-		// Platform int widens to 8 bytes so 32- and 64-bit hosts agree.
-		return binary.LittleEndian.AppendUint64(buf, uint64(v.Int())), nil
-	case reflect.Uint8:
-		return append(buf, byte(v.Uint())), nil
-	case reflect.Uint16:
-		return binary.LittleEndian.AppendUint16(buf, uint16(v.Uint())), nil
-	case reflect.Uint32:
-		return binary.LittleEndian.AppendUint32(buf, uint32(v.Uint())), nil
-	case reflect.Uint64, reflect.Uint:
-		return binary.LittleEndian.AppendUint64(buf, v.Uint()), nil
-	case reflect.Float32:
-		return binary.LittleEndian.AppendUint32(buf, math.Float32bits(float32(v.Float()))), nil
-	case reflect.Float64:
-		return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.Float())), nil
+// A plan encodes and decodes the values of one type. The values it is
+// handed are always addressable.
+type plan struct {
+	size func(v reflect.Value) int
+	enc  func(buf []byte, v reflect.Value) ([]byte, error)
+	dec  func(r *reader, v reflect.Value) error
+}
+
+var (
+	plansMu sync.Mutex
+	plans   = map[reflect.Type]*plan{}
+)
+
+// planOf returns t's plan, compiling it (and the plans of every type it
+// reaches) on first use.
+func planOf(t reflect.Type) *plan {
+	plansMu.Lock()
+	defer plansMu.Unlock()
+	return build(t)
+}
+
+// build compiles t's plan. The plan is registered before its children
+// are built, so a type that reaches itself through a pointer or slice
+// terminates. The caller holds plansMu.
+func build(t reflect.Type) *plan {
+	if p, ok := plans[t]; ok {
+		return p
+	}
+	p := &plan{}
+	plans[t] = p
+	if l, ok := layoutOf(t); ok {
+		*p = flatPlan(l)
+		return p
+	}
+	switch t.Kind() {
 	case reflect.String:
+		*p = stringPlan
+	case reflect.Slice:
+		if l, ok := layoutOf(t.Elem()); ok {
+			*p = flatSlicePlan(l)
+		} else {
+			*p = slicePlan(build(t.Elem()))
+		}
+	case reflect.Array:
+		*p = arrayPlan(build(t.Elem()), t.Len())
+	case reflect.Pointer:
+		*p = pointerPlan(build(t.Elem()))
+	case reflect.Struct:
+		*p = structPlan(t)
+	default:
+		*p = errPlan(fmt.Errorf("snap: unsupported kind %s (%s)", t.Kind(), t))
+	}
+	return p
+}
+
+// errPlan fails every value it is handed with err. Its size is 0, which
+// is exact in the only sense that matters: encoding fails.
+func errPlan(err error) plan {
+	return plan{
+		size: func(reflect.Value) int { return 0 },
+		enc:  func([]byte, reflect.Value) ([]byte, error) { return nil, err },
+		dec:  func(*reader, reflect.Value) error { return err },
+	}
+}
+
+var stringPlan = plan{
+	size: func(v reflect.Value) int { return 4 + v.Len() },
+	enc: func(buf []byte, v reflect.Value) ([]byte, error) {
 		s := v.String()
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
 		return append(buf, s...), nil
-	case reflect.Slice:
-		n := v.Len()
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
-		var err error
-		for i := 0; i < n; i++ {
-			if buf, err = encode(buf, v.Index(i)); err != nil {
-				return nil, err
-			}
+	},
+	dec: func(r *reader, v reflect.Value) error {
+		n, err := r.u32()
+		if err != nil {
+			return err
 		}
-		return buf, nil
-	case reflect.Array:
-		var err error
-		for i := 0; i < v.Len(); i++ {
-			if buf, err = encode(buf, v.Index(i)); err != nil {
-				return nil, err
-			}
+		b, err := r.take(int(n))
+		if err != nil {
+			return err
 		}
-		return buf, nil
-	case reflect.Pointer:
-		if v.IsNil() {
-			return append(buf, 0), nil
-		}
-		buf = append(buf, 1)
-		return encode(buf, v.Elem())
-	case reflect.Struct:
-		t := v.Type()
-		var err error
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if f.Tag.Get("snap") == "-" {
-				continue
+		v.SetString(string(b))
+		return nil
+	},
+}
+
+// slicePlan handles slices whose elements are not flat, one element at
+// a time through the element plan.
+func slicePlan(elem *plan) plan {
+	return plan{
+		size: func(v reflect.Value) int {
+			n := 4
+			for i := 0; i < v.Len(); i++ {
+				n += elem.size(v.Index(i))
 			}
-			if !f.IsExported() {
-				return nil, fmt.Errorf("snap: %s.%s is unexported; state fields must be exported (or tagged snap:\"-\")", t, f.Name)
+			return n
+		},
+		enc: func(buf []byte, v reflect.Value) ([]byte, error) {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(v.Len()))
+			return encodeEach(buf, v, elem)
+		},
+		dec: func(r *reader, v reflect.Value) error {
+			// Every element costs at least one byte.
+			if err := r.sliceLen(v, 1); err != nil {
+				return err
 			}
-			if buf, err = encode(buf, v.Field(i)); err != nil {
-				return nil, err
-			}
-		}
-		return buf, nil
-	default:
-		return nil, fmt.Errorf("snap: unsupported kind %s (%s)", v.Kind(), v.Type())
+			return decodeEach(r, v, elem)
+		},
 	}
 }
+
+// arrayPlan handles arrays whose elements are not flat.
+func arrayPlan(elem *plan, n int) plan {
+	return plan{
+		size: func(v reflect.Value) int {
+			s := 0
+			for i := 0; i < n; i++ {
+				s += elem.size(v.Index(i))
+			}
+			return s
+		},
+		enc: func(buf []byte, v reflect.Value) ([]byte, error) { return encodeEach(buf, v, elem) },
+		dec: func(r *reader, v reflect.Value) error { return decodeEach(r, v, elem) },
+	}
+}
+
+func encodeEach(buf []byte, v reflect.Value, elem *plan) ([]byte, error) {
+	var err error
+	for i := 0; i < v.Len(); i++ {
+		if buf, err = elem.enc(buf, v.Index(i)); err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
+}
+
+func decodeEach(r *reader, v reflect.Value, elem *plan) error {
+	for i := 0; i < v.Len(); i++ {
+		if err := elem.dec(r, v.Index(i)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// pointerPlan writes a presence byte (0 nil, 1 present) and then the
+// target.
+func pointerPlan(elem *plan) plan {
+	return plan{
+		size: func(v reflect.Value) int {
+			if v.IsNil() {
+				return 1
+			}
+			return 1 + elem.size(v.Elem())
+		},
+		enc: func(buf []byte, v reflect.Value) ([]byte, error) {
+			if v.IsNil() {
+				return append(buf, 0), nil
+			}
+			return elem.enc(append(buf, 1), v.Elem())
+		},
+		dec: func(r *reader, v reflect.Value) error {
+			b, err := r.take(1)
+			if err != nil {
+				return err
+			}
+			switch b[0] {
+			case 0:
+				v.SetZero()
+				return nil
+			case 1:
+				if v.IsNil() {
+					v.Set(reflect.New(v.Type().Elem()))
+				}
+				return elem.dec(r, v.Elem())
+			default:
+				return fmt.Errorf("snap: invalid pointer flag 0x%02x", b[0])
+			}
+		},
+	}
+}
+
+// structPlan handles structs that are not flat: their encoded fields in
+// declaration order, each through its own plan. An unexported field gets
+// a plan that fails, so the error names the first one reached.
+func structPlan(t reflect.Type) plan {
+	type field struct {
+		index int
+		plan  *plan
+	}
+	var fields []field
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		if skipped(f) {
+			continue
+		}
+		p := errPlan(fmt.Errorf("snap: %s.%s is unexported; state fields must be exported (or tagged snap:\"-\")", t, f.Name))
+		fp := &p
+		if f.IsExported() {
+			fp = build(f.Type)
+		}
+		fields = append(fields, field{i, fp})
+	}
+	return plan{
+		size: func(v reflect.Value) int {
+			n := 0
+			for _, f := range fields {
+				n += f.plan.size(v.Field(f.index))
+			}
+			return n
+		},
+		enc: func(buf []byte, v reflect.Value) ([]byte, error) {
+			var err error
+			for _, f := range fields {
+				if buf, err = f.plan.enc(buf, v.Field(f.index)); err != nil {
+					return nil, err
+				}
+			}
+			return buf, nil
+		},
+		dec: func(r *reader, v reflect.Value) error {
+			for _, f := range fields {
+				if err := f.plan.dec(r, v.Field(f.index)); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+	}
+}
+
+// skipped reports whether f is scratch the codec leaves alone.
+func skipped(f reflect.StructField) bool { return f.Tag.Get("snap") == "-" }
 
 type reader struct {
 	data []byte
@@ -160,174 +359,23 @@ func (r *reader) u32() (uint32, error) {
 	return binary.LittleEndian.Uint32(b), nil
 }
 
-func decode(r *reader, v reflect.Value) error {
-	switch v.Kind() {
-	case reflect.Bool:
-		b, err := r.take(1)
-		if err != nil {
-			return err
-		}
-		switch b[0] {
-		case 0:
-			v.SetBool(false)
-		case 1:
-			v.SetBool(true)
-		default:
-			return fmt.Errorf("snap: invalid bool byte 0x%02x", b[0])
-		}
-		return nil
-	case reflect.Int8:
-		b, err := r.take(1)
-		if err != nil {
-			return err
-		}
-		v.SetInt(int64(int8(b[0])))
-		return nil
-	case reflect.Int16:
-		b, err := r.take(2)
-		if err != nil {
-			return err
-		}
-		v.SetInt(int64(int16(binary.LittleEndian.Uint16(b))))
-		return nil
-	case reflect.Int32:
-		b, err := r.take(4)
-		if err != nil {
-			return err
-		}
-		v.SetInt(int64(int32(binary.LittleEndian.Uint32(b))))
-		return nil
-	case reflect.Int64, reflect.Int:
-		b, err := r.take(8)
-		if err != nil {
-			return err
-		}
-		n := int64(binary.LittleEndian.Uint64(b))
-		if v.OverflowInt(n) {
-			return fmt.Errorf("snap: value %d overflows %s", n, v.Type())
-		}
-		v.SetInt(n)
-		return nil
-	case reflect.Uint8:
-		b, err := r.take(1)
-		if err != nil {
-			return err
-		}
-		v.SetUint(uint64(b[0]))
-		return nil
-	case reflect.Uint16:
-		b, err := r.take(2)
-		if err != nil {
-			return err
-		}
-		v.SetUint(uint64(binary.LittleEndian.Uint16(b)))
-		return nil
-	case reflect.Uint32:
-		b, err := r.take(4)
-		if err != nil {
-			return err
-		}
-		v.SetUint(uint64(binary.LittleEndian.Uint32(b)))
-		return nil
-	case reflect.Uint64, reflect.Uint:
-		b, err := r.take(8)
-		if err != nil {
-			return err
-		}
-		n := binary.LittleEndian.Uint64(b)
-		if v.OverflowUint(n) {
-			return fmt.Errorf("snap: value %d overflows %s", n, v.Type())
-		}
-		v.SetUint(n)
-		return nil
-	case reflect.Float32:
-		b, err := r.take(4)
-		if err != nil {
-			return err
-		}
-		v.SetFloat(float64(math.Float32frombits(binary.LittleEndian.Uint32(b))))
-		return nil
-	case reflect.Float64:
-		b, err := r.take(8)
-		if err != nil {
-			return err
-		}
-		v.SetFloat(math.Float64frombits(binary.LittleEndian.Uint64(b)))
-		return nil
-	case reflect.String:
-		n, err := r.u32()
-		if err != nil {
-			return err
-		}
-		b, err := r.take(int(n))
-		if err != nil {
-			return err
-		}
-		v.SetString(string(b))
-		return nil
-	case reflect.Slice:
-		n32, err := r.u32()
-		if err != nil {
-			return err
-		}
-		n := int(n32)
-		// Every supported element costs at least one byte, so a length
-		// beyond the remaining input is corruption — reject it before
-		// allocating.
-		if n > len(r.data)-r.off {
-			return fmt.Errorf("snap: slice length %d exceeds remaining input", n)
-		}
-		if v.Cap() >= n {
-			v.SetLen(n)
-		} else {
-			v.Set(reflect.MakeSlice(v.Type(), n, n))
-		}
-		for i := 0; i < n; i++ {
-			if err := decode(r, v.Index(i)); err != nil {
-				return err
-			}
-		}
-		return nil
-	case reflect.Array:
-		for i := 0; i < v.Len(); i++ {
-			if err := decode(r, v.Index(i)); err != nil {
-				return err
-			}
-		}
-		return nil
-	case reflect.Pointer:
-		b, err := r.take(1)
-		if err != nil {
-			return err
-		}
-		switch b[0] {
-		case 0:
-			v.Set(reflect.Zero(v.Type()))
-			return nil
-		case 1:
-			if v.IsNil() {
-				v.Set(reflect.New(v.Type().Elem()))
-			}
-			return decode(r, v.Elem())
-		default:
-			return fmt.Errorf("snap: invalid pointer flag 0x%02x", b[0])
-		}
-	case reflect.Struct:
-		t := v.Type()
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if f.Tag.Get("snap") == "-" {
-				continue
-			}
-			if !f.IsExported() {
-				return fmt.Errorf("snap: %s.%s is unexported; state fields must be exported (or tagged snap:\"-\")", t, f.Name)
-			}
-			if err := decode(r, v.Field(i)); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		return fmt.Errorf("snap: unsupported kind %s (%s)", v.Kind(), v.Type())
+// sliceLen reads a slice length prefix and sizes the slice v to it,
+// reusing v's capacity where it suffices. Each element costs at least
+// minBytes of input, so a length the remaining input cannot hold is
+// corruption, rejected before anything is allocated.
+func (r *reader) sliceLen(v reflect.Value, minBytes int) error {
+	n32, err := r.u32()
+	if err != nil {
+		return err
 	}
+	n := int(n32)
+	if n > (len(r.data)-r.off)/minBytes {
+		return fmt.Errorf("snap: slice length %d exceeds remaining input", n)
+	}
+	if v.Cap() >= n {
+		v.SetLen(n)
+	} else {
+		v.Set(reflect.MakeSlice(v.Type(), n, n))
+	}
+	return nil
 }

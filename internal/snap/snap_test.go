@@ -3,6 +3,8 @@ package snap
 import (
 	"bytes"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -142,8 +144,99 @@ func TestUnsupportedKinds(t *testing.T) {
 	if _, err := Marshal(&bad{M: map[string]int{}}); err == nil {
 		t.Fatal("map not rejected")
 	}
-	type unexp struct{ a int }
-	if _, err := Marshal(&unexp{a: 1}); err == nil {
-		t.Fatal("unexported field not rejected")
+	// The error names the first unexported field, not a later one.
+	type unexp struct {
+		A    int
+		a, b int
+	}
+	_, err := Marshal(&unexp{a: 1})
+	if err == nil || !strings.Contains(err.Error(), "unexp.a is unexported") {
+		t.Fatalf("unexported field not rejected by name: %v", err)
+	}
+}
+
+// TestUnsupportedErrorsAreLazy pins that a type the codec cannot encode
+// fails only when a value of it is reached: a nil pointer to it and an
+// empty slice of it encode.
+func TestUnsupportedErrorsAreLazy(t *testing.T) {
+	type bad struct{ M map[string]int }
+	type holder struct {
+		P *bad
+		S []bad
+	}
+	data, err := Marshal(&holder{})
+	if err != nil {
+		t.Fatalf("nil pointer and empty slice of an unsupported type: %v", err)
+	}
+	if want := []byte{0, 0, 0, 0, 0}; !bytes.Equal(data, want) {
+		t.Fatalf("encoded %x, want %x", data, want)
+	}
+	var back holder
+	if err := Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Marshal(&holder{S: []bad{{}}}); err == nil {
+		t.Fatal("non-empty slice of an unsupported type not rejected")
+	}
+	if _, err := Marshal(&holder{P: &bad{}}); err == nil {
+		t.Fatal("non-nil pointer to an unsupported type not rejected")
+	}
+}
+
+// TestInvalidBoolRejected pins the bool check on every path, including
+// a slice of flat structs decoded straight into memory.
+func TestInvalidBoolRejected(t *testing.T) {
+	type entry struct {
+		Tag   uint64
+		Valid bool
+	}
+	in := []entry{{Tag: 1, Valid: true}, {Tag: 2}}
+	data, err := Marshal(&in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[4+8+1+8] = 2 // the second entry's Valid
+	var out []entry
+	if err := Unmarshal(data, &out); err == nil || !strings.Contains(err.Error(), "invalid bool byte 0x02") {
+		t.Fatalf("bool byte 2 in a flat slice: got %v", err)
+	}
+	if err := Unmarshal([]byte{2}, new(bool)); err == nil {
+		t.Fatal("bool byte 2 not rejected")
+	}
+}
+
+// TestConcurrentUse encodes and decodes from several goroutines at once,
+// so the race detector sees plans compiled and read concurrently. The
+// type is local to this test, so its plan is first built here.
+func TestConcurrentUse(t *testing.T) {
+	type local struct {
+		O outer
+		L []outer
+	}
+	in := local{O: sample(), L: []outer{sample()}}
+	got := make([][]byte, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			data, err := Marshal(&in)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			var out local
+			if err := Unmarshal(data, &out); err != nil {
+				t.Error(err)
+				return
+			}
+			got[g] = data
+		}(g)
+	}
+	wg.Wait()
+	for g := range got {
+		if !bytes.Equal(got[g], got[0]) {
+			t.Fatalf("goroutine %d encoded differently", g)
+		}
 	}
 }
