@@ -10,7 +10,7 @@
 //
 //	//ubs:deterministic  (stmt/line)  waive one determinism map-range diagnostic (order audited)
 //	//ubs:wallclock <why> (sink line) waive one determinism clock-sink diagnostic; justification required
-//	//ubs:state          (type doc)   checkpointable state struct; checked by snapstate, a determinism sink
+//	//ubs:state          (type doc)   checkpoint image (sim.MachineState); a determinism sink
 //	//ubs:artifact       (type doc)   struct marshalled into a results artifact; a determinism sink
 //	//ubs:detached <why> (stmt/line)  waive one ctxleak diagnostic; justification required
 //	//ubs:guardedby(mu)  (field doc/line) field may only be accessed holding sibling mutex mu; checked by mutexguard

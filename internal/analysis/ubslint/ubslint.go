@@ -1,10 +1,10 @@
 // Package ubslint assembles the repository's invariant analyzers — the
 // go/analysis suite that compiles the simulator's methodological
-// assumptions (single miss path, trace determinism, checkpoint
-// round-trip completeness, cancellable goroutines, lock discipline) into
-// rules checked on every build. It keeps only the rules no runtime test
-// covers; cmd/ubslint wires the suite into `go vet -vettool`, and the
-// suite self-applies cleanly to this tree (see TestSelfApplication).
+// assumptions (single miss path, trace determinism, cancellable
+// goroutines, lock discipline) into rules checked on every build. It
+// keeps only the rules no runtime test covers; cmd/ubslint wires the
+// suite into `go vet -vettool`, and the suite self-applies cleanly to
+// this tree (see TestSelfApplication).
 package ubslint
 
 import (
@@ -14,7 +14,6 @@ import (
 	"ubscache/internal/analysis/determinism"
 	"ubscache/internal/analysis/misspath"
 	"ubscache/internal/analysis/mutexguard"
-	"ubscache/internal/analysis/snapstate"
 )
 
 // Analyzers returns the full ubslint suite in a stable order.
@@ -24,6 +23,5 @@ func Analyzers() []*analysis.Analyzer {
 		determinism.Analyzer,
 		misspath.Analyzer,
 		mutexguard.Analyzer,
-		snapstate.Analyzer,
 	}
 }

@@ -12,7 +12,7 @@ import (
 // TestSuite pins the analyzer roster so a dropped registration fails
 // loudly rather than silently weakening CI.
 func TestSuite(t *testing.T) {
-	want := []string{"ctxleak", "determinism", "misspath", "mutexguard", "snapstate"}
+	want := []string{"ctxleak", "determinism", "misspath", "mutexguard"}
 	got := ubslint.Analyzers()
 	if len(got) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(got), len(want))

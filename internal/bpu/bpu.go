@@ -63,25 +63,12 @@ func (s Stats) MPKI(instructions uint64) float64 {
 
 // BPU is the complete branch prediction unit.
 type BPU struct {
-	cfg Config
-
-	weights [][]int8 // [table][entry]
-	bias    []int8
-	history uint64
+	cfg     Config
+	btbSets int
+	st      State
 	// idxScratch backs predictDirection's per-table index list; the
 	// returned slice is only valid until the next prediction.
 	idxScratch []int
-
-	btbTags    [][]uint64 // [set][way], 0 = invalid
-	btbTargets [][]uint64
-	btbLRU     [][]uint32
-	btbSets    int
-	btbClock   uint32
-
-	ras    []uint64
-	rasTop int
-
-	stats Stats
 }
 
 // New constructs a BPU with cfg; zero-valued fields take defaults.
@@ -109,22 +96,22 @@ func New(cfg Config) *BPU {
 		cfg.RASEntries = def.RASEntries
 	}
 	b := &BPU{cfg: cfg}
-	b.weights = make([][]int8, cfg.Tables)
-	for i := range b.weights {
-		b.weights[i] = make([]int8, cfg.TableEntries)
+	b.st.Weights = make([][]int8, cfg.Tables)
+	for i := range b.st.Weights {
+		b.st.Weights[i] = make([]int8, cfg.TableEntries)
 	}
-	b.bias = make([]int8, cfg.TableEntries)
+	b.st.Bias = make([]int8, cfg.TableEntries)
 	b.idxScratch = make([]int, cfg.Tables)
 	b.btbSets = cfg.BTBEntries / cfg.BTBWays
-	b.btbTags = make([][]uint64, b.btbSets)
-	b.btbTargets = make([][]uint64, b.btbSets)
-	b.btbLRU = make([][]uint32, b.btbSets)
+	b.st.BTBTags = make([][]uint64, b.btbSets)
+	b.st.BTBTargets = make([][]uint64, b.btbSets)
+	b.st.BTBLRU = make([][]uint32, b.btbSets)
 	for s := 0; s < b.btbSets; s++ {
-		b.btbTags[s] = make([]uint64, cfg.BTBWays)
-		b.btbTargets[s] = make([]uint64, cfg.BTBWays)
-		b.btbLRU[s] = make([]uint32, cfg.BTBWays)
+		b.st.BTBTags[s] = make([]uint64, cfg.BTBWays)
+		b.st.BTBTargets[s] = make([]uint64, cfg.BTBWays)
+		b.st.BTBLRU[s] = make([]uint32, cfg.BTBWays)
 	}
-	b.ras = make([]uint64, cfg.RASEntries)
+	b.st.RAS = make([]uint64, cfg.RASEntries)
 	return b
 }
 
@@ -132,11 +119,11 @@ func New(cfg Config) *BPU {
 func (b *BPU) Config() Config { return b.cfg }
 
 // Stats returns the accumulated statistics.
-func (b *BPU) Stats() Stats { return b.stats }
+func (b *BPU) Stats() Stats { return b.st.Stats }
 
 // ResetStats clears the statistics (end of warmup) without touching the
 // predictor, BTB, or RAS.
-func (b *BPU) ResetStats() { b.stats = Stats{} }
+func (b *BPU) ResetStats() { b.st.Stats = Stats{} }
 
 // mix is a 64-bit finaliser used for all table hashing.
 func mix(x uint64) uint64 {
@@ -161,7 +148,7 @@ func (b *BPU) tableIndex(i int, pc uint64) int {
 	} else {
 		hmask = (1 << uint(hlen)) - 1
 	}
-	h := mix((pc >> 2) ^ (b.history&hmask)*0x9e3779b97f4a7c15 ^ uint64(i)<<56)
+	h := mix((pc >> 2) ^ (b.st.History&hmask)*0x9e3779b97f4a7c15 ^ uint64(i)<<56)
 	return int(h) & (b.cfg.TableEntries - 1)
 }
 
@@ -169,10 +156,10 @@ func (b *BPU) tableIndex(i int, pc uint64) int {
 // slice aliases a scratch buffer and is overwritten by the next call.
 func (b *BPU) predictDirection(pc uint64) (taken bool, sum int, idx []int) {
 	idx = b.idxScratch
-	sum = int(b.bias[int(mix(pc>>2))&(b.cfg.TableEntries-1)])
+	sum = int(b.st.Bias[int(mix(pc>>2))&(b.cfg.TableEntries-1)])
 	for i := 0; i < b.cfg.Tables; i++ {
 		idx[i] = b.tableIndex(i, pc)
-		sum += int(b.weights[i][idx[i]])
+		sum += int(b.st.Weights[i][idx[i]])
 	}
 	return sum >= 0, sum, idx
 }
@@ -194,9 +181,9 @@ func (b *BPU) train(pc uint64, idx []int, taken bool) {
 		dir = 1
 	}
 	bi := int(mix(pc>>2)) & (b.cfg.TableEntries - 1)
-	b.bias[bi] = sat8(int(b.bias[bi]) + dir)
+	b.st.Bias[bi] = sat8(int(b.st.Bias[bi]) + dir)
 	for i, ix := range idx {
-		b.weights[i][ix] = sat8(int(b.weights[i][ix]) + dir)
+		b.st.Weights[i][ix] = sat8(int(b.st.Weights[i][ix]) + dir)
 	}
 }
 
@@ -204,10 +191,10 @@ func (b *BPU) train(pc uint64, idx []int, taken bool) {
 func (b *BPU) btbLookup(pc uint64) (target uint64, hit bool) {
 	set := int(mix(pc>>2)) & (b.btbSets - 1)
 	for w := 0; w < b.cfg.BTBWays; w++ {
-		if b.btbTags[set][w] == pc {
-			b.btbClock++
-			b.btbLRU[set][w] = b.btbClock
-			return b.btbTargets[set][w], true
+		if b.st.BTBTags[set][w] == pc {
+			b.st.BTBClock++
+			b.st.BTBLRU[set][w] = b.st.BTBClock
+			return b.st.BTBTargets[set][w], true
 		}
 	}
 	return 0, false
@@ -218,22 +205,22 @@ func (b *BPU) btbInsert(pc, target uint64) {
 	set := int(mix(pc>>2)) & (b.btbSets - 1)
 	victim, oldest := 0, ^uint32(0)
 	for w := 0; w < b.cfg.BTBWays; w++ {
-		if b.btbTags[set][w] == pc {
+		if b.st.BTBTags[set][w] == pc {
 			victim = w
 			break
 		}
-		if b.btbTags[set][w] == 0 {
+		if b.st.BTBTags[set][w] == 0 {
 			victim, oldest = w, 0
 			continue
 		}
-		if b.btbLRU[set][w] < oldest {
-			victim, oldest = w, b.btbLRU[set][w]
+		if b.st.BTBLRU[set][w] < oldest {
+			victim, oldest = w, b.st.BTBLRU[set][w]
 		}
 	}
-	b.btbClock++
-	b.btbTags[set][victim] = pc
-	b.btbTargets[set][victim] = target
-	b.btbLRU[set][victim] = b.btbClock
+	b.st.BTBClock++
+	b.st.BTBTags[set][victim] = pc
+	b.st.BTBTargets[set][victim] = target
+	b.st.BTBLRU[set][victim] = b.st.BTBClock
 }
 
 // Result describes the BPU's prediction for one branch.
@@ -259,17 +246,17 @@ func (b *BPU) PredictAndTrain(in *trace.Instr) Result {
 	if !in.Class.IsBranch() {
 		panic("bpu: PredictAndTrain on non-branch")
 	}
-	b.stats.Branches++
+	b.st.Stats.Branches++
 	actualTaken := in.TakenBranch()
 
 	var r Result
 	switch in.Class {
 	case trace.ClassCondBranch:
-		b.stats.CondBranches++
+		b.st.Stats.CondBranches++
 		taken, sum, idx := b.predictDirection(in.PC)
 		r.PredTaken = taken
 		if taken != in.Taken {
-			b.stats.DirectionWrong++
+			b.st.Stats.DirectionWrong++
 			r.Mispredict = true
 		}
 		if taken != in.Taken || abs(sum) <= b.cfg.Threshold {
@@ -277,7 +264,7 @@ func (b *BPU) PredictAndTrain(in *trace.Instr) Result {
 		}
 		// History records the actual outcome (trace-driven: the front end
 		// is repaired at resolution anyway).
-		b.history = b.history<<1 | boolBit(in.Taken)
+		b.st.History = b.st.History<<1 | boolBit(in.Taken)
 		if r.PredTaken {
 			tgt, hit := b.btbLookup(in.PC)
 			r.PredTarget = tgt
@@ -285,10 +272,10 @@ func (b *BPU) PredictAndTrain(in *trace.Instr) Result {
 				// Conditional branches are direct: a BTB miss (or stale
 				// entry) is repaired at decode from the instruction bits.
 				if !hit {
-					b.stats.BTBMisses++
+					b.st.Stats.BTBMisses++
 					r.Resteer = true
 				} else if tgt != in.Target {
-					b.stats.TargetWrong++
+					b.st.Stats.TargetWrong++
 					r.Resteer = true
 				}
 			}
@@ -298,10 +285,10 @@ func (b *BPU) PredictAndTrain(in *trace.Instr) Result {
 		tgt, ok := b.rasPop()
 		r.PredTarget = tgt
 		if !ok || tgt != in.Target {
-			b.stats.RASMispredicts++
+			b.st.Stats.RASMispredicts++
 			r.Mispredict = true
 		}
-		b.history = b.history<<1 | 1
+		b.st.History = b.st.History<<1 | 1
 	default:
 		// Unconditional jumps and calls: direction is known taken; the
 		// target comes from the BTB. Direct branches repair BTB misses at
@@ -311,9 +298,9 @@ func (b *BPU) PredictAndTrain(in *trace.Instr) Result {
 		r.PredTarget = tgt
 		wrong := !hit || tgt != in.Target
 		if !hit {
-			b.stats.BTBMisses++
+			b.st.Stats.BTBMisses++
 		} else if tgt != in.Target {
-			b.stats.TargetWrong++
+			b.st.Stats.TargetWrong++
 		}
 		if wrong {
 			if in.Class.IsIndirect() {
@@ -325,7 +312,7 @@ func (b *BPU) PredictAndTrain(in *trace.Instr) Result {
 		if in.Class.IsCall() {
 			b.rasPush(in.EndPC())
 		}
-		b.history = b.history<<1 | 1
+		b.st.History = b.st.History<<1 | 1
 	}
 
 	// Train the BTB with the actual target of taken branches.
@@ -333,26 +320,26 @@ func (b *BPU) PredictAndTrain(in *trace.Instr) Result {
 		b.btbInsert(in.PC, in.Target)
 	}
 	if r.Mispredict {
-		b.stats.Mispredictions++
+		b.st.Stats.Mispredictions++
 	}
 	if r.Resteer {
-		b.stats.DecodeResteers++
+		b.st.Stats.DecodeResteers++
 	}
 	return r
 }
 
 func (b *BPU) rasPush(ret uint64) {
-	b.rasTop = (b.rasTop + 1) % len(b.ras)
-	b.ras[b.rasTop] = ret
+	b.st.RASTop = (b.st.RASTop + 1) % len(b.st.RAS)
+	b.st.RAS[b.st.RASTop] = ret
 }
 
 func (b *BPU) rasPop() (uint64, bool) {
-	v := b.ras[b.rasTop]
+	v := b.st.RAS[b.st.RASTop]
 	if v == 0 {
 		return 0, false
 	}
-	b.ras[b.rasTop] = 0
-	b.rasTop = (b.rasTop - 1 + len(b.ras)) % len(b.ras)
+	b.st.RAS[b.st.RASTop] = 0
+	b.st.RASTop = (b.st.RASTop - 1 + len(b.st.RAS)) % len(b.st.RAS)
 	return v, true
 }
 

@@ -2,12 +2,12 @@ package bpu
 
 import "fmt"
 
-// State is the checkpointable image of the branch predictor: perceptron
-// weight tables, global history, the BTB arrays, and the return address
-// stack. Geometry (table count/size, BTB shape, RAS depth) is
-// configuration; Restore requires a BPU built from the same Config.
-//
-//ubs:state
+// State is the predictor's mutable state, the form the BPU keeps it in
+// and the checkpoint stores: the perceptron weight tables
+// ([table][entry]) and bias, the global history, the BTB arrays
+// ([set][way], tag 0 = invalid), and the return address stack. Geometry
+// (table count/size, BTB shape, RAS depth) is configuration; Restore
+// requires a BPU built from the same Config.
 type State struct {
 	Weights    [][]int8
 	Bias       []int8
@@ -21,53 +21,52 @@ type State struct {
 	Stats      Stats
 }
 
-// Snapshot copies the predictor's mutable state into dst, reusing dst's
-// backing storage where it is already the right shape.
-func (b *BPU) Snapshot(dst *State) {
-	dst.Weights = copy2D(dst.Weights, b.weights)
-	dst.Bias = append(dst.Bias[:0], b.bias...)
-	dst.History = b.history
-	dst.BTBTags = copy2D(dst.BTBTags, b.btbTags)
-	dst.BTBTargets = copy2D(dst.BTBTargets, b.btbTargets)
-	dst.BTBLRU = copy2D(dst.BTBLRU, b.btbLRU)
-	dst.BTBClock = b.btbClock
-	dst.RAS = append(dst.RAS[:0], b.ras...)
-	dst.RASTop = b.rasTop
-	dst.Stats = b.stats
-}
+// Snapshot copies the predictor's mutable state into dst; dst shares no
+// memory with the predictor.
+func (b *BPU) Snapshot(dst *State) { copyState(dst, &b.st) }
 
-// Restore installs a previously captured State into a predictor of the
-// same geometry.
+// Restore installs a State captured from a predictor of the same
+// geometry, after checking every table shape and the RAS top index.
 func (b *BPU) Restore(src *State) error {
-	if err := restore2D(b.weights, src.Weights, "bpu weights"); err != nil {
+	if err := sameShape(src.Weights, b.st.Weights, "bpu weights"); err != nil {
 		return err
 	}
-	if len(src.Bias) != len(b.bias) {
-		return fmt.Errorf("bpu bias: snapshot has %d entries, predictor has %d", len(src.Bias), len(b.bias))
-	}
-	copy(b.bias, src.Bias)
-	b.history = src.History
-	if err := restore2D(b.btbTags, src.BTBTags, "btb tags"); err != nil {
+	if err := sameShape(src.BTBTags, b.st.BTBTags, "btb tags"); err != nil {
 		return err
 	}
-	if err := restore2D(b.btbTargets, src.BTBTargets, "btb targets"); err != nil {
+	if err := sameShape(src.BTBTargets, b.st.BTBTargets, "btb targets"); err != nil {
 		return err
 	}
-	if err := restore2D(b.btbLRU, src.BTBLRU, "btb lru"); err != nil {
+	if err := sameShape(src.BTBLRU, b.st.BTBLRU, "btb lru"); err != nil {
 		return err
 	}
-	b.btbClock = src.BTBClock
-	if len(src.RAS) != len(b.ras) {
-		return fmt.Errorf("bpu ras: snapshot has %d entries, predictor has %d", len(src.RAS), len(b.ras))
+	if len(src.Bias) != len(b.st.Bias) {
+		return fmt.Errorf("bpu bias: snapshot has %d entries, predictor has %d", len(src.Bias), len(b.st.Bias))
 	}
-	copy(b.ras, src.RAS)
-	b.rasTop = src.RASTop
-	b.stats = src.Stats
+	if len(src.RAS) != len(b.st.RAS) {
+		return fmt.Errorf("bpu ras: snapshot has %d entries, predictor has %d", len(src.RAS), len(b.st.RAS))
+	}
+	if src.RASTop < 0 || src.RASTop >= len(src.RAS) {
+		return fmt.Errorf("bpu ras: snapshot top %d outside [0,%d)", src.RASTop, len(src.RAS))
+	}
+	copyState(&b.st, src)
 	return nil
 }
 
+// copyState deep-copies src into dst, reusing dst's backing arrays.
+func copyState(dst, src *State) {
+	old := *dst
+	*dst = *src
+	dst.Weights = copy2D(old.Weights, src.Weights)
+	dst.Bias = append(old.Bias[:0], src.Bias...)
+	dst.BTBTags = copy2D(old.BTBTags, src.BTBTags)
+	dst.BTBTargets = copy2D(old.BTBTargets, src.BTBTargets)
+	dst.BTBLRU = copy2D(old.BTBLRU, src.BTBLRU)
+	dst.RAS = append(old.RAS[:0], src.RAS...)
+}
+
 // copy2D deep-copies src into dst row by row, reusing dst's rows where
-// capacity allows.
+// their capacity allows, and returns the copy.
 func copy2D[T any](dst, src [][]T) [][]T {
 	if cap(dst) < len(src) {
 		dst = make([][]T, len(src))
@@ -79,17 +78,16 @@ func copy2D[T any](dst, src [][]T) [][]T {
 	return dst
 }
 
-// restore2D copies src's rows into dst's pre-sized rows, requiring
-// matching shape.
-func restore2D[T any](dst, src [][]T, what string) error {
-	if len(src) != len(dst) {
-		return fmt.Errorf("%s: snapshot has %d rows, target has %d", what, len(src), len(dst))
+// sameShape reports an error unless got has want's row count and row
+// lengths.
+func sameShape[T any](got, want [][]T, what string) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%s: snapshot has %d rows, target has %d", what, len(got), len(want))
 	}
-	for i := range src {
-		if len(src[i]) != len(dst[i]) {
-			return fmt.Errorf("%s: row %d has %d entries, target has %d", what, i, len(src[i]), len(dst[i]))
+	for i := range got {
+		if len(got[i]) != len(want[i]) {
+			return fmt.Errorf("%s: row %d has %d entries, target has %d", what, i, len(got[i]), len(want[i]))
 		}
-		copy(dst[i], src[i])
 	}
 	return nil
 }

@@ -84,7 +84,7 @@ func TestAccessedMask(t *testing.T) {
 	c.Access(0x1031, 2, ctx) // unit 12 (bytes 0x31-0x32)
 	_, way, _ := c.Probe(0x1000)
 	set := c.SetIndex(0x1000)
-	b := &c.sets[set][way]
+	b := &*c.block(set, way)
 	want := uint64(1<<0 | 1<<2 | 1<<3 | 1<<12)
 	if b.Accessed != want {
 		t.Errorf("Accessed = %#b, want %#b", b.Accessed, want)
@@ -100,7 +100,7 @@ func TestMarkAccessed(t *testing.T) {
 	c.Fill(0x1000, AccessContext{})
 	c.MarkAccessed(0x1004, 8)
 	_, way, _ := c.Probe(0x1000)
-	b := &c.sets[c.SetIndex(0x1000)][way]
+	b := c.block(c.SetIndex(0x1000), way)
 	if b.Accessed != 0b110 {
 		t.Errorf("Accessed = %#b", b.Accessed)
 	}
@@ -246,7 +246,7 @@ func TestFillIdempotentOnResident(t *testing.T) {
 	}
 	// Accessed mask must survive the refill.
 	_, way, _ := c.Probe(0x1000)
-	if c.sets[c.SetIndex(0x1000)][way].Accessed == 0 {
+	if c.block(c.SetIndex(0x1000), way).Accessed == 0 {
 		t.Error("accessed mask lost on refill")
 	}
 }

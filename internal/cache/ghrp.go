@@ -22,26 +22,25 @@ const (
 	ghrpHistoryBits = 16
 )
 
-// NewGHRP returns a GHRP replacement policy.
-func NewGHRP(sets, ways int) Policy {
-	g := &ghrp{}
-	for i := range g.tables {
-		g.tables[i] = make([]uint8, 1<<ghrpTableBits)
-	}
-	return g
-}
+// NewGHRP returns a GHRP replacement policy. Its tables, history and
+// clock live in the PolicyState of the Cache that New binds it to.
+func NewGHRP(sets, ways int) Policy { return &ghrp{} }
 
-type ghrp struct {
-	tables  [ghrpTables][]uint8
-	history uint32
-	clock   uint64
+type ghrp struct{ st *PolicyState }
+
+func (g *ghrp) bind(st *PolicyState) {
+	st.Tables = make([][]uint8, ghrpTables)
+	for i := range st.Tables {
+		st.Tables[i] = make([]uint8, 1<<ghrpTableBits)
+	}
+	g.st = st
 }
 
 func (g *ghrp) Name() string { return "ghrp" }
 
 // signature mixes the access PC with the global history.
 func (g *ghrp) signature(pc uint64) uint32 {
-	h := (pc >> 2) ^ uint64(g.history)<<7
+	h := (pc >> 2) ^ uint64(g.st.History)<<7
 	h ^= h >> 17
 	h *= 0x9e3779b1
 	h ^= h >> 13
@@ -49,7 +48,7 @@ func (g *ghrp) signature(pc uint64) uint32 {
 }
 
 func (g *ghrp) updateHistory(pc uint64) {
-	g.history = (g.history<<3 ^ uint32(pc>>2)) & (1<<ghrpHistoryBits - 1)
+	g.st.History = (g.st.History<<3 ^ uint32(pc>>2)) & (1<<ghrpHistoryBits - 1)
 }
 
 func (g *ghrp) index(table int, sig uint32) int {
@@ -62,7 +61,7 @@ func (g *ghrp) index(table int, sig uint32) int {
 func (g *ghrp) predictDead(sig uint32) bool {
 	votes := 0
 	for t := 0; t < ghrpTables; t++ {
-		if g.tables[t][g.index(t, sig)] >= ghrpDeadThresh {
+		if g.st.Tables[t][g.index(t, sig)] >= ghrpDeadThresh {
 			votes++
 		}
 	}
@@ -74,11 +73,11 @@ func (g *ghrp) train(sig uint32, dead bool) {
 	for t := 0; t < ghrpTables; t++ {
 		i := g.index(t, sig)
 		if dead {
-			if g.tables[t][i] < ghrpCounterMax {
-				g.tables[t][i]++
+			if g.st.Tables[t][i] < ghrpCounterMax {
+				g.st.Tables[t][i]++
 			}
-		} else if g.tables[t][i] > 0 {
-			g.tables[t][i]--
+		} else if g.st.Tables[t][i] > 0 {
+			g.st.Tables[t][i]--
 		}
 	}
 }
@@ -87,12 +86,12 @@ func (g *ghrp) OnFill(set, way int, b *Block, ctx AccessContext) {
 	sig := g.signature(ctx.PC)
 	b.Signature = sig
 	b.DeadPred = g.predictDead(sig)
-	g.clock++
+	g.st.Clock++
 	if b.DeadPred {
 		// Dead-on-arrival: insert at eviction priority (stale timestamp).
 		b.LRU = 0
 	} else {
-		b.LRU = g.clock
+		b.LRU = g.st.Clock
 	}
 	g.updateHistory(ctx.PC)
 }
@@ -103,8 +102,8 @@ func (g *ghrp) OnHit(set, way int, b *Block, ctx AccessContext) {
 	sig := g.signature(ctx.PC)
 	b.Signature = sig
 	b.DeadPred = g.predictDead(sig)
-	g.clock++
-	b.LRU = g.clock
+	g.st.Clock++
+	b.LRU = g.st.Clock
 	g.updateHistory(ctx.PC)
 }
 

@@ -1,20 +1,23 @@
 package cache
 
-// NewLRU returns a least-recently-used policy.
+// NewLRU returns a least-recently-used policy. Its clock lives in the
+// PolicyState of the Cache that New binds it to.
 func NewLRU(sets, ways int) Policy { return &lru{} }
 
-type lru struct{ clock uint64 }
+type lru struct{ st *PolicyState }
+
+func (p *lru) bind(st *PolicyState) { p.st = st }
 
 func (p *lru) Name() string { return "lru" }
 
 func (p *lru) OnFill(set, way int, b *Block, ctx AccessContext) {
-	p.clock++
-	b.LRU = p.clock
+	p.st.Clock++
+	b.LRU = p.st.Clock
 }
 
 func (p *lru) OnHit(set, way int, b *Block, ctx AccessContext) {
-	p.clock++
-	b.LRU = p.clock
+	p.st.Clock++
+	b.LRU = p.st.Clock
 }
 
 func (p *lru) OnEvict(set, way int, b *Block) {}

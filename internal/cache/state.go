@@ -2,22 +2,19 @@ package cache
 
 import "fmt"
 
-// State is the checkpointable image of a Cache: every Block of every set
-// (flattened in set-major order) plus the counters and whatever mutable
-// state the replacement policy carries. Geometry (sets, ways, block
-// size) is configuration, not state — Restore requires a Cache built
-// from the same Config.
-//
-//ubs:state
+// State is a Cache's mutable state, the form the cache keeps it in and
+// the checkpoint stores: every Block (set-major, Sets*Ways entries), the
+// counters, and the replacement policy's own state. Geometry is
+// configuration, not state; Restore requires a Cache built from the same
+// Config.
 type State struct {
-	// Blocks holds Sets*Ways entries, set-major.
 	Blocks []Block
 	Stats  Stats
 	Policy PolicyState
 }
 
-// PolicyState is the union of every stateful replacement policy's
-// mutable fields. Exactly the fields the cache's policy uses are
+// PolicyState is the mutable state of a replacement policy beyond the
+// per-Block metadata. Exactly the fields the cache's policy uses are
 // meaningful; the rest stay zero.
 type PolicyState struct {
 	// Clock is the lru monotonic tick and the ghrp access clock.
@@ -28,75 +25,64 @@ type PolicyState struct {
 	Tables [][]uint8
 }
 
-// StatefulPolicy is implemented by replacement policies whose decisions
-// depend on mutable state beyond the per-Block metadata.
-type StatefulPolicy interface {
-	SnapshotPolicy(dst *PolicyState)
-	RestorePolicy(src *PolicyState)
+// boundPolicy is implemented by the policies that keep their state in
+// the cache's PolicyState: New binds them to it (sizing any tables), so
+// the state is snapshot and restored with the rest of State.
+type boundPolicy interface {
+	bind(st *PolicyState)
 }
 
-// Snapshot copies the cache's mutable state into dst, reusing dst's
-// backing storage where it is already the right size.
-func (c *Cache) Snapshot(dst *State) {
-	want := c.cfg.Sets * c.cfg.Ways
-	if cap(dst.Blocks) < want {
-		dst.Blocks = make([]Block, want)
-	}
-	dst.Blocks = dst.Blocks[:want]
-	for s := range c.sets {
-		copy(dst.Blocks[s*c.cfg.Ways:(s+1)*c.cfg.Ways], c.sets[s])
-	}
-	dst.Stats = c.stats
-	// Reset the policy union to zero while keeping backing storage
-	// reusable for the policy that is actually installed.
-	dst.Policy.Clock, dst.Policy.History = 0, 0
-	for i := range dst.Policy.Tables {
-		dst.Policy.Tables[i] = dst.Policy.Tables[i][:0]
-	}
-	dst.Policy.Tables = dst.Policy.Tables[:0]
-	if sp, ok := c.policy.(StatefulPolicy); ok {
-		sp.SnapshotPolicy(&dst.Policy)
-	}
-}
+// Snapshot copies the cache's state into dst; dst shares no memory with
+// the cache.
+func (c *Cache) Snapshot(dst *State) { copyState(dst, &c.st) }
 
-// Restore installs a previously captured State. The cache must have the
-// same geometry the snapshot was taken from.
+// Restore installs a State captured from a cache of the same geometry
+// and policy, after checking every length against this cache.
 func (c *Cache) Restore(src *State) error {
-	want := c.cfg.Sets * c.cfg.Ways
-	if len(src.Blocks) != want {
-		return fmt.Errorf("cache %s: snapshot has %d blocks, cache holds %d", c.cfg.Name, len(src.Blocks), want)
+	if len(src.Blocks) != len(c.st.Blocks) {
+		return fmt.Errorf("cache %s: snapshot has %d blocks, cache holds %d", c.cfg.Name, len(src.Blocks), len(c.st.Blocks))
 	}
-	for s := range c.sets {
-		copy(c.sets[s], src.Blocks[s*c.cfg.Ways:(s+1)*c.cfg.Ways])
+	if err := sameShape(src.Policy.Tables, c.st.Policy.Tables); err != nil {
+		return fmt.Errorf("cache %s: %s policy tables: %w", c.cfg.Name, c.policy.Name(), err)
 	}
-	c.stats = src.Stats
-	if sp, ok := c.policy.(StatefulPolicy); ok {
-		sp.RestorePolicy(&src.Policy)
-	}
+	copyState(&c.st, src)
 	return nil
 }
 
-func (p *lru) SnapshotPolicy(dst *PolicyState) { dst.Clock = p.clock }
-func (p *lru) RestorePolicy(src *PolicyState)  { p.clock = src.Clock }
-
-func (g *ghrp) SnapshotPolicy(dst *PolicyState) {
-	if cap(dst.Tables) < ghrpTables {
-		dst.Tables = make([][]uint8, ghrpTables)
-	}
-	dst.Tables = dst.Tables[:ghrpTables]
-	for i := range g.tables {
-		dst.Tables[i] = append(dst.Tables[i][:0], g.tables[i]...)
-	}
-	dst.History = g.history
-	dst.Clock = g.clock
+// copyState deep-copies src into dst, reusing dst's backing arrays.
+func copyState(dst, src *State) {
+	blocks, tables := dst.Blocks, dst.Policy.Tables
+	*dst = *src
+	dst.Blocks = append(blocks[:0], src.Blocks...)
+	dst.Policy.Tables = copy2D(tables, src.Policy.Tables)
 }
 
-func (g *ghrp) RestorePolicy(src *PolicyState) {
-	for i := range g.tables {
-		if i < len(src.Tables) {
-			copy(g.tables[i], src.Tables[i])
+// copy2D deep-copies src into dst row by row, reusing dst's rows where
+// their capacity allows, and returns the copy.
+func copy2D[T any](dst, src [][]T) [][]T {
+	if src == nil {
+		return nil
+	}
+	if cap(dst) < len(src) {
+		dst = make([][]T, len(src))
+	}
+	dst = dst[:len(src)]
+	for i := range src {
+		dst[i] = append(dst[i][:0], src[i]...)
+	}
+	return dst
+}
+
+// sameShape reports an error unless got has want's row count and row
+// lengths.
+func sameShape[T any](got, want [][]T) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("snapshot has %d rows, target has %d", len(got), len(want))
+	}
+	for i := range got {
+		if len(got[i]) != len(want[i]) {
+			return fmt.Errorf("row %d has %d entries, target has %d", i, len(got[i]), len(want[i]))
 		}
 	}
-	g.history = src.History
-	g.clock = src.Clock
+	return nil
 }

@@ -31,10 +31,11 @@ import (
 const magic = "UBSC"
 
 // Version identifies the serialized layout. The MachineState layout IS
-// the format — snap encodes struct fields in declaration order — so
-// Version must be bumped whenever any //ubs:state struct (or the snap
-// codec itself) changes shape. Readers reject other versions; there is
-// no migration: checkpoints are restart accelerators, not archives.
+// the format — snap encodes struct fields in declaration order, and each
+// layer keeps its state in the State type the image stores — so Version
+// must be bumped whenever a layer's State type or the snap layout
+// changes. Readers reject other versions; there is no migration:
+// checkpoints are restart accelerators, not archives.
 const Version = 5
 
 // Meta names what a checkpoint is a checkpoint OF. Everything needed to

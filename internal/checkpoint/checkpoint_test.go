@@ -206,6 +206,71 @@ func TestResnapshotIdentity(t *testing.T) {
 	}
 }
 
+// TestSnapshotIndependent pins that a snapshot shares no memory with a
+// live machine, in either direction: a slice aliased instead of copied
+// would let later simulation rewrite a checkpoint already taken. Over
+// the TestResnapshotIdentity pairs it snapshots, runs the machine 10k
+// more instructions, restores a second machine from the snapshot and
+// runs that 10k too; the snapshot must still encode to the bytes it
+// encoded to when it was taken.
+func TestSnapshotIndependent(t *testing.T) {
+	p := testParams()
+	for wname, w := range goldenWorkloads(t) {
+		for _, design := range goldenDesigns {
+			t.Run(wname+"/"+design, func(t *testing.T) {
+				d, err := sim.ParseDesign(design)
+				if err != nil {
+					t.Fatal(err)
+				}
+				machine := func() *sim.Machine {
+					src, err := w.NewSource()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if c, ok := src.(interface{ Close() error }); ok {
+						t.Cleanup(func() { c.Close() })
+					}
+					m, err := sim.NewMachine(context.Background(), p, src, w.Name, d.Name, d.Factory)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return m
+				}
+				m := machine()
+				if err := m.Advance(7_000); err != nil {
+					t.Fatal(err)
+				}
+				var st sim.MachineState
+				if err := m.Snapshot(&st); err != nil {
+					t.Fatal(err)
+				}
+				meta := Meta{Workload: w.Spec, WorkloadName: w.Name, Design: design, Params: p}
+				want, err := Encode(meta, &st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := m.Advance(10_000); err != nil {
+					t.Fatal(err)
+				}
+				r := machine()
+				if err := r.Restore(&st); err != nil {
+					t.Fatal(err)
+				}
+				if err := r.Advance(10_000); err != nil {
+					t.Fatal(err)
+				}
+				got, err := Encode(meta, &st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("the snapshot changed after both machines ran on (%d vs %d bytes)", len(got), len(want))
+				}
+			})
+		}
+	}
+}
+
 // TestCancelWritesCheckpointAndResumes pins the crash-safety path: a
 // cancelled run persists its position, and resuming it still converges
 // to the uninterrupted result, byte for byte.

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"ubscache/internal/sim"
 	"ubscache/internal/workloadspec"
@@ -114,36 +115,64 @@ func FuzzResumeAtN(f *testing.F) {
 	})
 }
 
-// tinyCheckpoint encodes a ubs machine with shrunken L2, L3 and no L1-D
-// a few thousand instructions into its run, small enough to fuzz.
-func tinyCheckpoint(tb testing.TB) []byte {
+// tinyParams shrinks L2 and L3 and drops the L1-D, so checkpoints stay
+// small enough to fuzz and fresh machines cheap to build. The short
+// heartbeat period bounds how long a restored machine that cannot make
+// progress runs before its context deadline stops it.
+func tinyParams() sim.Params {
 	p := testParams()
 	p.Warmup, p.Measure = 1_000, 4_000
 	p.Hierarchy.L2Sets, p.Hierarchy.L2Ways = 4, 2
 	p.Hierarchy.L3Sets, p.Hierarchy.L3Ways = 4, 2
 	p.DataCache = false
-	return encodeAt(tb, p, "server_001", "ubs", 1_000)
+	p.HeartbeatEvery = 10_000
+	return p
 }
 
-// FuzzDecode feeds corrupted checkpoints to the reader, which must
-// never panic. A fuzzed input is an edit of a tiny ubs checkpoint: patch
-// overwrites the bytes at off, the file loses its last cut bytes, and
-// the checksum is resealed, so the edit reaches the framing, the
-// metadata and the state decoder behind the CRC. The patch alone is also
-// read as a whole file. Edits keep the fuzzed inputs small, which keeps
-// the fuzzer's minimization of each new input fast.
+// fuzzBases are the workloads whose tiny ubs checkpoints FuzzDecode
+// edits. spec_001's program builds in ~2 ms against server_001's ~20 ms,
+// which keeps the restore path's exec rate up.
+var fuzzBases = []string{"server_001", "spec_001"}
+
+// FuzzDecode feeds corrupted checkpoints to the reader and every image
+// it accepts to Restore, neither of which may panic. A fuzzed input is
+// an edit of a tiny ubs checkpoint of one of fuzzBases: patch overwrites
+// the bytes at off, the file loses its last cut bytes, and the checksum
+// is resealed, so the edit reaches the framing, the metadata and the
+// state decoder behind the CRC. A decoded image is restored into a fresh
+// machine of the base's own workload, design and parameters (the fuzzed
+// metadata is not trusted to size one), which then runs 2,000 more
+// instructions. The patch alone is also read as a whole file. Edits keep
+// the fuzzed inputs small, which keeps the fuzzer's minimization of each
+// new input fast.
 func FuzzDecode(f *testing.F) {
-	base := tinyCheckpoint(f)
-	f.Add(uint32(0), []byte(nil), uint32(0))
-	f.Add(uint32(len(magic)+2), []byte{0xff, 0xff}, uint32(0))
-	f.Add(uint32(len(base)/2), []byte{2, 0xff, 0xff, 0xff, 0x7f}, uint32(0))
-	f.Add(uint32(0), []byte(nil), uint32(9))
-	f.Fuzz(func(t *testing.T, off uint32, patch []byte, cut uint32) {
+	p := tinyParams()
+	bases := make([][]byte, len(fuzzBases))
+	for i, w := range fuzzBases {
+		bases[i] = encodeAt(f, p, w, "ubs", 1_000)
+	}
+	for i := range bases {
+		f.Add(uint8(i), uint32(0), []byte(nil), uint32(0))
+		f.Add(uint8(i), uint32(len(magic)+2), []byte{0xff, 0xff}, uint32(0))
+		f.Add(uint8(i), uint32(len(bases[i])/2), []byte{2, 0xff, 0xff, 0xff, 0x7f}, uint32(0))
+		f.Add(uint8(i), uint32(0), []byte(nil), uint32(9))
+	}
+	f.Fuzz(func(t *testing.T, bi uint8, off uint32, patch []byte, cut uint32) {
 		// Only a panic fails; rejecting the input is the usual outcome.
 		_, _, _ = Decode(patch)
-		data := append([]byte(nil), base...)
+		b := int(bi) % len(bases)
+		data := append([]byte(nil), bases[b]...)
 		copy(data[int(off%uint32(len(data))):], patch)
 		data = data[:len(data)-int(cut%uint32(len(data)-3))]
-		_, _, _ = Decode(reseal(data))
+		_, st, err := Decode(reseal(data))
+		if err != nil {
+			return
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		m, _ := freshMachine(t, ctx, p, fuzzBases[b], "ubs")
+		if m.Restore(st) == nil {
+			_ = m.Advance(2_000)
+		}
 	})
 }

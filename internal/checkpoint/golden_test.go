@@ -44,22 +44,7 @@ func goldenImage(tb testing.TB, workload, design string) []byte {
 // at measured instructions.
 func encodeAt(tb testing.TB, p sim.Params, workload, design string, at uint64) []byte {
 	tb.Helper()
-	w, err := workloadspec.ParseWorkload(workload)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	d, err := sim.ParseDesign(design)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	src, err := w.NewSource()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	m, err := sim.NewMachine(context.Background(), p, src, w.Name, d.Name, d.Factory)
-	if err != nil {
-		tb.Fatal(err)
-	}
+	m, w := freshMachine(tb, context.Background(), p, workload, design)
 	if err := m.Advance(at); err != nil {
 		tb.Fatal(err)
 	}
@@ -72,6 +57,29 @@ func encodeAt(tb testing.TB, p sim.Params, workload, design string, at uint64) [
 		tb.Fatal(err)
 	}
 	return data
+}
+
+// freshMachine builds an unstarted machine for workload on design under
+// p, honouring ctx at heartbeats.
+func freshMachine(tb testing.TB, ctx context.Context, p sim.Params, workload, design string) (*sim.Machine, workloadspec.Workload) {
+	tb.Helper()
+	w, err := workloadspec.ParseWorkload(workload)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	d, err := sim.ParseDesign(design)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	src, err := w.NewSource()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m, err := sim.NewMachine(ctx, p, src, w.Name, d.Name, d.Factory)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m, w
 }
 
 func TestGoldenDigests(t *testing.T) {

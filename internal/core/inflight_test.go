@@ -15,16 +15,16 @@ import (
 // heapOracle is the completion min-heap the timing wheel replaced: the
 // reference for which instructions are still in flight at each cycle.
 type heapOracle struct {
-	heap                 []robEntry
+	heap                 []ROBEntry
 	sched, loads, stores int
 }
 
-func (h *heapOracle) add(e robEntry) {
-	h.sched, h.loads, h.stores = h.sched+1, h.loads+b2i(e.isLoad), h.stores+b2i(e.isStore)
+func (h *heapOracle) add(e ROBEntry) {
+	h.sched, h.loads, h.stores = h.sched+1, h.loads+b2i(e.IsLoad), h.stores+b2i(e.IsStore)
 	h.heap = append(h.heap, e)
 	for i := len(h.heap) - 1; i > 0; {
 		p := (i - 1) / 2
-		if h.heap[p].done <= h.heap[i].done {
+		if h.heap[p].Done <= h.heap[i].Done {
 			break
 		}
 		h.heap[p], h.heap[i] = h.heap[i], h.heap[p]
@@ -33,18 +33,18 @@ func (h *heapOracle) add(e robEntry) {
 }
 
 func (h *heapOracle) expire(now uint64) {
-	for len(h.heap) > 0 && h.heap[0].done <= now {
+	for len(h.heap) > 0 && h.heap[0].Done <= now {
 		e := h.heap[0]
-		h.sched, h.loads, h.stores = h.sched-1, h.loads-b2i(e.isLoad), h.stores-b2i(e.isStore)
+		h.sched, h.loads, h.stores = h.sched-1, h.loads-b2i(e.IsLoad), h.stores-b2i(e.IsStore)
 		n := len(h.heap) - 1
 		h.heap[0] = h.heap[n]
 		h.heap = h.heap[:n]
 		for i := 0; ; {
 			l, r, s := 2*i+1, 2*i+2, i
-			if l < n && h.heap[l].done < h.heap[s].done {
+			if l < n && h.heap[l].Done < h.heap[s].Done {
 				s = l
 			}
-			if r < n && h.heap[r].done < h.heap[s].done {
+			if r < n && h.heap[r].Done < h.heap[s].Done {
 				s = r
 			}
 			if s == i {
@@ -64,7 +64,7 @@ func TestInflightWheelMatchesHeap(t *testing.T) {
 	const robSize = 224
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		w := inflight{far: make([]robEntry, 0, robSize)}
+		w := inflight{far: make([]ROBEntry, 0, robSize)}
 		var h heapOracle
 		check := func(step string, now uint64) {
 			t.Helper()
@@ -95,7 +95,7 @@ func TestInflightWheelMatchesHeap(t *testing.T) {
 				}
 				isLoad := rng.Intn(3) == 0
 				isStore := !isLoad && rng.Intn(4) == 0
-				e := robEntry{done: now + dist, isLoad: isLoad, isStore: isStore}
+				e := ROBEntry{Done: now + dist, IsLoad: isLoad, IsStore: isStore}
 				w.add(e)
 				h.add(e)
 				check("add", now)
@@ -204,11 +204,11 @@ func TestRestoreWithFarEntries(t *testing.T) {
 }
 
 // sameEntries reports whether a and b hold the same entries in any order.
-func sameEntries(a, b []robEntry) bool {
+func sameEntries(a, b []ROBEntry) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	count := map[robEntry]int{}
+	count := map[ROBEntry]int{}
 	for _, e := range a {
 		count[e]++
 	}

@@ -252,11 +252,11 @@ func mirrorCheck(t *testing.T, f *FTQ, want []Item) {
 		t.Fatalf("Peek past end resurrected an entry")
 	}
 	// Everything in the backing array beyond the live slice must be zero.
-	full := f.queue[:cap(f.queue)]
-	for i := len(f.queue); i < len(full); i++ {
+	full := f.st.Queue[:cap(f.st.Queue)]
+	for i := len(f.st.Queue); i < len(full); i++ {
 		if full[i] != (Item{}) {
 			t.Fatalf("backing slot %d retains dead item %+v (len=%d head=%d)",
-				i, full[i], len(f.queue), f.head)
+				i, full[i], len(f.st.Queue), f.head)
 		}
 	}
 }
@@ -269,10 +269,10 @@ func mirrorCheck(t *testing.T, f *FTQ, want []Item) {
 func TestCompactionClearsTailAndPreservesOrder(t *testing.T) {
 	cfg := Config{Regions: 1 << 20, MaxInstrs: 8, Prefetch: false}
 	f := New(cfg, nil, nil, nil)
-	if cap(f.queue) != 2*cfg.MaxInstrs {
-		t.Fatalf("backing capacity %d, want pre-sized %d", cap(f.queue), 2*cfg.MaxInstrs)
+	if cap(f.st.Queue) != 2*cfg.MaxInstrs {
+		t.Fatalf("backing capacity %d, want pre-sized %d", cap(f.st.Queue), 2*cfg.MaxInstrs)
 	}
-	backing := &f.queue[:1][0]
+	backing := &f.st.Queue[:1][0]
 
 	var mirror []Item
 	next := uint64(0x1000)
@@ -301,13 +301,13 @@ func TestCompactionClearsTailAndPreservesOrder(t *testing.T) {
 	pop(3)
 	push(9) // wander across another compaction
 	mirrorCheck(t, f, mirror)
-	if f.head != 0 && f.queue[0] != (Item{}) {
+	if f.head != 0 && f.st.Queue[0] != (Item{}) {
 		// Consumed prefix before the head must also have been zeroed by
 		// the last compaction or never reused; sanity only — the strict
 		// check is the tail scan in mirrorCheck.
-		t.Logf("head=%d len=%d", f.head, len(f.queue))
+		t.Logf("head=%d len=%d", f.head, len(f.st.Queue))
 	}
-	if &f.queue[:1][0] != backing {
+	if &f.st.Queue[:1][0] != backing {
 		t.Fatalf("backing array was reallocated; compaction must recycle it")
 	}
 }

@@ -60,8 +60,8 @@ type Conventional struct {
 	cfg ConventionalConfig
 	c   *cache.Cache
 
-	// ACIC state.
-	acic *acic
+	// acic is the admission filter, nil unless the design enables it.
+	acic *ACICState
 }
 
 var _ Frontend = (*Conventional)(nil)
@@ -175,11 +175,9 @@ func (cv *Conventional) Prefetch(addr uint64, size int, now uint64) {
 // admitted block trains towards bypass (the latter is observed through the
 // replacement policy's Reused bit at eviction, sampled lazily here via the
 // bypass buffer reuse signal).
-type acic struct {
-	table  []uint8 // 2-bit admission counters
-	bypass []uint64
-	pos    int
-}
+//
+// Its state (ACICState) is the 2-bit admission counters, the bypass FIFO
+// and the FIFO's next overwrite position.
 
 const (
 	acicTableBits = 12
@@ -187,13 +185,13 @@ const (
 	acicInitial   = 2 // start weakly admitting
 )
 
-func newACIC() *acic {
-	a := &acic{
-		table:  make([]uint8, 1<<acicTableBits),
-		bypass: make([]uint64, 0, acicBypassCap),
+func newACIC() *ACICState {
+	a := &ACICState{
+		Table:  make([]uint8, 1<<acicTableBits),
+		Bypass: make([]uint64, 0, acicBypassCap),
 	}
-	for i := range a.table {
-		a.table[i] = acicInitial
+	for i := range a.Table {
+		a.Table[i] = acicInitial
 	}
 	return a
 }
@@ -201,39 +199,39 @@ func newACIC() *acic {
 // index hashes the 2KB code region containing the block: admission
 // behaviour generalises across the blocks of a region, so a region whose
 // blocks keep dying unused gets bypassed even for never-seen blocks.
-func (a *acic) index(block uint64) int {
+func (a *ACICState) index(block uint64) int {
 	h := (block >> 11) * 0x9e3779b97f4a7c15
 	h ^= h >> 29
 	return int(h) & (1<<acicTableBits - 1)
 }
 
 // admit predicts whether the block deserves L1-I residency.
-func (a *acic) admit(block uint64) bool { return a.table[a.index(block)] >= 2 }
+func (a *ACICState) admit(block uint64) bool { return a.Table[a.index(block)] >= 2 }
 
 // insertBypass parks a non-admitted block in the FIFO bypass buffer.
-func (a *acic) insertBypass(block uint64) {
-	if len(a.bypass) < acicBypassCap {
-		a.bypass = append(a.bypass, block)
+func (a *ACICState) insertBypass(block uint64) {
+	if len(a.Bypass) < acicBypassCap {
+		a.Bypass = append(a.Bypass, block)
 		return
 	}
-	a.bypass[a.pos] = block
-	a.pos = (a.pos + 1) % acicBypassCap
+	a.Bypass[a.Pos] = block
+	a.Pos = (a.Pos + 1) % acicBypassCap
 }
 
 // bypassHit services a fetch from the bypass buffer and trains admission:
 // a bypassed block that sees reuse should have been admitted.
-func (a *acic) bypassHit(block uint64) bool {
-	for i, b := range a.bypass {
+func (a *ACICState) bypassHit(block uint64) bool {
+	for i, b := range a.Bypass {
 		if b == block {
-			if a.table[a.index(block)] < 3 {
-				a.table[a.index(block)]++
+			if a.Table[a.index(block)] < 3 {
+				a.Table[a.index(block)]++
 			}
 			// Remove: it will be admitted on the refetch that follows its
 			// next miss, or stays bypassed — either way the slot frees.
-			a.bypass[i] = a.bypass[len(a.bypass)-1]
-			a.bypass = a.bypass[:len(a.bypass)-1]
-			if a.pos >= len(a.bypass) && a.pos > 0 {
-				a.pos = 0
+			a.Bypass[i] = a.Bypass[len(a.Bypass)-1]
+			a.Bypass = a.Bypass[:len(a.Bypass)-1]
+			if a.Pos >= len(a.Bypass) && a.Pos > 0 {
+				a.Pos = 0
 			}
 			return true
 		}
@@ -242,8 +240,8 @@ func (a *acic) bypassHit(block uint64) bool {
 }
 
 // trainBypass is called when an admitted block dies without reuse.
-func (a *acic) trainBypass(block uint64) {
-	if i := a.index(block); a.table[i] > 0 {
-		a.table[i]--
+func (a *ACICState) trainBypass(block uint64) {
+	if i := a.index(block); a.Table[i] > 0 {
+		a.Table[i]--
 	}
 }

@@ -15,7 +15,7 @@ type Distill struct {
 	*Engine
 	cfg DistillConfig
 	loc *cache.Cache
-	woc *woc
+	woc WOCState
 
 	// WOCHits counts fetches served from the word-organised half.
 	WOCHits uint64
@@ -47,42 +47,23 @@ func DefaultDistill() DistillConfig {
 	}
 }
 
-// wocEntry is one 8B word: tagged by its word-aligned address.
-type wocEntry struct {
-	valid bool
-	addr  uint64 // 8B-aligned
-	lru   uint64
-	used  bool
+// wocSet returns the WOC set holding addr's words: a window of the
+// set-major Entries slice.
+func (d *Distill) wocSet(addr uint64) []WOCEntry {
+	s := int((addr >> 6) % uint64(d.cfg.Sets))
+	return d.woc.Entries[s*d.cfg.WOCWords : (s+1)*d.cfg.WOCWords]
 }
 
-// woc is the word-organised half: per-set arrays of 8B word entries.
-type woc struct {
-	sets  [][]wocEntry
-	clock uint64
-	nsets int
-}
-
-func newWOC(sets, words int) *woc {
-	w := &woc{nsets: sets, sets: make([][]wocEntry, sets)}
-	entries := make([]wocEntry, sets*words)
-	for s := range w.sets {
-		w.sets[s], entries = entries[:words], entries[words:]
-	}
-	return w
-}
-
-func (w *woc) set(addr uint64) int { return int((addr >> 6) % uint64(w.nsets)) }
-
-// lookup reports whether the 8B word containing addr is resident.
-func (w *woc) lookup(addr uint64, touch bool) bool {
+// wocLookup reports whether the 8B word containing addr is resident.
+func (d *Distill) wocLookup(addr uint64, touch bool) bool {
 	word := addr &^ 7
-	s := w.set(addr)
-	for i := range w.sets[s] {
-		if w.sets[s][i].valid && w.sets[s][i].addr == word {
+	set := d.wocSet(addr)
+	for i := range set {
+		if set[i].Valid && set[i].Addr == word {
 			if touch {
-				w.clock++
-				w.sets[s][i].lru = w.clock
-				w.sets[s][i].used = true
+				d.woc.Clock++
+				set[i].LRU = d.woc.Clock
+				set[i].Used = true
 			}
 			return true
 		}
@@ -90,50 +71,35 @@ func (w *woc) lookup(addr uint64, touch bool) bool {
 	return false
 }
 
-// insert installs a word, evicting LRU.
-func (w *woc) insert(addr uint64) {
+// wocInsert installs a word, evicting LRU.
+func (d *Distill) wocInsert(addr uint64) {
 	word := addr &^ 7
-	s := w.set(addr)
+	set := d.wocSet(addr)
 	victim, oldest := 0, ^uint64(0)
-	for i := range w.sets[s] {
-		if w.sets[s][i].valid && w.sets[s][i].addr == word {
+	for i := range set {
+		if set[i].Valid && set[i].Addr == word {
 			return
 		}
-		if !w.sets[s][i].valid {
+		if !set[i].Valid {
 			victim, oldest = i, 0
 			continue
 		}
-		if w.sets[s][i].lru < oldest {
-			victim, oldest = i, w.sets[s][i].lru
+		if set[i].LRU < oldest {
+			victim, oldest = i, set[i].LRU
 		}
 	}
-	w.clock++
-	w.sets[s][victim] = wocEntry{valid: true, addr: word, lru: w.clock}
+	d.woc.Clock++
+	set[victim] = WOCEntry{Valid: true, Addr: word, LRU: d.woc.Clock}
 }
 
-// invalidateBlock drops all words of a 64B block.
-func (w *woc) invalidateBlock(block uint64) {
-	s := w.set(block)
-	for i := range w.sets[s] {
-		if w.sets[s][i].valid && w.sets[s][i].addr&^63 == block {
-			w.sets[s][i] = wocEntry{}
+// wocInvalidateBlock drops all words of a 64B block.
+func (d *Distill) wocInvalidateBlock(block uint64) {
+	set := d.wocSet(block)
+	for i := range set {
+		if set[i].Valid && set[i].Addr&^63 == block {
+			set[i] = WOCEntry{}
 		}
 	}
-}
-
-// efficiency returns used/resident word counts.
-func (w *woc) efficiency() (used, resident int) {
-	for s := range w.sets {
-		for i := range w.sets[s] {
-			if w.sets[s][i].valid {
-				resident++
-				if w.sets[s][i].used {
-					used++
-				}
-			}
-		}
-	}
-	return used, resident
 }
 
 // NewDistill builds the frontend over hierarchy h.
@@ -142,7 +108,7 @@ func NewDistill(cfg DistillConfig, h *mem.Hierarchy) (*Distill, error) {
 		cfg = DefaultDistill()
 	}
 	d := &Distill{Engine: NewEngine(cfg.MSHRs, cfg.Lat, h),
-		cfg: cfg, woc: newWOC(cfg.Sets, cfg.WOCWords)}
+		cfg: cfg, woc: WOCState{Entries: make([]WOCEntry, cfg.Sets*cfg.WOCWords)}}
 	loc, err := cache.New(cache.Config{
 		Name: cfg.Name + "-loc", Sets: cfg.Sets, Ways: cfg.LOCWays, BlockSize: 64,
 		OnEvict: func(set int, b *cache.Block) { d.distill(b) },
@@ -167,7 +133,7 @@ func (d *Distill) distill(b *cache.Block) {
 	for w := 0; w < 8; w++ {
 		mask := uint64(0b11) << (2 * w)
 		if b.Accessed&mask != 0 {
-			d.woc.insert(block + uint64(w*8))
+			d.wocInsert(block + uint64(w*8))
 		}
 	}
 }
@@ -182,9 +148,14 @@ func (d *Distill) Efficiency() (float64, bool) {
 		used += float64(b.AccessedUnits())
 		total += float64(d.loc.UnitsPerBlock())
 	})
-	wu, wr := d.woc.efficiency()
-	used += float64(wu * 2) // 8B words are two 4B units
-	total += float64(wr * 2)
+	for _, e := range d.woc.Entries {
+		if e.Valid {
+			total += 2 // 8B words are two 4B units
+			if e.Used {
+				used += 2
+			}
+		}
+	}
 	if total == 0 {
 		return 0, false
 	}
@@ -194,7 +165,7 @@ func (d *Distill) Efficiency() (float64, bool) {
 // wocCovers reports whether the WOC holds every word of [addr,addr+size).
 func (d *Distill) wocCovers(addr uint64, size int) bool {
 	for a := addr &^ 7; a < addr+uint64(size); a += 8 {
-		if !d.woc.lookup(a, false) {
+		if !d.wocLookup(a, false) {
 			return false
 		}
 	}
@@ -215,7 +186,7 @@ func (d *Distill) Fetch(addr uint64, size int, now uint64) Result {
 	}
 	if d.wocCovers(addr, size) {
 		for a := addr &^ 7; a < addr+uint64(size); a += 8 {
-			d.woc.lookup(a, true)
+			d.wocLookup(a, true)
 		}
 		d.WOCHits++
 		return d.Hit()
@@ -226,7 +197,7 @@ func (d *Distill) Fetch(addr uint64, size int, now uint64) Result {
 		return r
 	}
 	// The WOC's partial copy is superseded by the full line.
-	d.woc.invalidateBlock(block)
+	d.wocInvalidateBlock(block)
 	d.loc.Fill(block, ctx)
 	d.loc.MarkAccessed(addr, size)
 	return r
@@ -242,6 +213,6 @@ func (d *Distill) Prefetch(addr uint64, size int, now uint64) {
 	if !d.Engine.Prefetch(block, now, ctx) {
 		return
 	}
-	d.woc.invalidateBlock(block)
+	d.wocInvalidateBlock(block)
 	d.loc.Fill(block, ctx)
 }

@@ -16,7 +16,7 @@ type SmallBlock struct {
 	*Engine
 	cfg    SmallBlockConfig
 	c      *cache.Cache
-	buffer *fillBuffer
+	buffer FillBufferState
 
 	// chunkScratch is the reusable backing array for chunks: fetch ranges
 	// stay within one 64B block (the frontend contract), so the per-fetch
@@ -53,33 +53,22 @@ func SmallBlock32() SmallBlockConfig {
 		Sets: 128, Ways: 8, Lat: 4, MSHRs: 8, BufferCap: 32}
 }
 
-// fillBuffer holds recently fetched 64B blocks so that chunks other than
-// the requested one can migrate into the small-block array on demand.
-type fillBuffer struct {
-	blocks []uint64 // 64B block addresses, FIFO
-	pos    int
-	cap    int
-}
-
-func (f *fillBuffer) insert(block uint64) {
-	if f.cap == 0 {
+// insert parks a fetched 64B block in a fill buffer of capacity
+// entries, overwriting the oldest once full.
+func (f *FillBufferState) insert(block uint64, capacity int) {
+	if capacity == 0 || f.contains(block) {
 		return
 	}
-	for _, b := range f.blocks {
-		if b == block {
-			return
-		}
-	}
-	if len(f.blocks) < f.cap {
-		f.blocks = append(f.blocks, block)
+	if len(f.Blocks) < capacity {
+		f.Blocks = append(f.Blocks, block)
 		return
 	}
-	f.blocks[f.pos] = block
-	f.pos = (f.pos + 1) % f.cap
+	f.Blocks[f.Pos] = block
+	f.Pos = (f.Pos + 1) % capacity
 }
 
-func (f *fillBuffer) contains(block uint64) bool {
-	for _, b := range f.blocks {
+func (f *FillBufferState) contains(block uint64) bool {
+	for _, b := range f.Blocks {
 		if b == block {
 			return true
 		}
@@ -101,7 +90,7 @@ func NewSmallBlock(cfg SmallBlockConfig, h *mem.Hierarchy) (*SmallBlock, error) 
 	return &SmallBlock{
 		Engine: NewEngine(cfg.MSHRs, cfg.Lat, h),
 		cfg:    cfg, c: c,
-		buffer:       &fillBuffer{cap: cfg.BufferCap},
+		buffer:       FillBufferState{Blocks: make([]uint64, 0, cfg.BufferCap)},
 		chunkScratch: make([]uint64, 0, 64/cfg.BlockSize+1),
 	}, nil
 }
@@ -167,7 +156,7 @@ func (sb *SmallBlock) Fetch(addr uint64, size int, now uint64) Result {
 	if !r.Issued {
 		return r
 	}
-	sb.buffer.insert(block64)
+	sb.buffer.insert(block64, sb.cfg.BufferCap)
 	for _, ch := range sb.chunks(addr, size) {
 		sb.c.Fill(ch, ctx)
 	}
@@ -213,6 +202,6 @@ func (sb *SmallBlock) Prefetch(addr uint64, size int, now uint64) {
 	}
 	ctx := cache.AccessContext{PC: addr, Cycle: now, Prefetch: true}
 	if sb.Engine.Prefetch(block64, now, ctx) {
-		sb.buffer.insert(block64)
+		sb.buffer.insert(block64, sb.cfg.BufferCap)
 	}
 }

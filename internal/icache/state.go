@@ -20,8 +20,6 @@ type Checkpointable interface {
 
 // EngineState captures the shared fetch-engine substrate every frontend
 // embeds: the L1-I MSHR file and the fetch counters.
-//
-//ubs:state
 type EngineState struct {
 	MSHR  mem.MSHRState
 	Stats Stats
@@ -35,11 +33,15 @@ func (e *Engine) Snapshot(dst *EngineState) {
 
 // Restore installs a previously captured EngineState.
 func (e *Engine) Restore(src *EngineState) error {
+	if err := e.eng.File().Restore(&src.MSHR); err != nil {
+		return err
+	}
 	e.stats = src.Stats
-	return e.eng.File().Restore(&src.MSHR)
+	return nil
 }
 
-// ACICState is the exported image of the ACIC admission filter.
+// ACICState is the ACIC admission filter's mutable state (see
+// Conventional's acic).
 type ACICState struct {
 	Table  []uint8
 	Bypass []uint64
@@ -48,15 +50,14 @@ type ACICState struct {
 
 // ConventionalState captures the conventional frontend: engine, cache
 // array, and (when the design enables it) the ACIC admission filter.
-//
-//ubs:state
 type ConventionalState struct {
 	Engine EngineState
 	Cache  cache.State
 	ACIC   *ACICState
 }
 
-// Snapshot copies the frontend's mutable state into dst.
+// Snapshot copies the frontend's mutable state into dst; dst shares no
+// memory with the frontend.
 func (cv *Conventional) Snapshot(dst *ConventionalState) {
 	cv.Engine.Snapshot(&dst.Engine)
 	cv.c.Snapshot(&dst.Cache)
@@ -67,31 +68,42 @@ func (cv *Conventional) Snapshot(dst *ConventionalState) {
 	if dst.ACIC == nil {
 		dst.ACIC = &ACICState{}
 	}
-	dst.ACIC.Table = append(dst.ACIC.Table[:0], cv.acic.table...)
-	dst.ACIC.Bypass = append(dst.ACIC.Bypass[:0], cv.acic.bypass...)
-	dst.ACIC.Pos = cv.acic.pos
+	copyACIC(dst.ACIC, cv.acic)
 }
 
 // Restore installs a previously captured ConventionalState.
 func (cv *Conventional) Restore(src *ConventionalState) error {
+	if (src.ACIC == nil) != (cv.acic == nil) {
+		return fmt.Errorf("icache conv: snapshot and design disagree on ACIC presence")
+	}
+	if a := src.ACIC; a != nil {
+		switch {
+		case len(a.Table) != len(cv.acic.Table):
+			return fmt.Errorf("icache conv: ACIC table has %d counters, want %d", len(a.Table), len(cv.acic.Table))
+		case len(a.Bypass) > acicBypassCap:
+			return fmt.Errorf("icache conv: ACIC bypass buffer holds %d blocks, capacity is %d", len(a.Bypass), acicBypassCap)
+		case a.Pos < 0 || a.Pos >= acicBypassCap:
+			return fmt.Errorf("icache conv: ACIC bypass position %d outside [0,%d)", a.Pos, acicBypassCap)
+		}
+	}
 	if err := cv.Engine.Restore(&src.Engine); err != nil {
 		return err
 	}
 	if err := cv.c.Restore(&src.Cache); err != nil {
 		return err
 	}
-	if (src.ACIC == nil) != (cv.acic == nil) {
-		return fmt.Errorf("icache conv: snapshot and design disagree on ACIC presence")
-	}
 	if cv.acic != nil {
-		if len(src.ACIC.Table) != len(cv.acic.table) {
-			return fmt.Errorf("icache conv: ACIC table size mismatch")
-		}
-		copy(cv.acic.table, src.ACIC.Table)
-		cv.acic.bypass = append(cv.acic.bypass[:0], src.ACIC.Bypass...)
-		cv.acic.pos = src.ACIC.Pos
+		copyACIC(cv.acic, src.ACIC)
 	}
 	return nil
+}
+
+// copyACIC deep-copies src into dst, reusing dst's backing arrays.
+func copyACIC(dst, src *ACICState) {
+	table, bypass := dst.Table, dst.Bypass
+	*dst = *src
+	dst.Table = append(table[:0], src.Table...)
+	dst.Bypass = append(bypass[:0], src.Bypass...)
 }
 
 // SnapshotState implements Checkpointable.
@@ -110,7 +122,10 @@ func (cv *Conventional) RestoreState(data []byte) error {
 	return cv.Restore(&st)
 }
 
-// FillBufferState is the exported image of the small-block fill buffer.
+// FillBufferState is the small-block fill buffer's mutable state: the
+// recently fetched 64B block addresses, FIFO, so chunks other than the
+// requested one can migrate into the small-block array on demand, and
+// the next position to overwrite once the buffer is full.
 type FillBufferState struct {
 	Blocks []uint64
 	Pos    int
@@ -118,35 +133,40 @@ type FillBufferState struct {
 
 // SmallBlockState captures the small-block frontend: engine, cache
 // array, and the 64B fill buffer that batches sub-block fills.
-//
-//ubs:state
 type SmallBlockState struct {
 	Engine EngineState
 	Cache  cache.State
 	Buffer FillBufferState
 }
 
-// Snapshot copies the frontend's mutable state into dst.
+// Snapshot copies the frontend's mutable state into dst; dst shares no
+// memory with the frontend.
 func (sb *SmallBlock) Snapshot(dst *SmallBlockState) {
 	sb.Engine.Snapshot(&dst.Engine)
 	sb.c.Snapshot(&dst.Cache)
-	dst.Buffer.Blocks = append(dst.Buffer.Blocks[:0], sb.buffer.blocks...)
-	dst.Buffer.Pos = sb.buffer.pos
+	blocks := dst.Buffer.Blocks
+	dst.Buffer = sb.buffer
+	dst.Buffer.Blocks = append(blocks[:0], sb.buffer.Blocks...)
 }
 
 // Restore installs a previously captured SmallBlockState.
 func (sb *SmallBlock) Restore(src *SmallBlockState) error {
+	capacity := sb.cfg.BufferCap
+	if n := len(src.Buffer.Blocks); n > capacity {
+		return fmt.Errorf("icache smallblock: snapshot fill buffer %d exceeds capacity %d", n, capacity)
+	}
+	if p := src.Buffer.Pos; p < 0 || p >= max(capacity, 1) {
+		return fmt.Errorf("icache smallblock: fill buffer position %d outside [0,%d)", p, max(capacity, 1))
+	}
 	if err := sb.Engine.Restore(&src.Engine); err != nil {
 		return err
 	}
 	if err := sb.c.Restore(&src.Cache); err != nil {
 		return err
 	}
-	if len(src.Buffer.Blocks) > sb.buffer.cap {
-		return fmt.Errorf("icache smallblock: snapshot fill buffer %d exceeds capacity %d", len(src.Buffer.Blocks), sb.buffer.cap)
-	}
-	sb.buffer.blocks = append(sb.buffer.blocks[:0], src.Buffer.Blocks...)
-	sb.buffer.pos = src.Buffer.Pos
+	blocks := sb.buffer.Blocks
+	sb.buffer = src.Buffer
+	sb.buffer.Blocks = append(blocks[:0], src.Buffer.Blocks...)
 	return nil
 }
 
@@ -166,7 +186,8 @@ func (sb *SmallBlock) RestoreState(data []byte) error {
 	return sb.Restore(&st)
 }
 
-// WOCEntry is the exported image of one word-organised cache entry.
+// WOCEntry is one 8B word of the word-organised cache, tagged by its
+// word-aligned address.
 type WOCEntry struct {
 	Valid bool
 	Addr  uint64
@@ -174,8 +195,8 @@ type WOCEntry struct {
 	Used  bool
 }
 
-// WOCState captures the word-organised half of Line Distillation,
-// flattened set-major.
+// WOCState is the word-organised half of Line Distillation: Sets x
+// WOCWords entries, set-major, and the LRU clock.
 type WOCState struct {
 	Entries []WOCEntry
 	Clock   uint64
@@ -183,8 +204,6 @@ type WOCState struct {
 
 // DistillState captures the Line Distillation frontend: engine, the
 // line-organised cache, and the word-organised cache.
-//
-//ubs:state
 type DistillState struct {
 	Engine  EngineState
 	LOC     cache.State
@@ -192,50 +211,31 @@ type DistillState struct {
 	WOCHits uint64
 }
 
-// Snapshot copies the frontend's mutable state into dst.
+// Snapshot copies the frontend's mutable state into dst; dst shares no
+// memory with the frontend.
 func (d *Distill) Snapshot(dst *DistillState) {
 	d.Engine.Snapshot(&dst.Engine)
 	d.loc.Snapshot(&dst.LOC)
-	words := 0
-	if d.woc.nsets > 0 {
-		words = len(d.woc.sets[0])
-	}
-	want := d.woc.nsets * words
-	if cap(dst.WOC.Entries) < want {
-		dst.WOC.Entries = make([]WOCEntry, want)
-	}
-	dst.WOC.Entries = dst.WOC.Entries[:want]
-	for s, set := range d.woc.sets {
-		for w, e := range set {
-			dst.WOC.Entries[s*words+w] = WOCEntry{Valid: e.valid, Addr: e.addr, LRU: e.lru, Used: e.used}
-		}
-	}
-	dst.WOC.Clock = d.woc.clock
+	entries := dst.WOC.Entries
+	dst.WOC = d.woc
+	dst.WOC.Entries = append(entries[:0], d.woc.Entries...)
 	dst.WOCHits = d.WOCHits
 }
 
 // Restore installs a previously captured DistillState.
 func (d *Distill) Restore(src *DistillState) error {
+	if len(src.WOC.Entries) != len(d.woc.Entries) {
+		return fmt.Errorf("icache distill: snapshot WOC has %d entries, cache holds %d", len(src.WOC.Entries), len(d.woc.Entries))
+	}
 	if err := d.Engine.Restore(&src.Engine); err != nil {
 		return err
 	}
 	if err := d.loc.Restore(&src.LOC); err != nil {
 		return err
 	}
-	words := 0
-	if d.woc.nsets > 0 {
-		words = len(d.woc.sets[0])
-	}
-	if len(src.WOC.Entries) != d.woc.nsets*words {
-		return fmt.Errorf("icache distill: snapshot WOC has %d entries, cache holds %d", len(src.WOC.Entries), d.woc.nsets*words)
-	}
-	for s := range d.woc.sets {
-		for w := range d.woc.sets[s] {
-			e := src.WOC.Entries[s*words+w]
-			d.woc.sets[s][w] = wocEntry{valid: e.Valid, addr: e.Addr, lru: e.LRU, used: e.Used}
-		}
-	}
-	d.woc.clock = src.WOC.Clock
+	entries := d.woc.Entries
+	d.woc = src.WOC
+	d.woc.Entries = append(entries[:0], src.WOC.Entries...)
 	d.WOCHits = src.WOCHits
 	return nil
 }

@@ -16,12 +16,6 @@ import (
 	"ubscache/internal/cache"
 )
 
-// mshrEntry is one outstanding miss.
-type mshrEntry struct {
-	done  uint64 // completion cycle
-	block uint64 // block address
-}
-
 // MSHR is a miss status holding register file: a bounded set of
 // outstanding block misses with their completion times.
 //
@@ -34,15 +28,8 @@ type mshrEntry struct {
 // (8–64 entries, Table I), so the scan is a handful of contiguous cache
 // lines and beats any map by a wide margin.
 type MSHR struct {
-	cap  int
-	heap []mshrEntry // min-heap on done; backing array allocated once
-
-	// Stats. FullStall counts aborted demand allocations — one per
-	// caller-observed retry (see RecordFullStall); Full itself is a pure
-	// query and counts nothing.
-	Merges    uint64
-	Allocs    uint64
-	FullStall uint64
+	cap int
+	MSHRState
 }
 
 // NewMSHR returns an MSHR file with capacity entries.
@@ -50,7 +37,7 @@ func NewMSHR(capacity int) *MSHR {
 	if capacity < 1 {
 		panic(fmt.Sprintf("mem: bad MSHR capacity %d", capacity))
 	}
-	return &MSHR{cap: capacity, heap: make([]mshrEntry, 0, capacity)}
+	return &MSHR{cap: capacity, MSHRState: MSHRState{Entries: make([]MSHREntry, 0, capacity)}}
 }
 
 // Cap returns the capacity.
@@ -59,33 +46,33 @@ func (m *MSHR) Cap() int { return m.cap }
 // InFlight returns the number of live entries at cycle now.
 func (m *MSHR) InFlight(now uint64) int {
 	m.expire(now)
-	return len(m.heap)
+	return len(m.Entries)
 }
 
 // expire drops entries whose miss has completed (done <= now).
 func (m *MSHR) expire(now uint64) {
-	for len(m.heap) > 0 && m.heap[0].done <= now {
-		n := len(m.heap) - 1
-		m.heap[0] = m.heap[n]
-		m.heap = m.heap[:n]
+	for len(m.Entries) > 0 && m.Entries[0].Done <= now {
+		n := len(m.Entries) - 1
+		m.Entries[0] = m.Entries[n]
+		m.Entries = m.Entries[:n]
 		m.siftDown(0)
 	}
 }
 
 func (m *MSHR) siftDown(i int) {
-	n := len(m.heap)
+	n := len(m.Entries)
 	for {
 		c := 2*i + 1
 		if c >= n {
 			return
 		}
-		if r := c + 1; r < n && m.heap[r].done < m.heap[c].done {
+		if r := c + 1; r < n && m.Entries[r].Done < m.Entries[c].Done {
 			c = r
 		}
-		if m.heap[i].done <= m.heap[c].done {
+		if m.Entries[i].Done <= m.Entries[c].Done {
 			return
 		}
-		m.heap[i], m.heap[c] = m.heap[c], m.heap[i]
+		m.Entries[i], m.Entries[c] = m.Entries[c], m.Entries[i]
 		i = c
 	}
 }
@@ -93,18 +80,18 @@ func (m *MSHR) siftDown(i int) {
 func (m *MSHR) siftUp(i int) {
 	for i > 0 {
 		p := (i - 1) / 2
-		if m.heap[p].done <= m.heap[i].done {
+		if m.Entries[p].Done <= m.Entries[i].Done {
 			return
 		}
-		m.heap[i], m.heap[p] = m.heap[p], m.heap[i]
+		m.Entries[i], m.Entries[p] = m.Entries[p], m.Entries[i]
 		i = p
 	}
 }
 
 // find returns the index of the live entry for block, or -1.
 func (m *MSHR) find(block uint64) int {
-	for i := range m.heap {
-		if m.heap[i].block == block {
+	for i := range m.Entries {
+		if m.Entries[i].Block == block {
 			return i
 		}
 	}
@@ -117,7 +104,7 @@ func (m *MSHR) Lookup(block, now uint64) (done uint64, ok bool) {
 	m.expire(now)
 	if i := m.find(block); i >= 0 {
 		m.Merges++
-		return m.heap[i].done, true
+		return m.Entries[i].Done, true
 	}
 	return 0, false
 }
@@ -127,7 +114,7 @@ func (m *MSHR) Lookup(block, now uint64) (done uint64, ok bool) {
 func (m *MSHR) Peek(block, now uint64) (done uint64, ok bool) {
 	m.expire(now)
 	if i := m.find(block); i >= 0 {
-		return m.heap[i].done, true
+		return m.Entries[i].Done, true
 	}
 	return 0, false
 }
@@ -137,7 +124,7 @@ func (m *MSHR) Peek(block, now uint64) (done uint64, ok bool) {
 // record the stall with RecordFullStall.
 func (m *MSHR) Full(now uint64) bool {
 	m.expire(now)
-	return len(m.heap) >= m.cap
+	return len(m.Entries) >= m.cap
 }
 
 // RecordFullStall counts one aborted demand allocation. Callers invoke it
@@ -149,12 +136,12 @@ func (m *MSHR) RecordFullStall() { m.FullStall++ }
 // Insert allocates an entry; the caller must have checked Full. Each block
 // may have at most one live entry (callers merge via Lookup first).
 func (m *MSHR) Insert(block, done uint64) {
-	if len(m.heap) >= m.cap {
+	if len(m.Entries) >= m.cap {
 		panic("mem: MSHR overflow (caller did not check Full)")
 	}
 	// NewMSHR preallocated the backing array at capacity.
-	m.heap = append(m.heap, mshrEntry{done: done, block: block})
-	m.siftUp(len(m.heap) - 1)
+	m.Entries = append(m.Entries, MSHREntry{Done: done, Block: block})
+	m.siftUp(len(m.Entries) - 1)
 	m.Allocs++
 }
 
@@ -186,18 +173,12 @@ func DefaultDRAMConfig() DRAMConfig {
 
 // DRAM models one rank of banked DRAM with open-row policy.
 type DRAM struct {
-	cfg  DRAMConfig
-	rows []uint64 // open row per bank (+1; 0 = closed)
-	busy []uint64 // cycle at which the bank becomes free
+	cfg DRAMConfig
 	// bankMask selects the bank without a hardware divide when Banks is a
 	// power of two; bankPow2 gates the fast path.
 	bankMask uint64
 	bankPow2 bool
-
-	// Stats.
-	Accesses  uint64
-	RowHits   uint64
-	RowMisses uint64
+	DRAMState
 }
 
 // NewDRAM constructs a DRAM model; zero config fields take defaults.
@@ -206,11 +187,10 @@ func NewDRAM(cfg DRAMConfig) *DRAM {
 	if cfg.Banks == 0 {
 		cfg = def
 	}
-	d := &DRAM{
-		cfg:  cfg,
-		rows: make([]uint64, cfg.Banks),
-		busy: make([]uint64, cfg.Banks),
-	}
+	d := &DRAM{cfg: cfg, DRAMState: DRAMState{
+		Rows: make([]uint64, cfg.Banks),
+		Busy: make([]uint64, cfg.Banks),
+	}}
 	if cfg.Banks&(cfg.Banks-1) == 0 {
 		d.bankPow2 = true
 		d.bankMask = uint64(cfg.Banks - 1)
@@ -229,24 +209,24 @@ func (d *DRAM) Access(addr, now uint64) uint64 {
 	}
 	row := addr>>d.cfg.RowBits + 1
 	start := now + d.cfg.Controller
-	if b := d.busy[bank]; b > start {
+	if b := d.Busy[bank]; b > start {
 		start = b
 	}
 	var lat uint64
-	if d.rows[bank] == row {
+	if d.Rows[bank] == row {
 		d.RowHits++
 		lat = d.cfg.TCAS
 	} else {
 		d.RowMisses++
-		if d.rows[bank] != 0 {
+		if d.Rows[bank] != 0 {
 			lat = d.cfg.TRP + d.cfg.TRCD + d.cfg.TCAS
 		} else {
 			lat = d.cfg.TRCD + d.cfg.TCAS
 		}
-		d.rows[bank] = row
+		d.Rows[bank] = row
 	}
 	done := start + lat
-	d.busy[bank] = done + d.cfg.BusCycles
+	d.Busy[bank] = done + d.cfg.BusCycles
 	return done
 }
 

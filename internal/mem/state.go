@@ -6,17 +6,17 @@ import (
 	"ubscache/internal/cache"
 )
 
-// MSHREntry is the exported image of one outstanding miss.
+// MSHREntry is one outstanding miss.
 type MSHREntry struct {
-	Done  uint64
-	Block uint64
+	Done  uint64 // completion cycle
+	Block uint64 // block address
 }
 
-// MSHRState captures an MSHR file: the live entries in raw heap order
-// (the binary min-heap property is preserved by a straight copy) plus
-// the counters. Capacity is configuration, not state.
-//
-//ubs:state
+// MSHRState is an MSHR file's mutable state: the live entries, a binary
+// min-heap on Done whose backing array is allocated once at capacity,
+// plus the counters. FullStall counts aborted demand allocations — one
+// per caller-observed retry (see RecordFullStall); Full itself is a pure
+// query and counts nothing. Capacity is configuration, not state.
 type MSHRState struct {
 	Entries   []MSHREntry
 	Merges    uint64
@@ -24,39 +24,34 @@ type MSHRState struct {
 	FullStall uint64
 }
 
-// Snapshot copies the MSHR's mutable state into dst.
+// Snapshot copies the MSHR file's state into dst; dst shares no memory
+// with the file.
 func (m *MSHR) Snapshot(dst *MSHRState) {
-	if cap(dst.Entries) < len(m.heap) {
-		dst.Entries = make([]MSHREntry, len(m.heap))
-	}
-	dst.Entries = dst.Entries[:len(m.heap)]
-	for i, e := range m.heap {
-		dst.Entries[i] = MSHREntry{Done: e.done, Block: e.block}
-	}
-	dst.Merges = m.Merges
-	dst.Allocs = m.Allocs
-	dst.FullStall = m.FullStall
+	entries := dst.Entries
+	*dst = m.MSHRState
+	dst.Entries = append(entries[:0], m.Entries...)
 }
 
-// Restore installs a previously captured MSHRState into a file of the
-// same capacity.
+// Restore installs a State captured from a file of the same capacity.
+// The entries must fit the capacity and keep the heap order that expiry
+// relies on.
 func (m *MSHR) Restore(src *MSHRState) error {
 	if len(src.Entries) > m.cap {
 		return fmt.Errorf("mshr: snapshot has %d entries, file capacity is %d", len(src.Entries), m.cap)
 	}
-	m.heap = m.heap[:0]
-	for _, e := range src.Entries {
-		m.heap = append(m.heap, mshrEntry{done: e.Done, block: e.Block})
+	for i := 1; i < len(src.Entries); i++ {
+		if src.Entries[(i-1)/2].Done > src.Entries[i].Done {
+			return fmt.Errorf("mshr: snapshot entry %d breaks the completion-time heap order", i)
+		}
 	}
-	m.Merges = src.Merges
-	m.Allocs = src.Allocs
-	m.FullStall = src.FullStall
+	entries := m.Entries
+	m.MSHRState = *src
+	m.Entries = append(entries[:0], src.Entries...)
 	return nil
 }
 
-// DRAMState captures the open-row and bank-busy books plus counters.
-//
-//ubs:state
+// DRAMState is the DRAM model's mutable state: the open row per bank
+// (+1; 0 = closed), the cycle each bank becomes free, and the counters.
 type DRAMState struct {
 	Rows      []uint64
 	Busy      []uint64
@@ -65,32 +60,29 @@ type DRAMState struct {
 	RowMisses uint64
 }
 
-// Snapshot copies the DRAM model's mutable state into dst.
-func (d *DRAM) Snapshot(dst *DRAMState) {
-	dst.Rows = append(dst.Rows[:0], d.rows...)
-	dst.Busy = append(dst.Busy[:0], d.busy...)
-	dst.Accesses = d.Accesses
-	dst.RowHits = d.RowHits
-	dst.RowMisses = d.RowMisses
-}
+// Snapshot copies the DRAM model's state into dst; dst shares no memory
+// with the model.
+func (d *DRAM) Snapshot(dst *DRAMState) { copyDRAM(dst, &d.DRAMState) }
 
-// Restore installs a previously captured DRAMState; the bank count must
-// match the model's configuration.
+// Restore installs a State captured from a model with the same bank
+// count.
 func (d *DRAM) Restore(src *DRAMState) error {
-	if len(src.Rows) != len(d.rows) || len(src.Busy) != len(d.busy) {
-		return fmt.Errorf("dram: snapshot has %d banks, model has %d", len(src.Rows), len(d.rows))
+	if len(src.Rows) != len(d.Rows) || len(src.Busy) != len(d.Busy) {
+		return fmt.Errorf("dram: snapshot has %d/%d banks, model has %d", len(src.Rows), len(src.Busy), len(d.Rows))
 	}
-	copy(d.rows, src.Rows)
-	copy(d.busy, src.Busy)
-	d.Accesses = src.Accesses
-	d.RowHits = src.RowHits
-	d.RowMisses = src.RowMisses
+	copyDRAM(&d.DRAMState, src)
 	return nil
 }
 
+// copyDRAM deep-copies src into dst, reusing dst's backing arrays.
+func copyDRAM(dst, src *DRAMState) {
+	rows, busy := dst.Rows, dst.Busy
+	*dst = *src
+	dst.Rows = append(rows[:0], src.Rows...)
+	dst.Busy = append(busy[:0], src.Busy...)
+}
+
 // LevelState is one shared cache level: its array plus its MSHR file.
-//
-//ubs:state
 type LevelState struct {
 	Cache cache.State
 	MSHR  MSHRState
@@ -111,8 +103,6 @@ func (l *Level) Restore(src *LevelState) error {
 }
 
 // HierarchyState captures the shared L2 → L3 → DRAM path.
-//
-//ubs:state
 type HierarchyState struct {
 	L2   LevelState
 	L3   LevelState
@@ -139,8 +129,6 @@ func (h *Hierarchy) Restore(src *HierarchyState) error {
 
 // DataCacheState captures the L1-D array and its MSHR file (which the
 // data cache shares with its fetch engine, so one copy covers both).
-//
-//ubs:state
 type DataCacheState struct {
 	Cache cache.State
 	MSHR  MSHRState

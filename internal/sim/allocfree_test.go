@@ -116,19 +116,19 @@ func TestEffSamplesBoundedWindow(t *testing.T) {
 	if err := m.Advance(3 * effWindowCap); err != nil {
 		t.Fatal(err)
 	}
-	if cap(m.effSamples) != effWindowCap {
-		t.Errorf("window backing capacity %d, want %d", cap(m.effSamples), effWindowCap)
+	if cap(m.run.EffSamples) != effWindowCap {
+		t.Errorf("window backing capacity %d, want %d", cap(m.run.EffSamples), effWindowCap)
 	}
-	if len(m.effSamples) > effWindowCap {
-		t.Errorf("window holds %d samples, cap is %d", len(m.effSamples), effWindowCap)
+	if len(m.run.EffSamples) > effWindowCap {
+		t.Errorf("window holds %d samples, cap is %d", len(m.run.EffSamples), effWindowCap)
 	}
-	if len(m.effSamples) < effWindowCap/2 {
-		t.Errorf("window holds only %d samples; decimation should keep it at least half full", len(m.effSamples))
+	if len(m.run.EffSamples) < effWindowCap/2 {
+		t.Errorf("window holds only %d samples; decimation should keep it at least half full", len(m.run.EffSamples))
 	}
-	if m.effStride < 2 {
-		t.Errorf("stride %d: the window never decimated despite %d+ samples", m.effStride, m.effTick)
+	if m.run.EffStride < 2 {
+		t.Errorf("stride %d: the window never decimated despite %d+ samples", m.run.EffStride, m.run.EffTick)
 	}
-	for _, e := range m.effSamples {
+	for _, e := range m.run.EffSamples {
 		if e < 0 || e > 1 {
 			t.Fatalf("sample %f out of range", e)
 		}
@@ -149,12 +149,12 @@ func TestEffSamplesBoundedWindow(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("sampling at full window allocates %.1f allocs/run, want 0", allocs)
 	}
-	if cap(m.effSamples) != effWindowCap {
-		t.Errorf("window backing grew to %d, want pinned at %d", cap(m.effSamples), effWindowCap)
+	if cap(m.run.EffSamples) != effWindowCap {
+		t.Errorf("window backing grew to %d, want pinned at %d", cap(m.run.EffSamples), effWindowCap)
 	}
 
 	res := m.Finish()
-	if len(res.EffSamples) != len(m.effSamples) {
-		t.Errorf("Result carries %d samples, window holds %d", len(res.EffSamples), len(m.effSamples))
+	if len(res.EffSamples) != len(m.run.EffSamples) {
+		t.Errorf("Result carries %d samples, window holds %d", len(res.EffSamples), len(m.run.EffSamples))
 	}
 }

@@ -168,13 +168,8 @@ type Machine struct {
 	c   *core.Core
 	st  *hbState // nil when no observer is configured
 
-	warmed bool
-
-	effSamples []float64
-	effStride  uint64 // keep every effStride-th sample tick
-	effTick    uint64 // sample ticks taken so far
-	nextSample uint64
-	nextHB     uint64 // 0 disables the per-cycle heartbeat branch
+	run    RunState
+	nextHB uint64 // 0 disables the per-cycle heartbeat branch
 }
 
 // effWindowCap bounds the storage-efficiency sample window. The backing
@@ -213,10 +208,10 @@ func NewMachine(ctx context.Context, p Params, src trace.Source, workloadName, d
 		workload: workloadName, design: design,
 		src: src,
 		h:   h, ic: ic, dc: dc, bp: bp, ftq: ftq, c: c,
-		effStride: 1,
+		run: RunState{EffStride: 1},
 	}
 	if p.SampleInterval > 0 {
-		m.effSamples = make([]float64, 0, effWindowCap)
+		m.run.EffSamples = make([]float64, 0, effWindowCap)
 	}
 	if p.Observer != nil {
 		m.st = newHBState(p.Observer, workloadName, design, c, ic, bp, dc, h)
@@ -238,7 +233,7 @@ func (m *Machine) Frontend() icache.Frontend { return m.ic }
 // and BPU counters, and arms measurement. It is idempotent; Advance
 // calls it automatically if needed.
 func (m *Machine) Warmup() error {
-	if m.warmed {
+	if m.run.Warmed {
 		return nil
 	}
 	m.st.startPhase("warmup", m.p.Warmup)
@@ -272,11 +267,11 @@ func (m *Machine) Warmup() error {
 	m.ic.ResetStats()
 	m.bp.ResetStats()
 	m.st.startPhase("measure", m.p.Measure)
-	m.nextSample = m.p.SampleInterval
+	m.run.NextSample = m.p.SampleInterval
 	if m.st != nil || m.cancellable {
 		m.nextHB = m.every
 	}
-	m.warmed = true
+	m.run.Warmed = true
 	return nil
 }
 
@@ -291,11 +286,11 @@ func (m *Machine) Advance(n uint64) error {
 	for m.c.Stats().Instructions < target {
 		m.c.Cycle()
 		if m.p.SampleInterval > 0 {
-			if cyc := m.c.Stats().Cycles; cyc >= m.nextSample {
+			if cyc := m.c.Stats().Cycles; cyc >= m.run.NextSample {
 				if eff, ok := m.ic.Efficiency(); ok {
 					m.recordEff(eff)
 				}
-				m.nextSample += m.p.SampleInterval
+				m.run.NextSample += m.p.SampleInterval
 			}
 		}
 		if m.nextHB != 0 {
@@ -317,28 +312,28 @@ func (m *Machine) Advance(n uint64) error {
 }
 
 // recordEff adds one storage-efficiency sample to the bounded window.
-// Retained sample ticks are always exactly the multiples of effStride, so
+// Retained sample ticks are always exactly the multiples of EffStride, so
 // the window stays evenly spaced over the whole run; the decimation is
 // deterministic (no RNG, no clock) and reuses the window's pre-sized
 // backing array, so sampling allocates nothing after construction.
 func (m *Machine) recordEff(eff float64) {
-	tick := m.effTick
-	m.effTick++
-	if tick%m.effStride != 0 {
+	tick := m.run.EffTick
+	m.run.EffTick++
+	if tick%m.run.EffStride != 0 {
 		return
 	}
-	if len(m.effSamples) == effWindowCap {
+	if len(m.run.EffSamples) == effWindowCap {
 		// Full: keep every other retained sample and double the stride.
 		for i := 0; i < effWindowCap/2; i++ {
-			m.effSamples[i] = m.effSamples[2*i]
+			m.run.EffSamples[i] = m.run.EffSamples[2*i]
 		}
-		m.effSamples = m.effSamples[:effWindowCap/2]
-		m.effStride *= 2
-		if tick%m.effStride != 0 {
+		m.run.EffSamples = m.run.EffSamples[:effWindowCap/2]
+		m.run.EffStride *= 2
+		if tick%m.run.EffStride != 0 {
 			return
 		}
 	}
-	m.effSamples = append(m.effSamples, eff)
+	m.run.EffSamples = append(m.run.EffSamples, eff)
 }
 
 // traceEnded reports premature trace exhaustion through the observer.
@@ -353,7 +348,7 @@ func (m *Machine) Finish() Result {
 	res.Core = m.c.Stats()
 	res.ICache = m.ic.Stats()
 	res.BPU = m.bp.Stats()
-	res.EffSamples = m.effSamples
+	res.EffSamples = m.run.EffSamples
 	if u, ok := m.ic.(*ubs.Cache); ok {
 		st := u.UBSStats()
 		res.UBS = &st

@@ -37,18 +37,15 @@ import (
 //
 // The file-format version lives in the checkpoint header (package
 // checkpoint), not here: MachineState's layout IS the format, and the
-// header version is bumped whenever any //ubs:state struct changes.
+// header version is bumped whenever a layer's State type or the snap
+// layout changes.
 //
 //ubs:state
 type MachineState struct {
-	Warmed     bool
-	EffSamples []float64
-	EffStride  uint64
-	EffTick    uint64
-	NextSample uint64
-	Core       core.State
-	FTQ        fdip.State
-	BPU        bpu.State
+	RunState
+	Core core.State
+	FTQ  fdip.State
+	BPU  bpu.State
 	// Frontend holds the design's snap-encoded state struct; the bytes
 	// are opaque here and only the same concrete frontend type decodes
 	// them (icache.Checkpointable).
@@ -60,6 +57,18 @@ type MachineState struct {
 	Walker *workload.State
 }
 
+// RunState is the Machine's own mutable state, the form the machine
+// keeps it in: whether warmup has completed, and the storage-efficiency
+// sample window — the retained samples (every EffStride-th of the
+// EffTick sample ticks taken so far) and the cycle of the next sample.
+type RunState struct {
+	Warmed     bool
+	EffSamples []float64
+	EffStride  uint64
+	EffTick    uint64
+	NextSample uint64
+}
+
 // Snapshot copies the machine's complete mutable state into dst. The
 // machine must be warmed (checkpoints are taken mid-measurement; the
 // warmup phase is cheap to replay, and only once it completes do the
@@ -67,18 +76,16 @@ type MachineState struct {
 // hot path — callers invoke it between Advance calls — so it may
 // allocate, though it reuses dst's backing storage across calls.
 func (m *Machine) Snapshot(dst *MachineState) error {
-	if !m.warmed {
+	if !m.run.Warmed {
 		return fmt.Errorf("sim: snapshot before warmup completed")
 	}
 	ck, ok := m.ic.(icache.Checkpointable)
 	if !ok {
 		return fmt.Errorf("sim: frontend %T is not checkpointable", m.ic)
 	}
-	dst.Warmed = m.warmed
-	dst.EffSamples = append(dst.EffSamples[:0], m.effSamples...)
-	dst.EffStride = m.effStride
-	dst.EffTick = m.effTick
-	dst.NextSample = m.nextSample
+	samples := dst.EffSamples
+	dst.RunState = m.run
+	dst.EffSamples = append(samples[:0], m.run.EffSamples...)
 	m.c.Snapshot(&dst.Core)
 	m.ftq.Snapshot(&dst.FTQ)
 	m.bp.Snapshot(&dst.BPU)
@@ -115,7 +122,7 @@ func (m *Machine) Snapshot(dst *MachineState) error {
 // is re-armed at the measure phase, so the next Advance continues
 // exactly where the snapshot left off.
 func (m *Machine) Restore(src *MachineState) error {
-	if m.warmed || m.c.Clock() != 0 {
+	if m.run.Warmed || m.c.Clock() != 0 {
 		return fmt.Errorf("sim: restore target must be a fresh machine")
 	}
 	if !src.Warmed {
@@ -127,6 +134,9 @@ func (m *Machine) Restore(src *MachineState) error {
 	}
 	if (src.DataCache == nil) != (m.dc == nil) {
 		return fmt.Errorf("sim: snapshot and params disagree on data-cache modelling")
+	}
+	if len(src.EffSamples) > effWindowCap || src.EffStride == 0 {
+		return fmt.Errorf("sim: snapshot sample window holds %d samples at stride %d, want at most %d at stride >= 1", len(src.EffSamples), src.EffStride, effWindowCap)
 	}
 	// Position the fresh source on the instruction the FTQ would pull
 	// next. The image decides how: a walker image is installed directly;
@@ -167,11 +177,9 @@ func (m *Machine) Restore(src *MachineState) error {
 	if err := m.h.Restore(&src.Hierarchy); err != nil {
 		return err
 	}
-	m.effSamples = append(m.effSamples[:0], src.EffSamples...)
-	m.effStride = src.EffStride
-	m.effTick = src.EffTick
-	m.nextSample = src.NextSample
-	m.warmed = src.Warmed
+	samples := m.run.EffSamples
+	m.run = src.RunState
+	m.run.EffSamples = append(samples[:0], src.EffSamples...)
 	// Observer plumbing: re-enter the measure phase and recompute the
 	// heartbeat schedule against the restored clock. Beats fire exactly
 	// on multiples of the period, so the resumed run stays on the same

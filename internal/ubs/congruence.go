@@ -30,92 +30,94 @@ const (
 	admitRegion    = 11 // log2 bytes of an admission region (2KB)
 )
 
-// deadPredictor is the GHRP-style component for DeadBlockWays.
-type deadPredictor struct {
-	tables  [deadTables][]uint8
-	history uint32
+// DeadState is the GHRP-style dead-sub-block predictor for
+// DeadBlockWays: deadTables counter tables and the signature history.
+type DeadState struct {
+	Tables  [][]uint8
+	History uint32
 }
 
-func newDeadPredictor() *deadPredictor {
-	d := &deadPredictor{}
-	for i := range d.tables {
-		d.tables[i] = make([]uint8, 1<<deadTableBits)
+func newDeadState() *DeadState {
+	d := &DeadState{Tables: make([][]uint8, deadTables)}
+	for i := range d.Tables {
+		d.Tables[i] = make([]uint8, 1<<deadTableBits)
 	}
 	return d
 }
 
-func (d *deadPredictor) signature(block uint64, start int) uint32 {
-	h := (block >> 6) ^ uint64(start)<<17 ^ uint64(d.history)<<29
+func (d *DeadState) signature(block uint64, start int) uint32 {
+	h := (block >> 6) ^ uint64(start)<<17 ^ uint64(d.History)<<29
 	h ^= h >> 15
 	h *= 0x9e3779b1
 	h ^= h >> 13
 	return uint32(h)
 }
 
-func (d *deadPredictor) index(t int, sig uint32) int {
+func (d *DeadState) index(t int, sig uint32) int {
 	h := uint64(sig) * (0xc2b2ae35 + 2*uint64(t)*0x85ebca6b)
 	h ^= h >> 13
 	return int(h) & (1<<deadTableBits - 1)
 }
 
-func (d *deadPredictor) predictDead(sig uint32) bool {
+func (d *DeadState) predictDead(sig uint32) bool {
 	votes := 0
 	for t := 0; t < deadTables; t++ {
-		if d.tables[t][d.index(t, sig)] >= deadThresh {
+		if d.Tables[t][d.index(t, sig)] >= deadThresh {
 			votes++
 		}
 	}
 	return votes*2 > deadTables
 }
 
-func (d *deadPredictor) train(sig uint32, dead bool) {
+func (d *DeadState) train(sig uint32, dead bool) {
 	for t := 0; t < deadTables; t++ {
 		i := d.index(t, sig)
 		if dead {
-			if d.tables[t][i] < deadCounterMax {
-				d.tables[t][i]++
+			if d.Tables[t][i] < deadCounterMax {
+				d.Tables[t][i]++
 			}
-		} else if d.tables[t][i] > 0 {
-			d.tables[t][i]--
+		} else if d.Tables[t][i] > 0 {
+			d.Tables[t][i]--
 		}
 	}
-	d.history = d.history<<3 ^ sig&0x7
+	d.History = d.History<<3 ^ sig&0x7
 }
 
-// admitFilter is the ACIC-style component for AdmissionFilter.
-type admitFilter struct {
-	table []uint8
+// AdmitState is the ACIC-style region admission table for
+// AdmissionFilter.
+type AdmitState struct {
+	Table []uint8
 }
 
-func newAdmitFilter() *admitFilter {
-	a := &admitFilter{table: make([]uint8, 1<<admitTableBits)}
-	for i := range a.table {
-		a.table[i] = admitThresh // start admitting
+func newAdmitState() *AdmitState {
+	a := &AdmitState{Table: make([]uint8, 1<<admitTableBits)}
+	for i := range a.Table {
+		a.Table[i] = admitThresh // start admitting
 	}
 	return a
 }
 
-func (a *admitFilter) index(block uint64) int {
+func (a *AdmitState) index(block uint64) int {
 	h := (block >> admitRegion) * 0x9e3779b97f4a7c15
 	h ^= h >> 31
 	return int(h) & (1<<admitTableBits - 1)
 }
 
-func (a *admitFilter) admit(block uint64) bool {
-	return a.table[a.index(block)] >= admitThresh
+func (a *AdmitState) admit(block uint64) bool {
+	return a.Table[a.index(block)] >= admitThresh
 }
 
 // trainReuse rewards a region whose placed sub-block proved reuse.
-func (a *admitFilter) trainReuse(block uint64) {
-	if i := a.index(block); a.table[i] < admitMax {
-		a.table[i]++
+func (a *AdmitState) trainReuse(block uint64) {
+	if i := a.index(block); a.Table[i] < admitMax {
+		a.Table[i]++
 	}
 }
 
 // trainDead penalises a region whose placed sub-block died unreused.
-func (a *admitFilter) trainDead(block uint64) {
-	if i := a.index(block); a.table[i] > 0 {
-		a.table[i]--
+func (a *AdmitState) trainDead(block uint64) {
+	if i := a.index(block); a.Table[i] > 0 {
+		a.Table[i]--
 	}
 }
 

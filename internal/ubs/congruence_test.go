@@ -15,7 +15,7 @@ func TestCongruenceConfigValidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := MustNew(cfg, hier())
-	if u.dead == nil || u.admit == nil {
+	if u.st.Dead == nil || u.st.Admit == nil {
 		t.Fatal("extensions not constructed")
 	}
 }
@@ -28,9 +28,9 @@ func TestAdmissionFilterBypassesDeadRegions(t *testing.T) {
 	// directly, then verify moveToWays bypasses placement.
 	block := uint64(0x200000)
 	for i := 0; i < 8; i++ {
-		u.admit.trainDead(block)
+		u.st.Admit.trainDead(block)
 	}
-	if u.admit.admit(block) {
+	if u.st.Admit.admit(block) {
 		t.Fatal("region still admitted after repeated death training")
 	}
 	u.moveToWays(block, rangeMask(0, 3), rangeMask(0, 3), 1)
@@ -42,7 +42,7 @@ func TestAdmissionFilterBypassesDeadRegions(t *testing.T) {
 	}
 	// Reuse training re-admits the region.
 	for i := 0; i < 8; i++ {
-		u.admit.trainReuse(block)
+		u.st.Admit.trainReuse(block)
 	}
 	u.moveToWays(block, rangeMask(0, 3), rangeMask(0, 3), 2)
 	if w, _ := u.ResidentBlocks(); w != 1 {
@@ -60,21 +60,21 @@ func TestDeadBlockWaysPrefersDeadVictims(t *testing.T) {
 	// it the *most recent* LRU stamp so plain LRU would never pick it.
 	blocks := []uint64{0x10000, 0x10000 + 64*64, 0x10000 + 2*64*64, 0x10000 + 3*64*64}
 	for i, w := range []int{7, 8, 9, 10} {
-		u.clock++
-		sig := u.dead.signature(blocks[i], 0)
-		u.ways[set][w] = wayEntry{valid: true, tag: blocks[i], start: 0,
-			stored: u.wayG[w], accessed: 1, lru: u.clock, sig: sig, reused: true}
+		u.st.Clock++
+		sig := u.st.Dead.signature(blocks[i], 0)
+		u.ways(set)[w] = WayEntry{Valid: true, Tag: blocks[i], Start: 0,
+			Stored: u.wayG[w], Accessed: 1, LRU: u.st.Clock, Sig: sig, Reused: true}
 	}
-	deadSig := u.ways[set][8].sig
-	u.ways[set][8].lru = ^uint64(0) >> 1 // most recent
+	deadSig := u.ways(set)[8].Sig
+	u.ways(set)[8].LRU = ^uint64(0) >> 1 // most recent
 	for i := 0; i < 8; i++ {
-		u.dead.train(deadSig, true)
+		u.st.Dead.train(deadSig, true)
 	}
-	if !u.dead.predictDead(deadSig) {
+	if !u.st.Dead.predictDead(deadSig) {
 		t.Fatal("signature not predicted dead after training")
 	}
 	u.moveToWays(0x80000, rangeMask(0, 3), rangeMask(0, 3), 100)
-	if u.ways[set][8].tag != 0x80000 {
+	if u.ways(set)[8].Tag != 0x80000 {
 		t.Error("dead-predicted way not chosen as victim")
 	}
 	if u.UBSStats().Congruence.DeadVictims != 1 {

@@ -5,53 +5,35 @@ import "math/bits"
 // predictor is the useful-byte predictor (§IV-B): a small cache of full
 // 64B blocks, each with a bit-vector recording the granules fetched by the
 // core during the block's residency. On eviction, the bit-vector tells the
-// UBS cache which bytes to keep.
+// UBS cache which bytes to keep. It is a view onto the cache's
+// PredictorState (set-major entries and the clock) plus the geometry.
 type predictor struct {
-	sets  [][]predEntry
+	*PredictorState
 	nsets int
 	ways  int
 	fifo  bool
-	clock uint64
 }
 
-type predEntry struct {
-	valid bool
-	// prefetched marks entries filled by FDIP that have not yet seen a
-	// demand fetch; their locality is unknown rather than observed-cold.
-	prefetched bool
-	tag        uint64 // 64B block address
-	mask       uint64 // accessed granules
-	// prefMask marks granules predicted useful by FDIP fetch ranges (§IV-A
-	// start+size requests). They guide distillation when the block is
-	// evicted before its first demand fetch, but do not count as accessed.
-	prefMask uint64
-	order    uint64 // LRU or FIFO timestamp
-	insert   uint64 // fill cycle
+func newPredictor(st *PredictorState, sets, ways int, fifo bool) predictor {
+	st.Entries = make([]PredEntry, sets*ways)
+	return predictor{PredictorState: st, nsets: sets, ways: ways, fifo: fifo}
 }
 
-func newPredictor(sets, ways int, fifo bool) *predictor {
-	p := &predictor{nsets: sets, ways: ways, fifo: fifo}
-	p.sets = make([][]predEntry, sets)
-	entries := make([]predEntry, sets*ways)
-	for s := range p.sets {
-		p.sets[s], entries = entries[:ways], entries[ways:]
-	}
-	return p
-}
-
-func (p *predictor) set(block uint64) int {
-	return int((block >> 6) % uint64(p.nsets))
+// set returns the entries of block's set: a window of Entries.
+func (p *predictor) set(block uint64) []PredEntry {
+	s := int((block >> 6) % uint64(p.nsets))
+	return p.Entries[s*p.ways : (s+1)*p.ways]
 }
 
 // lookup finds the entry for block, optionally refreshing recency.
-func (p *predictor) lookup(block uint64, touch bool) *predEntry {
-	s := p.set(block)
-	for i := range p.sets[s] {
-		e := &p.sets[s][i]
-		if e.valid && e.tag == block {
+func (p *predictor) lookup(block uint64, touch bool) *PredEntry {
+	set := p.set(block)
+	for i := range set {
+		e := &set[i]
+		if e.Valid && e.Tag == block {
 			if touch && !p.fifo {
-				p.clock++
-				e.order = p.clock
+				p.Clock++
+				e.Order = p.Clock
 			}
 			return e
 		}
@@ -65,60 +47,35 @@ func (p *predictor) mark(block uint64, g0, g1 int) bool {
 	if e == nil {
 		return false
 	}
-	e.mask |= rangeMask(g0, g1)
+	e.Mask |= rangeMask(g0, g1)
 	return true
 }
 
-// insert installs block, returning the victim (valid=false if none). The
+// insert installs block, returning the victim (Valid=false if none). The
 // caller moves the victim's useful bytes into the UBS ways.
-func (p *predictor) insert(block uint64, cycle uint64, prefetched bool) (victim predEntry) {
+func (p *predictor) insert(block uint64, cycle uint64, prefetched bool) (victim PredEntry) {
 	if e := p.lookup(block, true); e != nil {
-		return predEntry{}
+		return PredEntry{}
 	}
-	s := p.set(block)
+	set := p.set(block)
 	way, oldest := -1, ^uint64(0)
-	for i := range p.sets[s] {
-		e := &p.sets[s][i]
-		if !e.valid {
+	for i := range set {
+		e := &set[i]
+		if !e.Valid {
 			way = i
 			break
 		}
-		if e.order < oldest {
-			way, oldest = i, e.order
+		if e.Order < oldest {
+			way, oldest = i, e.Order
 		}
 	}
-	if p.sets[s][way].valid {
-		victim = p.sets[s][way]
+	if set[way].Valid {
+		victim = set[way]
 	}
-	p.clock++
-	p.sets[s][way] = predEntry{valid: true, prefetched: prefetched, tag: block,
-		order: p.clock, insert: cycle}
+	p.Clock++
+	set[way] = PredEntry{Valid: true, Prefetched: prefetched, Tag: block,
+		Order: p.Clock, Insert: cycle}
 	return victim
-}
-
-// invalidate removes block, returning its entry for salvage.
-func (p *predictor) invalidate(block uint64) (predEntry, bool) {
-	s := p.set(block)
-	for i := range p.sets[s] {
-		e := &p.sets[s][i]
-		if e.valid && e.tag == block {
-			out := *e
-			*e = predEntry{}
-			return out, true
-		}
-	}
-	return predEntry{}, false
-}
-
-// forEach visits valid entries.
-func (p *predictor) forEach(f func(*predEntry)) {
-	for s := range p.sets {
-		for i := range p.sets[s] {
-			if p.sets[s][i].valid {
-				f(&p.sets[s][i])
-			}
-		}
-	}
 }
 
 // rangeMask builds a granule mask covering [g0, g1] inclusive. Masks are

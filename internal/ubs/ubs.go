@@ -8,32 +8,14 @@ import (
 	"ubscache/internal/mem"
 )
 
-// wayEntry is one uneven way of one set: a tagged sub-block of a
-// 64B-aligned block, described by its start_offset (in granules) with its
-// size implied by the way (§IV-C).
-type wayEntry struct {
-	valid  bool
-	tag    uint64 // 64B block address
-	start  int    // first stored granule within the block
-	stored int    // granules actually stored (≤ way capacity; clipped at block end)
-	// accessed marks stored granules that have been fetched; bits are
-	// positioned absolutely within the 64B block for simplicity.
-	accessed uint64
-	lru      uint64
-	insert   uint64
-	// reused and sig feed the §VI-H congruence extensions.
-	reused bool
-	sig    uint32
-}
-
 // covers reports whether the sub-block holds granules [g0, g1].
-func (w *wayEntry) covers(g0, g1 int) bool {
-	return w.valid && g0 >= w.start && g1 < w.start+w.stored
+func (w *WayEntry) covers(g0, g1 int) bool {
+	return w.Valid && g0 >= w.Start && g1 < w.Start+w.Stored
 }
 
 // containsGranule reports whether granule g is stored.
-func (w *wayEntry) containsGranule(g int) bool {
-	return w.valid && g >= w.start && g < w.start+w.stored
+func (w *WayEntry) containsGranule(g int) bool {
+	return w.Valid && g >= w.Start && g < w.Start+w.Stored
 }
 
 // Stats extends the common frontend counters with UBS-specific ones. The
@@ -54,25 +36,20 @@ type Stats struct {
 
 // Cache is the UBS instruction cache frontend. The embedded icache.Engine
 // supplies the miss path, the common counters, and the Stats/Latency/
-// MSHRInFlight surface; stats holds only the UBS-specific extensions.
+// MSHRInFlight surface; st holds the rest of the cache's state, and its
+// Stats only the UBS-specific extensions.
 type Cache struct {
 	*icache.Engine
 	cfg     Config
-	granule int          // offset granularity in bytes (4 or 1)
-	ng      int          // granules per 64B block (16 or 64)
-	ways    [][]wayEntry // [set][way]
-	wayG    []int        // way capacity in granules
-	pred    *predictor
-	clock   uint64 // LRU clock
-	stats   Stats
+	granule int   // offset granularity in bytes (4 or 1)
+	ng      int   // granules per 64B block (16 or 64)
+	wayG    []int // way capacity in granules
+	st      Storage
+	pred    predictor // view onto st.Pred
 	// setMask indexes sets without a hardware divide when Sets is a power
 	// of two; setPow2 gates the fast path.
 	setMask uint64
 	setPow2 bool
-
-	// §VI-H congruence extensions (nil when disabled).
-	dead  *deadPredictor
-	admit *admitFilter
 
 	// Reusable scratch, sized once in New, so the per-access hot path and
 	// the property-test harness stay allocation-free in steady state.
@@ -100,23 +77,19 @@ func New(cfg Config, h *mem.Hierarchy) (*Cache, error) {
 		u.setPow2 = true
 		u.setMask = uint64(cfg.Sets - 1)
 	}
-	u.ways = make([][]wayEntry, cfg.Sets)
-	entries := make([]wayEntry, cfg.Sets*len(cfg.WaySizes))
-	for s := range u.ways {
-		u.ways[s], entries = entries[:len(cfg.WaySizes)], entries[len(cfg.WaySizes):]
-	}
+	u.st.Ways = make([]WayEntry, cfg.Sets*len(cfg.WaySizes))
 	u.wayG = make([]int, len(cfg.WaySizes))
 	for i, w := range cfg.WaySizes {
 		u.wayG[i] = w / u.granule
 	}
-	u.pred = newPredictor(cfg.PredictorSets, cfg.PredictorWays, cfg.PredictorFIFO)
+	u.pred = newPredictor(&u.st.Pred, cfg.PredictorSets, cfg.PredictorWays, cfg.PredictorFIFO)
 	u.runScratch = make([]run, 0, u.ng/2+1)
 	u.invScratch = make([]tagSpan, 0, len(cfg.WaySizes))
 	if cfg.DeadBlockWays {
-		u.dead = newDeadPredictor()
+		u.st.Dead = newDeadState()
 	}
 	if cfg.AdmissionFilter {
-		u.admit = newAdmitFilter()
+		u.st.Admit = newAdmitState()
 	}
 	return u, nil
 }
@@ -139,7 +112,7 @@ func (u *Cache) Config() Config { return u.cfg }
 // UBSStats returns the full UBS counter set: the engine's common counters
 // merged with the UBS-specific extensions.
 func (u *Cache) UBSStats() Stats {
-	st := u.stats
+	st := u.st.Stats
 	st.Stats = u.Engine.Stats()
 	return st
 }
@@ -148,7 +121,12 @@ func (u *Cache) UBSStats() Stats {
 // (icache.Frontend).
 func (u *Cache) ResetStats() {
 	u.Engine.ResetStats()
-	u.stats = Stats{}
+	u.st.Stats = Stats{}
+}
+
+// ways returns set's uneven ways: a window of the set-major Ways slice.
+func (u *Cache) ways(set int) []WayEntry {
+	return u.st.Ways[set*len(u.wayG) : (set+1)*len(u.wayG)]
 }
 
 func (u *Cache) setIndex(block uint64) int {
@@ -176,9 +154,10 @@ func (u *Cache) classify(block uint64, g0, g1 int) (way int, kind icache.Kind) {
 	set := u.setIndex(block)
 	tagMatch := false
 	startCovered, endCovered := false, false
-	for w := range u.ways[set] {
-		e := &u.ways[set][w]
-		if !e.valid || e.tag != block {
+	ways := u.ways(set)
+	for w := range ways {
+		e := &ways[w]
+		if !e.Valid || e.Tag != block {
 			continue
 		}
 		tagMatch = true
@@ -219,9 +198,9 @@ func (u *Cache) Fetch(addr uint64, size int, now uint64) icache.Result {
 	// entry's bit-vector now reflects observed locality.
 	if u.pred.mark(block, g0, g1) {
 		if e := u.pred.lookup(block, false); e != nil {
-			e.prefetched = false
+			e.Prefetched = false
 		}
-		u.stats.PredictorHits++
+		u.st.Stats.PredictorHits++
 		return u.Hit()
 	}
 
@@ -229,21 +208,21 @@ func (u *Cache) Fetch(addr uint64, size int, now uint64) icache.Result {
 	way, kind := u.classify(block, g0, g1)
 	if kind == icache.Hit {
 		set := u.setIndex(block)
-		e := &u.ways[set][way]
-		e.accessed |= rangeMask(g0, g1)
-		u.clock++
-		e.lru = u.clock
-		if !e.reused {
-			e.reused = true
-			if u.dead != nil {
-				u.dead.train(e.sig, false)
-				u.stats.Congruence.ReuseTrainings++
+		e := &u.ways(set)[way]
+		e.Accessed |= rangeMask(g0, g1)
+		u.st.Clock++
+		e.LRU = u.st.Clock
+		if !e.Reused {
+			e.Reused = true
+			if u.st.Dead != nil {
+				u.st.Dead.train(e.Sig, false)
+				u.st.Stats.Congruence.ReuseTrainings++
 			}
-			if u.admit != nil {
-				u.admit.trainReuse(e.tag)
+			if u.st.Admit != nil {
+				u.st.Admit.trainReuse(e.Tag)
 			}
 		}
-		u.stats.WayHits++
+		u.st.Stats.WayHits++
 		return u.Hit()
 	}
 
@@ -263,29 +242,29 @@ func (u *Cache) Fetch(addr uint64, size int, now uint64) icache.Result {
 func (u *Cache) install(block uint64, now uint64, demandMask uint64, prefetch bool) {
 	salvaged := u.invalidateSubBlocks(block)
 	if salvaged != 0 {
-		u.stats.SalvagedMoves++
+		u.st.Stats.SalvagedMoves++
 	}
 	victim := u.pred.insert(block, now, prefetch)
 	if e := u.pred.lookup(block, false); e != nil {
-		e.mask |= demandMask | salvaged
+		e.Mask |= demandMask | salvaged
 		if demandMask != 0 || salvaged != 0 {
-			e.prefetched = false
+			e.Prefetched = false
 		}
 	}
-	if victim.valid {
-		keep := victim.mask
-		if victim.mask == 0 && victim.prefetched {
+	if victim.Valid {
+		keep := victim.Mask
+		if victim.Mask == 0 && victim.Prefetched {
 			// A prefetched block evicted before its first demand fetch:
 			// keep the FDIP-predicted range (the §IV-A start+size request)
 			// rather than dropping a timely prefetch, falling back to the
 			// whole block when no range was recorded. Kept granules stay
 			// unaccessed for the efficiency accounting.
-			keep = victim.prefMask
+			keep = victim.PrefMask
 			if keep == 0 {
 				keep = rangeMask(0, u.ng-1)
 			}
 		}
-		u.moveToWays(victim.tag, keep, victim.mask, now)
+		u.moveToWays(victim.Tag, keep, victim.Mask, now)
 	}
 }
 
@@ -294,11 +273,12 @@ func (u *Cache) install(block uint64, now uint64, demandMask uint64, prefetch bo
 func (u *Cache) invalidateSubBlocks(block uint64) uint64 {
 	set := u.setIndex(block)
 	var mask uint64
-	for w := range u.ways[set] {
-		e := &u.ways[set][w]
-		if e.valid && e.tag == block {
-			mask |= e.accessed
-			*e = wayEntry{}
+	ways := u.ways(set)
+	for w := range ways {
+		e := &ways[w]
+		if e.Valid && e.Tag == block {
+			mask |= e.Accessed
+			*e = WayEntry{}
 		}
 	}
 	return mask
@@ -311,13 +291,13 @@ func (u *Cache) invalidateSubBlocks(block uint64) uint64 {
 // non-overlap invariant (§IV-E).
 func (u *Cache) moveToWays(block uint64, keep, accessed uint64, now uint64) {
 	if keep == 0 {
-		u.stats.DiscardedBlocks++
+		u.st.Stats.DiscardedBlocks++
 		return
 	}
-	if u.admit != nil && !u.admit.admit(block) {
+	if u.st.Admit != nil && !u.st.Admit.admit(block) {
 		// ACIC-in-congruence: this region's sub-blocks keep dying without
 		// reuse; bypass the ways entirely (§VI-H).
-		u.stats.Congruence.FilteredRuns += uint64(countRuns(keep))
+		u.st.Stats.Congruence.FilteredRuns += uint64(countRuns(keep))
 		return
 	}
 	runs := extractRunsInto(u.runScratch[:0], keep)
@@ -329,7 +309,7 @@ func (u *Cache) moveToWays(block uint64, keep, accessed uint64, now uint64) {
 		j := i + 1
 		for j < len(runs) && runs[j].start < end {
 			if runs[j].end() <= end {
-				u.stats.AbsorbedRuns++
+				u.st.Stats.AbsorbedRuns++
 				j++
 				continue
 			}
@@ -363,32 +343,32 @@ func (u *Cache) place(block uint64, r run, accessedMask uint64, now uint64) int 
 	way, oldest := -1, ^uint64(0)
 	deadWay, deadOldest := -1, ^uint64(0)
 	for w := n; w <= last; w++ {
-		e := &u.ways[set][w]
-		if !e.valid {
+		e := &u.ways(set)[w]
+		if !e.Valid {
 			way = w
 			break
 		}
-		if e.lru < oldest {
-			way, oldest = w, e.lru
+		if e.LRU < oldest {
+			way, oldest = w, e.LRU
 		}
-		if u.dead != nil && u.dead.predictDead(e.sig) && e.lru < deadOldest {
-			deadWay, deadOldest = w, e.lru
+		if u.st.Dead != nil && u.st.Dead.predictDead(e.Sig) && e.LRU < deadOldest {
+			deadWay, deadOldest = w, e.LRU
 		}
 	}
-	if way >= 0 && u.ways[set][way].valid && deadWay >= 0 {
+	if way >= 0 && u.ways(set)[way].Valid && deadWay >= 0 {
 		way = deadWay
-		u.stats.Congruence.DeadVictims++
+		u.st.Stats.Congruence.DeadVictims++
 	}
-	e := &u.ways[set][way]
-	if e.valid {
-		if u.dead != nil {
-			u.dead.train(e.sig, !e.reused)
-			if !e.reused {
-				u.stats.Congruence.DeadTrainings++
+	e := &u.ways(set)[way]
+	if e.Valid {
+		if u.st.Dead != nil {
+			u.st.Dead.train(e.Sig, !e.Reused)
+			if !e.Reused {
+				u.st.Stats.Congruence.DeadTrainings++
 			}
 		}
-		if u.admit != nil && !e.reused {
-			u.admit.trainDead(e.tag)
+		if u.st.Admit != nil && !e.Reused {
+			u.st.Admit.trainDead(e.Tag)
 		}
 	}
 	stored := u.wayG[way]
@@ -398,18 +378,18 @@ func (u *Cache) place(block uint64, r run, accessedMask uint64, now uint64) int 
 	if !u.cfg.FillTrailing && stored > r.len {
 		stored = r.len
 	}
-	u.clock++
+	u.st.Clock++
 	accessed := accessedMask & rangeMask(r.start, r.start+stored-1)
 	var sig uint32
-	if u.dead != nil {
-		sig = u.dead.signature(block, r.start)
+	if u.st.Dead != nil {
+		sig = u.st.Dead.signature(block, r.start)
 	}
-	*e = wayEntry{
-		valid: true, tag: block, start: r.start, stored: stored,
-		accessed: accessed, lru: u.clock, insert: now, sig: sig,
+	*e = WayEntry{
+		Valid: true, Tag: block, Start: r.start, Stored: stored,
+		Accessed: accessed, LRU: u.st.Clock, Insert: now, Sig: sig,
 	}
-	u.stats.Placements++
-	u.stats.TrailingFills += uint64(stored - popcount(accessed))
+	u.st.Stats.Placements++
+	u.st.Stats.TrailingFills += uint64(stored - popcount(accessed))
 	return stored
 }
 
@@ -419,7 +399,7 @@ func (u *Cache) place(block uint64, r run, accessedMask uint64, now uint64) int 
 func (u *Cache) Prefetch(addr uint64, size int, now uint64) {
 	block, g0, g1 := u.granules(addr, size)
 	if e := u.pred.lookup(block, false); e != nil {
-		e.prefMask |= rangeMask(g0, g1)
+		e.PrefMask |= rangeMask(g0, g1)
 		return
 	}
 	if w, kind := u.classify(block, g0, g1); kind == icache.Hit {
@@ -432,7 +412,7 @@ func (u *Cache) Prefetch(addr uint64, size int, now uint64) {
 	}
 	u.install(block, now, 0, true)
 	if e := u.pred.lookup(block, false); e != nil {
-		e.prefMask |= rangeMask(g0, g1)
+		e.PrefMask |= rangeMask(g0, g1)
 	}
 }
 
@@ -443,19 +423,18 @@ func (u *Cache) Prefetch(addr uint64, size int, now uint64) {
 // this residency); trailing-fill granules start cold.
 func (u *Cache) Efficiency() (float64, bool) {
 	var used, total int
-	for s := range u.ways {
-		for w := range u.ways[s] {
-			e := &u.ways[s][w]
-			if e.valid {
-				used += popcount(e.accessed)
-				total += e.stored
-			}
+	for i := range u.st.Ways {
+		if e := &u.st.Ways[i]; e.Valid {
+			used += popcount(e.Accessed)
+			total += e.Stored
 		}
 	}
-	u.pred.forEach(func(e *predEntry) {
-		used += popcount(e.mask)
-		total += u.ng
-	})
+	for i := range u.st.Pred.Entries {
+		if e := &u.st.Pred.Entries[i]; e.Valid {
+			used += popcount(e.Mask)
+			total += u.ng
+		}
+	}
 	if total == 0 {
 		return 0, false
 	}
@@ -466,14 +445,16 @@ func (u *Cache) Efficiency() (float64, bool) {
 // "more than 2x the blocks of a conventional cache" claim is checked
 // against these.
 func (u *Cache) ResidentBlocks() (ways, pred int) {
-	for s := range u.ways {
-		for w := range u.ways[s] {
-			if u.ways[s][w].valid {
-				ways++
-			}
+	for i := range u.st.Ways {
+		if u.st.Ways[i].Valid {
+			ways++
 		}
 	}
-	u.pred.forEach(func(*predEntry) { pred++ })
+	for i := range u.st.Pred.Entries {
+		if u.st.Pred.Entries[i].Valid {
+			pred++
+		}
+	}
 	return ways, pred
 }
 
@@ -485,32 +466,33 @@ func (u *Cache) ResidentBlocks() (ways, pred int) {
 // (a set holds at most len(WaySizes) sub-blocks — a linear span table
 // beats a map and allocates nothing across calls).
 func (u *Cache) CheckInvariants() error {
-	for s := range u.ways {
+	for s := 0; s < u.cfg.Sets; s++ {
 		spans := u.invScratch[:0]
-		for w := range u.ways[s] {
-			e := &u.ways[s][w]
-			if !e.valid {
+		ways := u.ways(s)
+		for w := range ways {
+			e := &ways[w]
+			if !e.Valid {
 				continue
 			}
-			if u.setIndex(e.tag) != s {
-				return fmt.Errorf("ubs: block %#x in wrong set %d", e.tag, s)
+			if u.setIndex(e.Tag) != s {
+				return fmt.Errorf("ubs: block %#x in wrong set %d", e.Tag, s)
 			}
-			if e.stored < 1 || e.stored > u.wayG[w] {
+			if e.Stored < 1 || e.Stored > u.wayG[w] {
 				return fmt.Errorf("ubs: way %d stores %d granules, capacity %d",
-					w, e.stored, u.wayG[w])
+					w, e.Stored, u.wayG[w])
 			}
-			if e.start < 0 || e.start+e.stored > u.ng {
-				return fmt.Errorf("ubs: sub-block [%d,+%d) exceeds block", e.start, e.stored)
+			if e.Start < 0 || e.Start+e.Stored > u.ng {
+				return fmt.Errorf("ubs: sub-block [%d,+%d) exceeds block", e.Start, e.Stored)
 			}
-			if e.accessed&^rangeMask(e.start, e.start+e.stored-1) != 0 {
+			if e.Accessed&^rangeMask(e.Start, e.Start+e.Stored-1) != 0 {
 				return fmt.Errorf("ubs: accessed bits outside stored range")
 			}
 			for _, sp := range spans {
-				if sp.tag == e.tag && e.start < sp.hi && sp.lo < e.start+e.stored {
-					return fmt.Errorf("ubs: overlapping sub-blocks of %#x", e.tag)
+				if sp.tag == e.Tag && e.Start < sp.hi && sp.lo < e.Start+e.Stored {
+					return fmt.Errorf("ubs: overlapping sub-blocks of %#x", e.Tag)
 				}
 			}
-			spans = append(spans, tagSpan{tag: e.tag, lo: e.start, hi: e.start + e.stored})
+			spans = append(spans, tagSpan{tag: e.Tag, lo: e.Start, hi: e.Start + e.Stored})
 		}
 		// A block must not be resident in both predictor and ways.
 		for i := range spans {

@@ -293,8 +293,8 @@ func TestDedupOnPartialMiss(t *testing.T) {
 		t.Fatalf("fetch = %v, want partial miss", r2.Kind)
 	}
 	set := u.setIndex(a)
-	for w := range u.ways[set] {
-		if u.ways[set][w].valid && u.ways[set][w].tag == a {
+	for w := range u.ways(set) {
+		if u.ways(set)[w].Valid && u.ways(set)[w].Tag == a {
 			t.Fatal("stale sub-block of A survived the partial miss")
 		}
 	}
@@ -304,8 +304,8 @@ func TestDedupOnPartialMiss(t *testing.T) {
 	}
 	// Salvaged granules 0..3 plus the demanded 8..11.
 	want := rangeMask(0, 3) | rangeMask(8, 11)
-	if e.mask != want {
-		t.Errorf("predictor mask = %#b, want %#b", e.mask, want)
+	if e.Mask != want {
+		t.Errorf("predictor mask = %#b, want %#b", e.Mask, want)
 	}
 	if u.UBSStats().SalvagedMoves != 1 {
 		t.Errorf("SalvagedMoves = %d", u.UBSStats().SalvagedMoves)
@@ -321,8 +321,8 @@ func TestPlacementWindow(t *testing.T) {
 	u.moveToWays(0x10000, rangeMask(0, 3), rangeMask(0, 3), 1)
 	set := u.setIndex(0x10000)
 	found := -1
-	for w := range u.ways[set] {
-		if u.ways[set][w].valid {
+	for w := range u.ways(set) {
+		if u.ways(set)[w].Valid {
 			found = w
 		}
 	}
@@ -334,7 +334,7 @@ func TestPlacementWindow(t *testing.T) {
 	set2 := u.setIndex(0x20000)
 	found = -1
 	for w := 13; w <= 15; w++ {
-		if u.ways[set2][w].valid && u.ways[set2][w].tag == 0x20000 {
+		if u.ways(set2)[w].Valid && u.ways(set2)[w].Tag == 0x20000 {
 			found = w
 		}
 	}
@@ -353,13 +353,13 @@ func TestModifiedLRUWithinWindow(t *testing.T) {
 	blocks := []uint64{0x10000, 0x10000 + 64*64, 0x10000 + 2*64*64, 0x10000 + 3*64*64}
 	order := []int{9, 7, 10, 8} // LRU order: way 9 oldest
 	for i, w := range order {
-		u.clock++
-		u.ways[set][w] = wayEntry{valid: true, tag: blocks[i], start: 0,
-			stored: u.wayG[w], accessed: 1, lru: u.clock}
+		u.st.Clock++
+		u.ways(set)[w] = WayEntry{Valid: true, Tag: blocks[i], Start: 0,
+			Stored: u.wayG[w], Accessed: 1, LRU: u.st.Clock}
 	}
 	// Placing a new 16B run must evict way 9 (LRU within 7..10).
 	u.moveToWays(0x80000, rangeMask(0, 3), rangeMask(0, 3), 100)
-	if u.ways[set][9].tag != 0x80000 {
+	if u.ways(set)[9].Tag != 0x80000 {
 		t.Errorf("new sub-block in way %d's place, want way 9 victim", 9)
 	}
 }
@@ -370,20 +370,20 @@ func TestTrailingFill(t *testing.T) {
 	// window places it in a larger way, extra granules fill with trailing
 	// bytes. Force a 24B way by occupying way 7 freshly.
 	set := u.setIndex(0x10000)
-	u.clock++
-	u.ways[set][7] = wayEntry{valid: true, tag: 0x99000, start: 0, stored: 4,
-		accessed: 1, lru: ^uint64(0) >> 1} // very recent
+	u.st.Clock++
+	u.ways(set)[7] = WayEntry{Valid: true, Tag: 0x99000, Start: 0, Stored: 4,
+		Accessed: 1, LRU: ^uint64(0) >> 1} // very recent
 	// Other candidates 8..10 invalid -> way 8 (24B) chosen.
 	u.moveToWays(0x10000, rangeMask(0, 3), rangeMask(0, 3), 1)
-	e := &u.ways[set][8]
-	if !e.valid || e.tag != 0x10000 {
+	e := &u.ways(set)[8]
+	if !e.Valid || e.Tag != 0x10000 {
 		t.Fatalf("run not in way 8: %+v", e)
 	}
-	if e.stored != 6 { // 24B = 6 granules
-		t.Errorf("stored = %d granules, want 6 (trailing fill)", e.stored)
+	if e.Stored != 6 { // 24B = 6 granules
+		t.Errorf("stored = %d granules, want 6 (trailing fill)", e.Stored)
 	}
-	if e.accessed != rangeMask(0, 3) {
-		t.Errorf("accessed = %#b", e.accessed)
+	if e.Accessed != rangeMask(0, 3) {
+		t.Errorf("accessed = %#b", e.Accessed)
 	}
 	if u.UBSStats().TrailingFills != 2 {
 		t.Errorf("TrailingFills = %d", u.UBSStats().TrailingFills)
@@ -395,12 +395,12 @@ func TestTrailingFillDisabled(t *testing.T) {
 	cfg.FillTrailing = false
 	u := MustNew(cfg, hier())
 	set := u.setIndex(0x10000)
-	u.clock++
-	u.ways[set][7] = wayEntry{valid: true, tag: 0x99000, start: 0, stored: 4,
-		accessed: 1, lru: ^uint64(0) >> 1}
+	u.st.Clock++
+	u.ways(set)[7] = WayEntry{Valid: true, Tag: 0x99000, Start: 0, Stored: 4,
+		Accessed: 1, LRU: ^uint64(0) >> 1}
 	u.moveToWays(0x10000, rangeMask(0, 3), rangeMask(0, 3), 1)
-	if e := &u.ways[set][8]; e.valid && e.stored != 4 {
-		t.Errorf("stored = %d granules with FillTrailing off, want 4", e.stored)
+	if e := &u.ways(set)[8]; e.Valid && e.Stored != 4 {
+		t.Errorf("stored = %d granules with FillTrailing off, want 4", e.Stored)
 	}
 }
 
@@ -410,9 +410,9 @@ func TestRunAbsorption(t *testing.T) {
 	// trailing fill (if the way stores >=6 granules) absorbs the second.
 	set := u.setIndex(0x10000)
 	// Make ways 7 recent so the 24B way 8 is used (stores 6 granules).
-	u.clock++
-	u.ways[set][7] = wayEntry{valid: true, tag: 0x99000, start: 0, stored: 4,
-		accessed: 1, lru: ^uint64(0) >> 1}
+	u.st.Clock++
+	u.ways(set)[7] = WayEntry{Valid: true, Tag: 0x99000, Start: 0, Stored: 4,
+		Accessed: 1, LRU: ^uint64(0) >> 1}
 	mask := rangeMask(0, 3) | rangeMask(5, 5)
 	u.moveToWays(0x10000, mask, mask, 1)
 	st := u.UBSStats()
@@ -422,11 +422,11 @@ func TestRunAbsorption(t *testing.T) {
 	if st.Placements != 1 {
 		t.Errorf("Placements = %d, want 1", st.Placements)
 	}
-	e := &u.ways[set][8]
+	e := &u.ways(set)[8]
 	if !e.covers(5, 5) {
 		t.Error("absorbed granule not covered by the sub-block")
 	}
-	if e.accessed&rangeMask(5, 5) == 0 {
+	if e.Accessed&rangeMask(5, 5) == 0 {
 		t.Error("absorbed run's accessed bit lost")
 	}
 	if err := u.CheckInvariants(); err != nil {

@@ -20,8 +20,14 @@ func TestRNGMatchesMathRand(t *testing.T) {
 	for len(seeds) < 1200 {
 		seeds = append(seeds, pick.Int63()-pick.Int63())
 	}
-	ns := []int{1, 2, 3, 7, 12, 24, 64, 100, 4096, 1000003, 1 << 30, 1<<31 - 1,
-		1 << 31, 1<<31 + 1, 1 << 40, 3 << 40, math.MaxInt64}
+	// Intn bounds above math.MaxInt do not exist on 32-bit platforms.
+	var ns []int
+	for _, n := range []int64{1, 2, 3, 7, 12, 24, 64, 100, 4096, 1000003, 1 << 30, 1<<31 - 1,
+		1 << 31, 1<<31 + 1, 1 << 40, 3 << 40, math.MaxInt64} {
+		if n <= math.MaxInt {
+			ns = append(ns, int(n))
+		}
+	}
 	const calls = 1500
 	for _, seed := range seeds {
 		want := rand.New(rand.NewSource(seed))
