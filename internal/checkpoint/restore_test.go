@@ -32,8 +32,8 @@ func editFrontend[S any](edit func(*S)) func(*testing.T, *sim.MachineState) {
 
 // TestRestoreRejectsOutOfRange edits one field of a decoded, CRC-valid
 // image per case to a value no machine produces. Restore must return an
-// error: accepted, each would index past a table in a later Advance or
-// be silently ignored.
+// error: accepted, each would index past a table in a later Advance, be
+// silently ignored, or stall the machine for good.
 func TestRestoreRejectsOutOfRange(t *testing.T) {
 	cases := []struct {
 		name, design string
@@ -55,6 +55,46 @@ func TestRestoreRejectsOutOfRange(t *testing.T) {
 			st.Hierarchy.L2.MSHR.Entries = []mem.MSHREntry{{Done: 9, Block: 1}, {Done: 1, Block: 2}}
 		}},
 		{"sample-stride", "ubs", func(_ *testing.T, st *sim.MachineState) { st.EffStride = 0 }},
+		// The cases below pass every layer's own checks but stop the
+		// machine for good: Advance without a context never returns.
+		{"ftq-blocked-unresolvable", "ubs", func(_ *testing.T, st *sim.MachineState) {
+			st.FTQ.Blocked, st.Core.WaitMispredict, st.Core.RedirectAt = true, false, 0
+			for i := range st.FTQ.Queue {
+				st.FTQ.Queue[i].Mispredict = false
+			}
+		}},
+		{"core-wait-without-mispredict", "ubs", func(_ *testing.T, st *sim.MachineState) {
+			st.FTQ.Blocked, st.Core.WaitMispredict, st.Core.RedirectAt = true, true, 0
+			for i := range st.Core.Decode {
+				st.Core.Decode[i].Item.Mispredict = false
+			}
+		}},
+		{"core-fetch-blocked-far", "ubs", func(_ *testing.T, st *sim.MachineState) { st.Core.FetchBlocked = st.Core.Clock + 1<<40 }},
+		{"core-redirect-far", "ubs", func(_ *testing.T, st *sim.MachineState) {
+			st.FTQ.Blocked, st.Core.WaitMispredict, st.Core.RedirectAt = true, true, st.Core.Clock+1<<40
+		}},
+		{"rob-done-far", "ubs", func(_ *testing.T, st *sim.MachineState) {
+			for i := range st.Core.ROB {
+				st.Core.ROB[i].Done = st.Core.Clock + 1<<40
+			}
+		}},
+		{"done-ring-far", "ubs", func(_ *testing.T, st *sim.MachineState) {
+			for i := range st.Core.DoneRing {
+				st.Core.DoneRing[i] = st.Core.Clock + 1<<40
+			}
+		}},
+		{"mshr-done-far", "ubs", func(_ *testing.T, st *sim.MachineState) {
+			// A full L3 MSHR file that never drains.
+			st.Hierarchy.L3.MSHR.Entries = st.Hierarchy.L3.MSHR.Entries[:0]
+			for b := 0; b < mem.DefaultHierarchyConfig().L3MSHRs; b++ {
+				st.Hierarchy.L3.MSHR.Entries = append(st.Hierarchy.L3.MSHR.Entries, mem.MSHREntry{Done: st.Core.Clock + 1<<40, Block: uint64(b) << 6})
+			}
+		}},
+		{"dram-busy-far", "ubs", func(_ *testing.T, st *sim.MachineState) {
+			for i := range st.Hierarchy.DRAM.Busy {
+				st.Hierarchy.DRAM.Busy[i] = st.Core.Clock + 1<<40
+			}
+		}},
 	}
 	p := testParams()
 	for _, tc := range cases {

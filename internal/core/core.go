@@ -248,8 +248,19 @@ func New(cfg Config, ftq *fdip.FTQ, ic icache.Frontend, dc *mem.DataCache) *Core
 	return c
 }
 
+// Config returns the configuration the core runs with.
+func (c *Core) Config() Config { return c.cfg }
+
 // Stats returns the accumulated statistics.
 func (c *Core) Stats() Stats { return c.st.Stats }
+
+// Instructions returns the retired-instruction count, Stats().Instructions
+// without copying Stats; the simulation loop reads it every cycle.
+func (c *Core) Instructions() uint64 { return c.st.Stats.Instructions }
+
+// Cycles returns the cycle count since the last ResetStats, Stats().Cycles
+// without copying Stats.
+func (c *Core) Cycles() uint64 { return c.st.Stats.Cycles }
 
 // ResetStats clears timing statistics (end of warmup) without touching
 // microarchitectural state or the monotonic clock.

@@ -291,6 +291,15 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 	}, nil
 }
 
+// MissHorizon bounds how long an L2 miss takes to return: the L2, L3
+// and DRAM latencies plus a wait behind every other outstanding L3 miss
+// in the same DRAM bank (each DRAM access holds an L3 MSHR).
+func (h *Hierarchy) MissHorizon() uint64 {
+	d := h.DRAM.cfg
+	access := d.TRP + d.TRCD + d.TCAS + d.BusCycles
+	return 2*h.L2.Lat + h.L3.Lat + d.Controller + uint64(h.L3.MSHR.Cap()+1)*access
+}
+
 // MustNewHierarchy panics on configuration errors.
 func MustNewHierarchy(cfg HierarchyConfig) *Hierarchy {
 	h, err := NewHierarchy(cfg)

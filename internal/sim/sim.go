@@ -245,11 +245,11 @@ func (m *Machine) Warmup() error {
 			}
 		} else {
 			next := m.every
-			for m.c.Stats().Instructions < m.p.Warmup {
+			for m.c.Instructions() < m.p.Warmup {
 				if !m.c.RunUntil(m.p.Warmup, next) {
 					return m.traceEnded("warmup")
 				}
-				if m.c.Stats().Cycles >= next {
+				if m.c.Cycles() >= next {
 					next += m.every
 					m.st.beat()
 					if m.cancellable {
@@ -282,11 +282,11 @@ func (m *Machine) Advance(n uint64) error {
 	if err := m.Warmup(); err != nil {
 		return err
 	}
-	target := m.c.Stats().Instructions + n
-	for m.c.Stats().Instructions < target {
+	target := m.c.Instructions() + n
+	for m.c.Instructions() < target {
 		m.c.Cycle()
 		if m.p.SampleInterval > 0 {
-			if cyc := m.c.Stats().Cycles; cyc >= m.run.NextSample {
+			if cyc := m.c.Cycles(); cyc >= m.run.NextSample {
 				if eff, ok := m.ic.Efficiency(); ok {
 					m.recordEff(eff)
 				}
@@ -294,7 +294,7 @@ func (m *Machine) Advance(n uint64) error {
 			}
 		}
 		if m.nextHB != 0 {
-			if cyc := m.c.Stats().Cycles; cyc >= m.nextHB {
+			if cyc := m.c.Cycles(); cyc >= m.nextHB {
 				m.nextHB += m.every
 				m.st.beat()
 				if m.cancellable {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"ubscache/internal/bpu"
 	"ubscache/internal/core"
@@ -138,6 +139,9 @@ func (m *Machine) Restore(src *MachineState) error {
 	if len(src.EffSamples) > effWindowCap || src.EffStride == 0 {
 		return fmt.Errorf("sim: snapshot sample window holds %d samples at stride %d, want at most %d at stride >= 1", len(src.EffSamples), src.EffStride, effWindowCap)
 	}
+	if err := m.checkProgress(src); err != nil {
+		return err
+	}
 	// Position the fresh source on the instruction the FTQ would pull
 	// next. The image decides how: a walker image is installed directly;
 	// without one the source is replayed. EnqueuedTot counts exactly the
@@ -186,9 +190,98 @@ func (m *Machine) Restore(src *MachineState) error {
 	// cycle grid as the uninterrupted one.
 	m.st.startPhase("measure", m.p.Measure)
 	if m.st != nil || m.cancellable {
-		m.nextHB = (m.c.Stats().Cycles/m.every + 1) * m.every
+		m.nextHB = (m.c.Cycles()/m.every + 1) * m.every
 	} else {
 		m.nextHB = 0
+	}
+	return nil
+}
+
+// eventHorizon bounds how far past the clock any pending event of a
+// machine that ran from reset can lie. Each instruction in flight (ROB,
+// decode queue, one fetch chunk) can wait on the one before it, and each
+// wait is at most a miss to DRAM behind every other outstanding miss,
+// plus the L1 and front-end penalties. The bound is loose on purpose: it
+// only has to reject event times that no run produces.
+func (m *Machine) eventHorizon() uint64 {
+	cfg := m.c.Config()
+	step := m.h.MissHorizon() + m.ic.Latency() + cfg.DecodeLat + cfg.RedirectLat + cfg.ResteerLat
+	if m.dc != nil {
+		step += m.dc.Lat
+	}
+	return uint64(cfg.ROBSize+cfg.DecodeQueue+cfg.FetchWidth) * step
+}
+
+// checkProgress rejects images that each layer's Restore accepts but
+// that would stop the machine for good, so that an Advance without a
+// context never returns: a runahead blocked on a mispredict that nothing
+// will resolve, or an event (a fetch or redirect stall, an instruction's
+// completion, a miss, a DRAM bank's busy time) beyond the event horizon.
+// It reads slices only by range, before any layer validates them.
+func (m *Machine) checkProgress(src *MachineState) error {
+	c, ftq := &src.Core, &src.FTQ
+	queued, decoding := false, false
+	for i := range ftq.Queue {
+		queued = queued || ftq.Queue[i].Mispredict
+	}
+	for i := range c.Decode {
+		decoding = decoding || c.Decode[i].Item.Mispredict
+	}
+	switch {
+	case ftq.Blocked && !queued && !c.WaitMispredict:
+		return fmt.Errorf("sim: snapshot FTQ is blocked on a mispredict that is neither queued nor awaited")
+	case c.WaitMispredict && c.RedirectAt == 0 && !decoding:
+		return fmt.Errorf("sim: snapshot core awaits a mispredict redirect with no mispredicted instruction to dispatch")
+	case c.RedirectAt != 0 && !c.WaitMispredict:
+		return fmt.Errorf("sim: snapshot core has a redirect at cycle %d but awaits none", c.RedirectAt)
+	}
+	h := m.eventHorizon()
+	if c.Clock > math.MaxUint64-h {
+		return fmt.Errorf("sim: snapshot clock %d leaves no room for its event horizon", c.Clock)
+	}
+	limit := c.Clock + h
+	late := func(what string, at uint64) error {
+		if at > limit {
+			return fmt.Errorf("sim: snapshot %s at cycle %d, past the clock %d plus the event horizon %d", what, at, c.Clock, h)
+		}
+		return nil
+	}
+	if err := late("fetch stall", c.FetchBlocked); err != nil {
+		return err
+	}
+	if err := late("redirect", c.RedirectAt); err != nil {
+		return err
+	}
+	for i := range c.ROB {
+		if err := late("ROB completion", c.ROB[i].Done); err != nil {
+			return err
+		}
+	}
+	for _, done := range c.DoneRing {
+		if err := late("completion record", done); err != nil {
+			return err
+		}
+	}
+	for i := range c.Decode {
+		if err := late("decode readiness", c.Decode[i].ReadyAt); err != nil {
+			return err
+		}
+	}
+	mshrs := []*mem.MSHRState{&src.Hierarchy.L2.MSHR, &src.Hierarchy.L3.MSHR}
+	if src.DataCache != nil {
+		mshrs = append(mshrs, &src.DataCache.MSHR)
+	}
+	for _, f := range mshrs {
+		for _, e := range f.Entries {
+			if err := late("miss completion", e.Done); err != nil {
+				return err
+			}
+		}
+	}
+	for _, busy := range src.Hierarchy.DRAM.Busy {
+		if err := late("DRAM bank busy time", busy); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -19,7 +19,7 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
+	"math"
 )
 
 // InstrBytes is the fixed instruction size of the modelled ISA (ARM-like,
@@ -179,25 +179,102 @@ type Config struct {
 	InstrSizeRange [2]int
 }
 
+// Bounds that validate enforces beyond the shape rules. They keep every
+// range draw inside an int (a 32-bit one too), every variable-length
+// offset inside its uint16, every address inside 64 bits, the program's
+// size sane for configs read from outside bytes, and the call stack
+// inside the walker's preallocated frames.
+const (
+	maxCallDepth   = 64      // frames the walker preallocates
+	maxHotBlocks   = 1 << 21 // Functions × HotBlocksPer[1]
+	maxBlockInstrs = 1 << 16
+	maxInstrBytes  = 15 // the longest x86 instruction
+	maxLoopIters   = 1 << 20
+	maxFrameBytes  = 1 << 20
+	maxFuncAlign   = 1 << 12
+	maxCodeBase    = 1 << 48
+)
+
+// setDefaults fills in the fields a zero value leaves to Build.
+func (c *Config) setDefaults() {
+	if c.FuncAlign == 0 {
+		c.FuncAlign = 16
+	}
+	if c.CodeBase == 0 {
+		c.CodeBase = 0x400000
+	}
+	if c.StackBase == 0 {
+		c.StackBase = 0x7fff_0000_0000
+	}
+	if c.FrameBytes == 0 {
+		c.FrameBytes = 256
+	}
+	if c.DataFootprint == 0 {
+		c.DataFootprint = 1 << 20
+	}
+	if c.ColdBlockInstrs[0] == 0 {
+		c.ColdBlockInstrs = [2]int{4, 16}
+	}
+	if c.VarLenISA && c.InstrSizeRange[0] == 0 {
+		c.InstrSizeRange = [2]int{2, 9}
+	}
+}
+
+// validate checks a defaulted config. Configs arrive from outside bytes
+// (workload specs), so anything Build or the Walker cannot honour is an
+// error here, never a panic or a silently wrong stream later.
 func (c *Config) validate() error {
+	badRange := func(r [2]int, lo, hi int) bool { return r[0] < lo || r[1] < r[0] || r[1] > hi }
 	switch {
 	case c.Functions < 2:
 		return fmt.Errorf("workload %s: need at least 2 functions", c.Name)
-	case c.HotBlocksPer[0] < 1 || c.HotBlocksPer[1] < c.HotBlocksPer[0]:
-		return fmt.Errorf("workload %s: bad HotBlocksPer %v", c.Name, c.HotBlocksPer)
-	case c.HotBlockInstrs[0] < 1 || c.HotBlockInstrs[1] < c.HotBlockInstrs[0]:
+	case badRange(c.HotBlocksPer, 1, maxHotBlocks/c.Functions):
+		return fmt.Errorf("workload %s: bad HotBlocksPer %v (at most %d hot blocks in all)", c.Name, c.HotBlocksPer, maxHotBlocks)
+	case badRange(c.HotBlockInstrs, 1, maxBlockInstrs):
 		return fmt.Errorf("workload %s: bad HotBlockInstrs %v", c.Name, c.HotBlockInstrs)
-	case c.MaxDepth < 1:
-		return fmt.Errorf("workload %s: MaxDepth must be >= 1", c.Name)
+	case badRange(c.ColdBlockInstrs, 1, maxBlockInstrs):
+		return fmt.Errorf("workload %s: bad ColdBlockInstrs %v", c.Name, c.ColdBlockInstrs)
+	case c.InstrSizeRange != [2]int{} && badRange(c.InstrSizeRange, 1, maxInstrBytes):
+		return fmt.Errorf("workload %s: bad InstrSizeRange %v", c.Name, c.InstrSizeRange)
+	case c.VarLenISA && max(c.HotBlockInstrs[1], c.ColdBlockInstrs[1])*c.InstrSizeRange[1] > math.MaxUint16:
+		return fmt.Errorf("workload %s: variable-length blocks of up to %d instructions of %d bytes overflow their 16-bit offsets",
+			c.Name, max(c.HotBlockInstrs[1], c.ColdBlockInstrs[1]), c.InstrSizeRange[1])
+	case badRange(c.LoopIters, 0, maxLoopIters):
+		return fmt.Errorf("workload %s: bad LoopIters %v", c.Name, c.LoopIters)
+	case c.MaxDepth < 1 || c.MaxDepth > min(c.Functions, maxCallDepth):
+		return fmt.Errorf("workload %s: MaxDepth %d outside [1,%d] (every level needs a function)",
+			c.Name, c.MaxDepth, min(c.Functions, maxCallDepth))
 	case c.WorkingSetFuncs < 1 || c.WorkingSetFuncs > c.Functions:
 		return fmt.Errorf("workload %s: bad WorkingSetFuncs %d", c.Name, c.WorkingSetFuncs)
+	case c.DriftFuncs < 0 || c.DriftFuncs > c.Functions:
+		return fmt.Errorf("workload %s: DriftFuncs %d outside [0,%d]", c.Name, c.DriftFuncs, c.Functions)
 	case c.LoadFrac+c.StoreFrac > 0.9:
 		return fmt.Errorf("workload %s: memory fractions too high", c.Name)
+	case c.FrameBytes > maxFrameBytes:
+		return fmt.Errorf("workload %s: FrameBytes %d above %d", c.Name, c.FrameBytes, maxFrameBytes)
+	case c.StackBase <= uint64(c.MaxDepth)*c.FrameBytes:
+		return fmt.Errorf("workload %s: StackBase %#x leaves no room for %d frames", c.Name, c.StackBase, c.MaxDepth)
+	case c.FuncAlign > maxFuncAlign:
+		return fmt.Errorf("workload %s: FuncAlign %d above %d", c.Name, c.FuncAlign, maxFuncAlign)
+	case c.CodeBase > maxCodeBase:
+		return fmt.Errorf("workload %s: CodeBase %#x above %#x", c.Name, c.CodeBase, uint64(maxCodeBase))
+	}
+	for _, pr := range []struct {
+		name string
+		v    float64
+	}{
+		{"ColdFrac", c.ColdFrac}, {"ColdSplit", c.ColdSplit}, {"ColdExecProb", c.ColdExecProb},
+		{"CondProb", c.CondProb}, {"CallProb", c.CallProb}, {"IndirectFrac", c.IndirectFrac},
+		{"LoopProb", c.LoopProb}, {"LoadFrac", c.LoadFrac}, {"StoreFrac", c.StoreFrac},
+	} {
+		if !(pr.v >= 0 && pr.v <= 1) {
+			return fmt.Errorf("workload %s: %s %v outside [0,1]", c.Name, pr.name, pr.v)
+		}
 	}
 	return nil
 }
 
-func uniform(rng *rand.Rand, r [2]int) int {
+func uniform(rng *RNG, r [2]int) int {
 	if r[1] <= r[0] {
 		return r[0]
 	}
@@ -207,7 +284,7 @@ func uniform(rng *rand.Rand, r [2]int) int {
 // branchBias draws a per-static-branch taken probability. The mixture gives
 // mostly strongly biased branches (predictable by a perceptron) with a tail
 // of hard branches, approximating server-code prediction accuracy.
-func branchBias(rng *rand.Rand) float64 {
+func branchBias(rng *RNG) float64 {
 	switch x := rng.Float64(); {
 	case x < 0.60:
 		return 0.985
@@ -220,39 +297,63 @@ func branchBias(rng *rand.Rand) float64 {
 	}
 }
 
+// Arena chunk sizes, in elements. Build hands out each function's
+// blocks, each variable-length block's offsets and each indirect call's
+// callees as sub-slices of a few large chunks instead of allocating every
+// slice on its own: a server program has ~75k blocks, and one allocation
+// per slice used to cost Build more than the synthesis itself.
+const (
+	blockChunk  = 8 << 10
+	offsChunk   = 64 << 10
+	calleeChunk = 4 << 10
+)
+
+// builder is Build's working state: the config, the generator, the
+// arenas the program's slices are cut from, and per-function scratch
+// reused across functions.
+type builder struct {
+	cfg *Config
+	rng RNG // draws what rand.New(rand.NewSource(Seed)) would
+	// Arena chunks: the filled prefix is handed out, the spare capacity
+	// is free.
+	blocks  []Block
+	offs    []uint16
+	callees []int
+	// hotIdx is the block index of each hot position; coldAfter the cold
+	// block that follows it, or -1.
+	hotIdx    []int
+	coldAfter []int
+}
+
+// carve cuts n zeroed elements from the free tail of *arena, starting a
+// new chunk of max(chunk, n) elements when the tail is short. The result
+// is capped at its length, so appending to it never writes into a
+// neighbour.
+func carve[T any](arena *[]T, n, chunk int) []T {
+	if cap(*arena)-len(*arena) < n {
+		*arena = make([]T, 0, max(chunk, n))
+	}
+	l := len(*arena)
+	*arena = (*arena)[:l+n]
+	return (*arena)[l : l+n : l+n]
+}
+
 // Build synthesises the static program for cfg. The result is a pure
-// function of cfg (including Seed).
+// function of cfg (including Seed). The program is immutable once built:
+// functions' blocks share arena chunks, and walkers, checkpoints and
+// callers only read it.
 func Build(cfg Config) (*Program, error) {
+	cfg.setDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.FuncAlign == 0 {
-		cfg.FuncAlign = 16
-	}
-	if cfg.CodeBase == 0 {
-		cfg.CodeBase = 0x400000
-	}
-	if cfg.StackBase == 0 {
-		cfg.StackBase = 0x7fff_0000_0000
-	}
-	if cfg.FrameBytes == 0 {
-		cfg.FrameBytes = 256
-	}
-	if cfg.DataFootprint == 0 {
-		cfg.DataFootprint = 1 << 20
-	}
-	if cfg.ColdBlockInstrs[0] == 0 {
-		cfg.ColdBlockInstrs = [2]int{4, 16}
-	}
-	if cfg.VarLenISA && cfg.InstrSizeRange[0] == 0 {
-		cfg.InstrSizeRange = [2]int{2, 9}
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	p := &Program{cfg: cfg, Funcs: make([]Func, cfg.Functions)}
-
+	bl := &builder{cfg: &p.cfg}
+	bl.rng.Seed(cfg.Seed)
 	for fi := range p.Funcs {
-		buildFunc(p, fi, rng)
+		bl.buildFunc(&p.Funcs[fi], fi)
 	}
+	rng := &bl.rng
 
 	// Callees are picked once all functions exist.
 	for fi := range p.Funcs {
@@ -264,7 +365,7 @@ func Build(cfg Config) (*Program, error) {
 				term.Callee = p.pickCallee(rng, fi)
 			case TermIndirectCall:
 				n := 2 + rng.Intn(3)
-				term.Callees = make([]int, n)
+				term.Callees = carve(&bl.callees, n, calleeChunk)
 				for k := range term.Callees {
 					term.Callees[k] = p.pickCallee(rng, fi)
 				}
@@ -312,10 +413,12 @@ func Build(cfg Config) (*Program, error) {
 	return p, nil
 }
 
-// buildFunc synthesises one function's blocks and intra-function edges.
-func buildFunc(p *Program, fi int, rng *rand.Rand) {
-	cfg := &p.cfg
-	f := &p.Funcs[fi]
+// buildFunc synthesises function fi's blocks and intra-function edges
+// into f. The blocks are cut from the block arena: a function has at
+// most 2×nHot of them (a cold block after each hot one), so that much is
+// reserved, filled by append, and only the filled part is taken.
+func (bl *builder) buildFunc(f *Func, fi int) {
+	cfg, rng := bl.cfg, &bl.rng
 	f.Level = fi % cfg.MaxDepth
 	nHot := uniform(rng, cfg.HotBlocksPer)
 	hasLoop := rng.Float64() < cfg.LoopProb && nHot >= 3
@@ -325,14 +428,19 @@ func buildFunc(p *Program, fi int, rng *rand.Rand) {
 		loopTail = loopHead + 1 + rng.Intn(nHot-loopHead-1)
 	}
 
+	if cap(bl.blocks)-len(bl.blocks) < 2*nHot {
+		bl.blocks = make([]Block, 0, max(blockChunk, 2*nHot))
+	}
+	blocks := bl.blocks[len(bl.blocks):len(bl.blocks)]
+
 	// Create hot blocks, interleaving cold blocks; record hot indices.
-	hotIdx := make([]int, 0, nHot)
-	coldAfter := make(map[int]int) // hot position h -> cold block index
+	hotIdx, coldAfter := bl.hotIdx[:0], bl.coldAfter[:0]
 	for h := 0; h < nHot; h++ {
 		b := Block{NInstr: uniform(rng, cfg.HotBlockInstrs)}
-		sizeInstrs(cfg, rng, &b)
-		f.Blocks = append(f.Blocks, b)
-		hotIdx = append(hotIdx, len(f.Blocks)-1)
+		bl.sizeInstrs(&b)
+		blocks = append(blocks, b)
+		hotIdx = append(hotIdx, len(blocks)-1)
+		coldAfter = append(coldAfter, -1)
 		last := h == nHot-1
 		if !last && h != loopTail && rng.Float64() < cfg.ColdFrac {
 			cb := Block{
@@ -340,11 +448,14 @@ func buildFunc(p *Program, fi int, rng *rand.Rand) {
 				Cold:   true,
 				Split:  rng.Float64() < cfg.ColdSplit,
 			}
-			sizeInstrs(cfg, rng, &cb)
-			f.Blocks = append(f.Blocks, cb)
-			coldAfter[h] = len(f.Blocks) - 1
+			bl.sizeInstrs(&cb)
+			blocks = append(blocks, cb)
+			coldAfter[h] = len(blocks) - 1
 		}
 	}
+	bl.blocks = bl.blocks[:len(bl.blocks)+len(blocks)]
+	f.Blocks = blocks[:len(blocks):len(blocks)]
+	bl.hotIdx, bl.coldAfter = hotIdx, coldAfter
 	f.Entry = hotIdx[0]
 
 	// Terminators and edges.
@@ -356,7 +467,7 @@ func buildFunc(p *Program, fi int, rng *rand.Rand) {
 			continue
 		}
 		nextHot := hotIdx[h+1]
-		if ci, ok := coldAfter[h]; ok {
+		if ci := coldAfter[h]; ci >= 0 {
 			cold := &f.Blocks[ci]
 			if cold.Split {
 				// Rarely-taken branch out to the relocated cold block,
@@ -408,25 +519,28 @@ func buildFunc(p *Program, fi int, rng *rand.Rand) {
 
 // pickCallee selects a callee for caller fi: a function at level+1, biased
 // towards nearby indices (call-tree clustering / code locality).
-func (p *Program) pickCallee(rng *rand.Rand, fi int) int {
+func (p *Program) pickCallee(rng *RNG, fi int) int {
 	level := p.Funcs[fi].Level + 1
 	n := len(p.Funcs)
 	hops := 1
 	for rng.Float64() < 0.6 && hops < 32 {
 		hops++
 	}
-	cand := fi
+	cand, last := fi, -1
 	for seen := 0; seen <= 2*n+64; seen++ {
 		cand = (cand + 1) % n
 		if p.Funcs[cand].Level == level {
+			last = cand
 			hops--
 			if hops == 0 {
 				return cand
 			}
 		}
 	}
-	// Unreachable with round-robin level assignment; stay safe.
-	return (fi + 1) % n
+	// Only a program with few functions per level gets here. validate
+	// keeps MaxDepth <= Functions, so the scan has met a function of the
+	// level: staying on it keeps the static depth bound.
+	return last
 }
 
 // Config returns the configuration the program was built from.
@@ -461,16 +575,16 @@ func (p *Program) HotBytes() uint64 {
 }
 
 // sizeInstrs assigns per-instruction byte offsets for variable-length
-// ISAs; fixed-size ISAs keep Offs nil.
-func sizeInstrs(cfg *Config, rng *rand.Rand, b *Block) {
-	if !cfg.VarLenISA {
+// ISAs, cut from the offsets arena; fixed-size ISAs keep Offs nil.
+func (bl *builder) sizeInstrs(b *Block) {
+	if !bl.cfg.VarLenISA {
 		return
 	}
-	b.Offs = make([]uint16, b.NInstr+1)
+	b.Offs = carve(&bl.offs, b.NInstr+1, offsChunk)
 	off := 0
 	for i := 0; i < b.NInstr; i++ {
 		b.Offs[i] = uint16(off)
-		off += uniform(rng, cfg.InstrSizeRange)
+		off += uniform(&bl.rng, bl.cfg.InstrSizeRange)
 	}
 	b.Offs[b.NInstr] = uint16(off)
 }

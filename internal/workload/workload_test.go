@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -453,7 +452,9 @@ func TestHotBytes(t *testing.T) {
 func TestUniformProperty(t *testing.T) {
 	f := func(seed int64, lo, span uint8) bool {
 		r := [2]int{int(lo), int(lo) + int(span)}
-		got := uniform(rand.New(rand.NewSource(seed)), r)
+		var rng RNG
+		rng.Seed(seed)
+		got := uniform(&rng, r)
 		return got >= r[0] && got <= r[1]
 	}
 	if err := quick.Check(f, nil); err != nil {
