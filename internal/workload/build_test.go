@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"math"
 	"sort"
 	"testing"
 
@@ -48,59 +47,6 @@ func TestBuildAllocGate(t *testing.T) {
 	})
 	if allocs > 64 {
 		t.Errorf("Build(server_001) makes %.0f allocations, want <= 64", allocs)
-	}
-}
-
-// TestValidateRejectsUnbuildable covers configs that used to pass
-// validate although Build or the Walker could not honour them: each
-// either panicked or produced a silently wrong stream.
-func TestValidateRejectsUnbuildable(t *testing.T) {
-	cases := []struct {
-		name string
-		edit func(*Config)
-	}{
-		{"negative cold block size", func(c *Config) {
-			c.ColdBlockInstrs = [2]int{-5, -1}
-			c.ColdFrac = 1
-		}},
-		{"negative cold block size, variable-length", func(c *Config) {
-			c.ColdBlockInstrs = [2]int{-5, -1}
-			c.ColdFrac = 1
-			c.VarLenISA = true
-		}},
-		{"inverted cold block range", func(c *Config) { c.ColdBlockInstrs = [2]int{9, 3} }},
-		{"frame wider than an int", func(c *Config) { c.FrameBytes = 1 << 63 }},
-		{"block offsets past uint16", func(c *Config) {
-			c.HotBlockInstrs = [2]int{20000, 20000}
-			c.VarLenISA = true
-		}},
-		{"cold block offsets past uint16", func(c *Config) {
-			c.ColdBlockInstrs = [2]int{9000, 9000}
-			c.VarLenISA = true
-		}},
-		{"negative instruction size", func(c *Config) { c.InstrSizeRange = [2]int{-3, 2} }},
-		{"instruction size past 15 bytes", func(c *Config) {
-			c.InstrSizeRange = [2]int{2, 300}
-			c.VarLenISA = true
-		}},
-		{"loop range overflows", func(c *Config) { c.LoopIters = [2]int{0, math.MaxInt} }},
-		{"negative loop trips", func(c *Config) { c.LoopIters = [2]int{-4, 2} }},
-		{"hot range overflows", func(c *Config) { c.HotBlocksPer = [2]int{1, math.MaxInt} }},
-		{"negative drift", func(c *Config) { c.DriftFuncs = -5 }},
-		{"drift past the program", func(c *Config) { c.DriftFuncs = math.MaxInt }},
-		{"depth past the function count", func(c *Config) { c.Functions = 3; c.WorkingSetFuncs = 2 }},
-		{"depth past the walker stack", func(c *Config) { c.Functions = 1000; c.MaxDepth = 65 }},
-		{"code past the address space", func(c *Config) { c.CodeBase = math.MaxUint64 - 64 }},
-		{"huge function alignment", func(c *Config) { c.FuncAlign = 1 << 62 }},
-		{"probability above one", func(c *Config) { c.CallProb = 1.5 }},
-		{"NaN probability", func(c *Config) { c.ColdExecProb = math.NaN() }},
-	}
-	for _, tc := range cases {
-		cfg := presetConfig(t, "spec_001")
-		tc.edit(&cfg)
-		if _, err := Build(cfg); err == nil {
-			t.Errorf("%s: accepted", tc.name)
-		}
 	}
 }
 

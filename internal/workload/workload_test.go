@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -30,22 +31,65 @@ func testConfig() Config {
 	}
 }
 
+// TestBuildValidatesConfig covers configs Build must reject, among them
+// ones that used to pass validate although Build or the Walker could not
+// honour them: each then either panicked or produced a silently wrong
+// stream.
 func TestBuildValidatesConfig(t *testing.T) {
-	bad := []func(*Config){
-		func(c *Config) { c.Functions = 1 },
-		func(c *Config) { c.HotBlocksPer = [2]int{0, 3} },
-		func(c *Config) { c.HotBlocksPer = [2]int{5, 3} },
-		func(c *Config) { c.HotBlockInstrs = [2]int{0, 4} },
-		func(c *Config) { c.MaxDepth = 0 },
-		func(c *Config) { c.WorkingSetFuncs = 0 },
-		func(c *Config) { c.WorkingSetFuncs = 1000 },
-		func(c *Config) { c.LoadFrac = 0.8; c.StoreFrac = 0.3 },
+	cases := []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"one function", func(c *Config) { c.Functions = 1 }},
+		{"no hot blocks", func(c *Config) { c.HotBlocksPer = [2]int{0, 3} }},
+		{"inverted hot range", func(c *Config) { c.HotBlocksPer = [2]int{5, 3} }},
+		{"empty hot blocks", func(c *Config) { c.HotBlockInstrs = [2]int{0, 4} }},
+		{"zero depth", func(c *Config) { c.MaxDepth = 0 }},
+		{"empty working set", func(c *Config) { c.WorkingSetFuncs = 0 }},
+		{"working set past the program", func(c *Config) { c.WorkingSetFuncs = 1000 }},
+		{"memory fractions", func(c *Config) { c.LoadFrac = 0.8; c.StoreFrac = 0.3 }},
+		{"negative cold block size", func(c *Config) {
+			c.ColdBlockInstrs = [2]int{-5, -1}
+			c.ColdFrac = 1
+		}},
+		{"negative cold block size, variable-length", func(c *Config) {
+			c.ColdBlockInstrs = [2]int{-5, -1}
+			c.ColdFrac = 1
+			c.VarLenISA = true
+		}},
+		{"inverted cold block range", func(c *Config) { c.ColdBlockInstrs = [2]int{9, 3} }},
+		{"frame wider than an int", func(c *Config) { c.FrameBytes = 1 << 63 }},
+		{"block offsets past uint16", func(c *Config) {
+			c.HotBlockInstrs = [2]int{20000, 20000}
+			c.VarLenISA = true
+		}},
+		{"cold block offsets past uint16", func(c *Config) {
+			c.ColdBlockInstrs = [2]int{9000, 9000}
+			c.VarLenISA = true
+		}},
+		{"negative instruction size", func(c *Config) { c.InstrSizeRange = [2]int{-3, 2} }},
+		{"instruction size past 15 bytes", func(c *Config) {
+			c.InstrSizeRange = [2]int{2, 300}
+			c.VarLenISA = true
+		}},
+		{"loop range overflows", func(c *Config) { c.LoopIters = [2]int{0, math.MaxInt} }},
+		{"negative loop trips", func(c *Config) { c.LoopIters = [2]int{-4, 2} }},
+		{"hot range overflows", func(c *Config) { c.HotBlocksPer = [2]int{1, math.MaxInt} }},
+		{"negative drift", func(c *Config) { c.DriftFuncs = -5 }},
+		{"drift past the program", func(c *Config) { c.DriftFuncs = math.MaxInt }},
+		{"depth past the function count", func(c *Config) { c.Functions = 3; c.WorkingSetFuncs = 2 }},
+		{"depth past the walker stack", func(c *Config) { c.Functions = 1000; c.MaxDepth = 65 }},
+		{"code past the address space", func(c *Config) { c.CodeBase = math.MaxUint64 - 64 }},
+		{"huge function alignment", func(c *Config) { c.FuncAlign = 1 << 62 }},
+		{"stack base below the frames", func(c *Config) { c.StackBase = 256 }},
+		{"probability above one", func(c *Config) { c.CallProb = 1.5 }},
+		{"NaN probability", func(c *Config) { c.ColdExecProb = math.NaN() }},
 	}
-	for i, mutate := range bad {
+	for _, tc := range cases {
 		cfg := testConfig()
-		mutate(&cfg)
+		tc.edit(&cfg)
 		if _, err := Build(cfg); err == nil {
-			t.Errorf("case %d: invalid config accepted", i)
+			t.Errorf("%s: invalid config accepted", tc.name)
 		}
 	}
 	if _, err := Build(testConfig()); err != nil {
