@@ -90,6 +90,17 @@ func TestRestoreRejectsOutOfRange(t *testing.T) {
 				st.Hierarchy.L3.MSHR.Entries = append(st.Hierarchy.L3.MSHR.Entries, mem.MSHREntry{Done: st.Core.Clock + 1<<40, Block: uint64(b) << 6})
 			}
 		}},
+		{"l1i-mshr-done-far", "ubs", func(t *testing.T, st *sim.MachineState) {
+			// A full L1-I MSHR file that never drains; the frontend's
+			// image is opaque to sim.
+			far := st.Core.Clock + 1<<40
+			editFrontend(func(fe *ubs.State) {
+				fe.Engine.MSHR.Entries = fe.Engine.MSHR.Entries[:0]
+				for b := 0; b < ubs.DefaultConfig().MSHRs; b++ {
+					fe.Engine.MSHR.Entries = append(fe.Engine.MSHR.Entries, mem.MSHREntry{Done: far, Block: uint64(b+1) << 6})
+				}
+			})(t, st)
+		}},
 		{"dram-busy-far", "ubs", func(_ *testing.T, st *sim.MachineState) {
 			for i := range st.Hierarchy.DRAM.Busy {
 				st.Hierarchy.DRAM.Busy[i] = st.Core.Clock + 1<<40

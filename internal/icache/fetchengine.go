@@ -45,6 +45,10 @@ func (e *Engine) ResetStats() { e.stats = Stats{} }
 // MSHRInFlight reports the live MSHR occupancy at cycle now (MSHROccupant).
 func (e *Engine) MSHRInFlight(now uint64) int { return e.eng.InFlight(now) }
 
+// MSHRLastDone returns the latest completion cycle in the MSHR file, 0
+// when it is empty (MSHROccupant).
+func (e *Engine) MSHRLastDone() uint64 { return e.eng.File().LastDone() }
+
 // Begin opens a demand fetch for the 64B block at cycle now: the fetch is
 // counted, and if the block is already in flight the request merges into
 // the outstanding miss — merged=true with the completed Result the

@@ -24,6 +24,16 @@ type MSHRState struct {
 	FullStall uint64
 }
 
+// LastDone returns the latest completion cycle among the entries, 0 when
+// there are none.
+func (s *MSHRState) LastDone() uint64 {
+	var last uint64
+	for i := range s.Entries {
+		last = max(last, s.Entries[i].Done)
+	}
+	return last
+}
+
 // Snapshot copies the MSHR file's state into dst; dst shares no memory
 // with the file.
 func (m *MSHR) Snapshot(dst *MSHRState) {

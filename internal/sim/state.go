@@ -139,9 +139,6 @@ func (m *Machine) Restore(src *MachineState) error {
 	if len(src.EffSamples) > effWindowCap || src.EffStride == 0 {
 		return fmt.Errorf("sim: snapshot sample window holds %d samples at stride %d, want at most %d at stride >= 1", len(src.EffSamples), src.EffStride, effWindowCap)
 	}
-	if err := m.checkProgress(src); err != nil {
-		return err
-	}
 	// Position the fresh source on the instruction the FTQ would pull
 	// next. The image decides how: a walker image is installed directly;
 	// without one the source is replayed. EnqueuedTot counts exactly the
@@ -181,6 +178,9 @@ func (m *Machine) Restore(src *MachineState) error {
 	if err := m.h.Restore(&src.Hierarchy); err != nil {
 		return err
 	}
+	if err := m.checkProgress(src); err != nil {
+		return err
+	}
 	samples := m.run.EffSamples
 	m.run = src.RunState
 	m.run.EffSamples = append(samples[:0], src.EffSamples...)
@@ -217,7 +217,8 @@ func (m *Machine) eventHorizon() uint64 {
 // context never returns: a runahead blocked on a mispredict that nothing
 // will resolve, or an event (a fetch or redirect stall, an instruction's
 // completion, a miss, a DRAM bank's busy time) beyond the event horizon.
-// It reads slices only by range, before any layer validates them.
+// It runs once every layer has restored its part: the L1-I MSHR file is
+// read from the restored frontend, whose image is opaque here.
 func (m *Machine) checkProgress(src *MachineState) error {
 	c, ftq := &src.Core, &src.FTQ
 	queued, decoding := false, false
@@ -272,10 +273,13 @@ func (m *Machine) checkProgress(src *MachineState) error {
 		mshrs = append(mshrs, &src.DataCache.MSHR)
 	}
 	for _, f := range mshrs {
-		for _, e := range f.Entries {
-			if err := late("miss completion", e.Done); err != nil {
-				return err
-			}
+		if err := late("miss completion", f.LastDone()); err != nil {
+			return err
+		}
+	}
+	if oc, ok := m.ic.(icache.MSHROccupant); ok {
+		if err := late("L1-I miss completion", oc.MSHRLastDone()); err != nil {
+			return err
 		}
 	}
 	for _, busy := range src.Hierarchy.DRAM.Busy {
