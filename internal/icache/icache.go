@@ -112,12 +112,16 @@ type Frontend interface {
 	Latency() uint64
 }
 
-// MSHROccupant is an optional Frontend extension reporting the L1-I MSHR
-// file: its fill level at a given cycle, which the observability layer
-// reads for heartbeat MSHR-occupancy gauges, and the latest completion
-// cycle in it, which a restore checks against the clock. All bundled
-// frontends implement it.
+// MSHROccupant is an optional Frontend extension reporting the live L1-I
+// MSHR fill level at a given cycle. All bundled frontends implement it;
+// the observability layer uses it for heartbeat MSHR-occupancy gauges.
 type MSHROccupant interface {
 	MSHRInFlight(now uint64) int
+}
+
+// MSHRLastDoner is an optional Frontend extension reporting the latest
+// completion cycle in the L1-I MSHR file, which sim.Machine.Restore
+// checks against the clock. All bundled frontends implement it.
+type MSHRLastDoner interface {
 	MSHRLastDone() uint64
 }

@@ -277,8 +277,8 @@ func (m *Machine) checkProgress(src *MachineState) error {
 			return err
 		}
 	}
-	if oc, ok := m.ic.(icache.MSHROccupant); ok {
-		if err := late("L1-I miss completion", oc.MSHRLastDone()); err != nil {
+	if ld, ok := m.ic.(icache.MSHRLastDoner); ok {
+		if err := late("L1-I miss completion", ld.MSHRLastDone()); err != nil {
 			return err
 		}
 	}
