@@ -66,7 +66,6 @@ type Conventional struct {
 
 var _ Frontend = (*Conventional)(nil)
 var _ MSHROccupant = (*Conventional)(nil)
-var _ MSHRLastDoner = (*Conventional)(nil)
 
 // NewConventional builds the frontend over hierarchy h.
 func NewConventional(cfg ConventionalConfig, h *mem.Hierarchy) (*Conventional, error) {

@@ -23,7 +23,6 @@ type Distill struct {
 
 var _ Frontend = (*Distill)(nil)
 var _ MSHROccupant = (*Distill)(nil)
-var _ MSHRLastDoner = (*Distill)(nil)
 
 // DistillConfig sizes the two halves. The default splits a 32KB budget:
 // 16KB LOC (64 sets × 4 ways × 64B) + 16KB WOC (64 sets × 32 words × 8B).

@@ -46,7 +46,7 @@ func (e *Engine) ResetStats() { e.stats = Stats{} }
 func (e *Engine) MSHRInFlight(now uint64) int { return e.eng.InFlight(now) }
 
 // MSHRLastDone returns the latest completion cycle in the MSHR file, 0
-// when it is empty (MSHRLastDoner).
+// when it is empty (Frontend).
 func (e *Engine) MSHRLastDone() uint64 { return e.eng.File().LastDone() }
 
 // Begin opens a demand fetch for the 64B block at cycle now: the fetch is

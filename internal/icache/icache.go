@@ -110,6 +110,10 @@ type Frontend interface {
 	ResetStats()
 	// Latency returns the hit latency in cycles.
 	Latency() uint64
+	// MSHRLastDone returns the latest completion cycle in the L1-I MSHR
+	// file, 0 when it is empty; sim.Machine.Restore checks it against
+	// the clock.
+	MSHRLastDone() uint64
 }
 
 // MSHROccupant is an optional Frontend extension reporting the live L1-I
@@ -117,11 +121,4 @@ type Frontend interface {
 // the observability layer uses it for heartbeat MSHR-occupancy gauges.
 type MSHROccupant interface {
 	MSHRInFlight(now uint64) int
-}
-
-// MSHRLastDoner is an optional Frontend extension reporting the latest
-// completion cycle in the L1-I MSHR file, which sim.Machine.Restore
-// checks against the clock. All bundled frontends implement it.
-type MSHRLastDoner interface {
-	MSHRLastDone() uint64
 }

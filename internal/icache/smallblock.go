@@ -26,7 +26,6 @@ type SmallBlock struct {
 
 var _ Frontend = (*SmallBlock)(nil)
 var _ MSHROccupant = (*SmallBlock)(nil)
-var _ MSHRLastDoner = (*SmallBlock)(nil)
 
 // SmallBlockConfig sizes the design. The paper sizes the 16B and 32B
 // caches to a total storage budget similar to UBS (37.5KB and 35.75KB

@@ -277,10 +277,8 @@ func (m *Machine) checkProgress(src *MachineState) error {
 			return err
 		}
 	}
-	if ld, ok := m.ic.(icache.MSHRLastDoner); ok {
-		if err := late("L1-I miss completion", ld.MSHRLastDone()); err != nil {
-			return err
-		}
+	if err := late("L1-I miss completion", m.ic.MSHRLastDone()); err != nil {
+		return err
 	}
 	for _, busy := range src.Hierarchy.DRAM.Busy {
 		if err := late("DRAM bank busy time", busy); err != nil {

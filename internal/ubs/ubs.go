@@ -65,7 +65,6 @@ type tagSpan struct {
 
 var _ icache.Frontend = (*Cache)(nil)
 var _ icache.MSHROccupant = (*Cache)(nil)
-var _ icache.MSHRLastDoner = (*Cache)(nil)
 
 // New builds a UBS cache over hierarchy h.
 func New(cfg Config, h *mem.Hierarchy) (*Cache, error) {
