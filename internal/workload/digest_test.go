@@ -4,13 +4,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"flag"
-	"fmt"
 	"math"
 	"testing"
 )
-
-var printDigests = flag.Bool("print-program-digests", false, "print every preset's program digest as Go map entries")
 
 // programDigest hashes every field of a Program: each Func's Entry, Level
 // and DataBase, and each Block's address, size, flags, successor,
@@ -72,8 +68,8 @@ func programDigest(p *Program) string {
 
 // TestProgramDigests pins the program of every preset byte for byte, so a
 // change to how Build lays out or allocates the program cannot move a
-// block, a branch or an offset. Run with -print-program-digests to print
-// the table after a deliberate change to program synthesis.
+// block, a branch or an offset. On a mismatch the error gives the new
+// digest to pin after a deliberate change to program synthesis.
 func TestProgramDigests(t *testing.T) {
 	seen := 0
 	for _, f := range Families() {
@@ -88,10 +84,6 @@ func TestProgramDigests(t *testing.T) {
 			}
 			got := programDigest(p)
 			seen++
-			if *printDigests {
-				fmt.Printf("\t%q: %q,\n", cfg.Name, got)
-				continue
-			}
 			if want, ok := programDigests[cfg.Name]; !ok {
 				t.Errorf("%s: no pinned digest", cfg.Name)
 			} else if got != want {
@@ -102,6 +94,37 @@ func TestProgramDigests(t *testing.T) {
 	if seen != len(programDigests) {
 		t.Errorf("built %d presets, %d digests pinned", seen, len(programDigests))
 	}
+	for _, c := range fallbackCases {
+		cfg, err := Preset(FamilySPEC, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Functions, cfg.MaxDepth = c.functions, c.maxDepth
+		cfg.WorkingSetFuncs = min(cfg.WorkingSetFuncs, c.functions)
+		cfg.DriftFuncs = min(cfg.DriftFuncs, c.functions)
+		p, err := Build(cfg)
+		if err != nil {
+			t.Fatalf("%d functions, depth %d: %v", c.functions, c.maxDepth, err)
+		}
+		if got := programDigest(p); got != c.digest {
+			t.Errorf("%d functions, depth %d: program digest %s, want %s", c.functions, c.maxDepth, got, c.digest)
+		}
+	}
+}
+
+// fallbackCases are spec_001 with one or two functions per call level,
+// so that pickCallee's scan runs out of candidates and takes its
+// fallback. The first takes it only below the last function, where it
+// returns the next function, and is pinned at the digest it had when the
+// fallback always did that. The second takes it from the last function,
+// where the next function wraps to level 0 (which used to break the
+// static depth bound) and the fallback stays on the callee level.
+var fallbackCases = []struct {
+	functions, maxDepth int
+	digest              string
+}{
+	{128, 64, "d902ec847f61b4722355ddd0380f2bf32c5f08bab68d002243813cb37509a349"},
+	{100, 64, "9b148c6444a29d8e3f61b64f092af5f1605d1a923f0454fdffc55e5935eb3d29"},
 }
 
 // programDigests holds programDigest of every preset, captured before

@@ -195,31 +195,6 @@ const (
 	maxCodeBase    = 1 << 48
 )
 
-// setDefaults fills in the fields a zero value leaves to Build.
-func (c *Config) setDefaults() {
-	if c.FuncAlign == 0 {
-		c.FuncAlign = 16
-	}
-	if c.CodeBase == 0 {
-		c.CodeBase = 0x400000
-	}
-	if c.StackBase == 0 {
-		c.StackBase = 0x7fff_0000_0000
-	}
-	if c.FrameBytes == 0 {
-		c.FrameBytes = 256
-	}
-	if c.DataFootprint == 0 {
-		c.DataFootprint = 1 << 20
-	}
-	if c.ColdBlockInstrs[0] == 0 {
-		c.ColdBlockInstrs = [2]int{4, 16}
-	}
-	if c.VarLenISA && c.InstrSizeRange[0] == 0 {
-		c.InstrSizeRange = [2]int{2, 9}
-	}
-}
-
 // validate checks a defaulted config. Configs arrive from outside bytes
 // (workload specs), so anything Build or the Walker cannot honour is an
 // error here, never a panic or a silently wrong stream later.
@@ -315,7 +290,8 @@ type builder struct {
 	cfg *Config
 	rng RNG // draws what rand.New(rand.NewSource(Seed)) would
 	// Arena chunks: the filled prefix is handed out, the spare capacity
-	// is free.
+	// is free. A block chunk holds chunk blocks.
+	chunk   int
 	blocks  []Block
 	offs    []uint16
 	callees []int
@@ -343,12 +319,34 @@ func carve[T any](arena *[]T, n, chunk int) []T {
 // functions' blocks share arena chunks, and walkers, checkpoints and
 // callers only read it.
 func Build(cfg Config) (*Program, error) {
-	cfg.setDefaults()
+	if cfg.FuncAlign == 0 {
+		cfg.FuncAlign = 16
+	}
+	if cfg.CodeBase == 0 {
+		cfg.CodeBase = 0x400000
+	}
+	if cfg.StackBase == 0 {
+		cfg.StackBase = 0x7fff_0000_0000
+	}
+	if cfg.FrameBytes == 0 {
+		cfg.FrameBytes = 256
+	}
+	if cfg.DataFootprint == 0 {
+		cfg.DataFootprint = 1 << 20
+	}
+	if cfg.ColdBlockInstrs[0] == 0 {
+		cfg.ColdBlockInstrs = [2]int{4, 16}
+	}
+	if cfg.VarLenISA && cfg.InstrSizeRange[0] == 0 {
+		cfg.InstrSizeRange = [2]int{2, 9}
+	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	p := &Program{cfg: cfg, Funcs: make([]Func, cfg.Functions)}
-	bl := &builder{cfg: &p.cfg}
+	// A program that cannot fill a whole block chunk gets one of the
+	// most blocks it can have, 2×HotBlocksPer[1] per function.
+	bl := &builder{cfg: &p.cfg, chunk: min(blockChunk, 2*cfg.Functions*cfg.HotBlocksPer[1])}
 	bl.rng.Seed(cfg.Seed)
 	for fi := range p.Funcs {
 		bl.buildFunc(&p.Funcs[fi], fi)
@@ -429,7 +427,7 @@ func (bl *builder) buildFunc(f *Func, fi int) {
 	}
 
 	if cap(bl.blocks)-len(bl.blocks) < 2*nHot {
-		bl.blocks = make([]Block, 0, max(blockChunk, 2*nHot))
+		bl.blocks = make([]Block, 0, max(bl.chunk, 2*nHot))
 	}
 	blocks := bl.blocks[len(bl.blocks):len(bl.blocks)]
 
@@ -537,9 +535,13 @@ func (p *Program) pickCallee(rng *RNG, fi int) int {
 			}
 		}
 	}
-	// Only a program with few functions per level gets here. validate
-	// keeps MaxDepth <= Functions, so the scan has met a function of the
-	// level: staying on it keeps the static depth bound.
+	// Only a program with few functions per level gets here. The next
+	// function is one level down unless fi is the last; then stay on a
+	// function the scan met (validate keeps MaxDepth <= Functions, so
+	// there is one), which keeps the static depth bound.
+	if next := (fi + 1) % n; p.Funcs[next].Level == level {
+		return next
+	}
 	return last
 }
 
