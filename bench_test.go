@@ -67,7 +67,7 @@ func BenchmarkCVP(b *testing.B)    { benchExperiment(b, "cvp") }
 // IPC as benchmark metrics.
 func ablationRun(b *testing.B, mutate func(*ubs.Config)) {
 	b.Helper()
-	w, err := Workload("server_001")
+	w, err := ParseWorkload("server_001")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func ablationRun(b *testing.B, mutate func(*ubs.Config)) {
 	for i := 0; i < b.N; i++ {
 		cfg := ubs.DefaultConfig()
 		mutate(&cfg)
-		rep, err := Simulate(UBSCustom(cfg), w, p)
+		rep, err := SimulateWorkload(UBSCustom(cfg), w, p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func BenchmarkHotPath(b *testing.B) {
 // BenchmarkSimulatorThroughput measures end-to-end simulated instructions
 // per second on the full system.
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	w, err := Workload("server_001")
+	w, err := ParseWorkload("server_001")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	p.Measure = 100_000
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Simulate(UBS(), w, p); err != nil {
+		if _, err := SimulateWorkload(UBS(), w, p); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,7 +11,7 @@ import (
 
 // Example demonstrates the basic simulate-and-compare flow on a tiny run.
 func Example() {
-	w, err := ubscache.Workload("spec_001")
+	w, err := ubscache.ParseWorkload("spec_001")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -19,7 +19,7 @@ func Example() {
 	opts.Warmup = 20_000
 	opts.Measure = 50_000
 
-	rep, err := ubscache.Simulate(ubscache.UBS(), w, opts)
+	rep, err := ubscache.SimulateWorkload(ubscache.UBS(), w, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func ExampleSimulateContext() {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 
-	w, err := ubscache.Workload("client_001")
+	w, err := ubscache.ParseWorkload("client_001")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func ExampleSimulateContext() {
 	opts.Warmup = 20_000
 	opts.Measure = 50_000
 
-	rep, err := ubscache.SimulateContext(ctx, ubscache.UBS(), w, opts)
+	rep, err := ubscache.SimulateWorkloadContext(ctx, ubscache.UBS(), w, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -152,11 +152,12 @@ func ExampleWorkloadNames() {
 
 // ExampleNewSource streams raw instructions from a workload.
 func ExampleNewSource() {
-	w, err := ubscache.Workload("client_001")
+	w, err := ubscache.ParseWorkload("client_001")
 	if err != nil {
 		log.Fatal(err)
 	}
-	src, err := ubscache.NewSource(w)
+	cfg, _ := w.Config() // a preset is generator-backed
+	src, err := ubscache.NewSource(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

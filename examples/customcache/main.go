@@ -14,14 +14,14 @@ import (
 )
 
 func main() {
-	w, err := ubscache.Workload("server_002")
+	w, err := ubscache.ParseWorkload("server_002")
 	if err != nil {
 		log.Fatal(err)
 	}
 	opts := ubscache.Quick()
 
 	// Baseline for reference.
-	base, err := ubscache.Simulate(ubscache.Conventional(32), w, opts)
+	base, err := ubscache.SimulateWorkload(ubscache.Conventional(32), w, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func main() {
 		if err := cfg.Validate(); err != nil {
 			log.Fatalf("%s: %v", v.name, err)
 		}
-		rep, err := ubscache.Simulate(ubscache.UBSCustom(cfg), w, opts)
+		rep, err := ubscache.SimulateWorkload(ubscache.UBSCustom(cfg), w, opts)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -20,7 +20,7 @@ import (
 )
 
 func main() {
-	w, err := ubscache.Workload("server_001")
+	w, err := ubscache.ParseWorkload("server_001")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func main() {
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer cancel()
-	rep, err := ubscache.SimulateContext(ctx, ubscache.UBS(), w, opts)
+	rep, err := ubscache.SimulateWorkloadContext(ctx, ubscache.UBS(), w, opts)
 	fmt.Println()
 	if err != nil {
 		log.Fatal(err)

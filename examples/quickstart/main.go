@@ -13,17 +13,17 @@ import (
 )
 
 func main() {
-	w, err := ubscache.Workload("server_001")
+	w, err := ubscache.ParseWorkload("server_001")
 	if err != nil {
 		log.Fatal(err)
 	}
 	opts := ubscache.Quick() // 200K warmup + 800K measured instructions
 
-	base, err := ubscache.Simulate(ubscache.Conventional(32), w, opts)
+	base, err := ubscache.SimulateWorkload(ubscache.Conventional(32), w, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ubs, err := ubscache.Simulate(ubscache.UBS(), w, opts)
+	ubs, err := ubscache.SimulateWorkload(ubscache.UBS(), w, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -40,13 +40,13 @@ func main() {
 		"workload", "ubs dIPC", "64KB dIPC", "ubs coverage", "64KB coverage")
 	var ubsRatios, c64Ratios []float64
 	for _, name := range names {
-		w, err := ubscache.Workload(name)
+		w, err := ubscache.ParseWorkload(name)
 		if err != nil {
 			log.Fatal(err)
 		}
 		var reps []ubscache.Report
 		for _, d := range designs {
-			rep, err := ubscache.Simulate(d, w, opts)
+			rep, err := ubscache.SimulateWorkload(d, w, opts)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -20,7 +20,7 @@ func main() {
 	name := flag.String("workload", "server_001", "workload to analyse")
 	flag.Parse()
 
-	w, err := ubscache.Workload(*name)
+	w, err := ubscache.ParseWorkload(*name)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -30,11 +30,11 @@ func main() {
 	// Figure 2 / Figure 7 violins (the full-fleet version is
 	// `ubsweep -exp fig2` / `-exp fig7`).
 	opts := ubscache.Quick()
-	base, err := ubscache.Simulate(ubscache.Conventional(32), w, opts)
+	base, err := ubscache.SimulateWorkload(ubscache.Conventional(32), w, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ubs, err := ubscache.Simulate(ubscache.UBS(), w, opts)
+	ubs, err := ubscache.SimulateWorkload(ubscache.UBS(), w, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

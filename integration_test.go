@@ -12,18 +12,18 @@ import (
 // exists to catch *accidental* behavioural drift anywhere in the stack
 // (workload generation, BPU, caches, core timing).
 func TestGoldenDeterminism(t *testing.T) {
-	w, err := Workload("spec_001")
+	w, err := ParseWorkload("spec_001")
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := Quick()
 	opts.Warmup = 20_000
 	opts.Measure = 50_000
-	a, err := Simulate(Conventional(32), w, opts)
+	a, err := SimulateWorkload(Conventional(32), w, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Simulate(Conventional(32), w, opts)
+	b, err := SimulateWorkload(Conventional(32), w, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,15 +47,15 @@ func TestPaperShapeEfficiencyGap(t *testing.T) {
 	opts.Measure = 400_000
 	for _, fam := range []Family{FamilyServer, FamilyClient, FamilySPEC, FamilyGoogle} {
 		name := WorkloadNames(fam)[0]
-		w, err := Workload(name)
+		w, err := ParseWorkload(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := Simulate(Conventional(32), w, opts)
+		base, err := SimulateWorkload(Conventional(32), w, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		u, err := Simulate(UBS(), w, opts)
+		u, err := SimulateWorkload(UBS(), w, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,14 +75,14 @@ func TestPaperShapeServerOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timed simulations")
 	}
-	w, err := Workload("server_001")
+	w, err := ParseWorkload("server_001")
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := Quick()
-	base, _ := Simulate(Conventional(32), w, opts)
-	u, _ := Simulate(UBS(), w, opts)
-	c64, _ := Simulate(Conventional(64), w, opts)
+	base, _ := SimulateWorkload(Conventional(32), w, opts)
+	u, _ := SimulateWorkload(UBS(), w, opts)
+	c64, _ := SimulateWorkload(Conventional(64), w, opts)
 	if u.IPC() < base.IPC()*0.995 {
 		t.Errorf("UBS IPC %.4f below baseline %.4f", u.IPC(), base.IPC())
 	}
@@ -98,21 +98,21 @@ func TestPaperShapeServerOrdering(t *testing.T) {
 // TestPartialMissesOnlyOnUBS: conventional designs never produce the
 // partial-miss kinds.
 func TestPartialMissesOnlyOnUBS(t *testing.T) {
-	w, err := Workload("server_001")
+	w, err := ParseWorkload("server_001")
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := Quick()
 	opts.Warmup = 30_000
 	opts.Measure = 100_000
-	base, err := Simulate(Conventional(32), w, opts)
+	base, err := SimulateWorkload(Conventional(32), w, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if base.ICache.PartialMissFraction() != 0 {
 		t.Error("conventional cache reported partial misses")
 	}
-	u, err := Simulate(UBS(), w, opts)
+	u, err := SimulateWorkload(UBS(), w, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,14 +126,14 @@ func TestX86DesignEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timed simulations")
 	}
-	w, err := Workload("x86-server_001")
+	w, err := ParseWorkload("x86-server_001")
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := Quick()
 	opts.Warmup = 50_000
 	opts.Measure = 200_000
-	rep, err := Simulate(UBSX86(), w, opts)
+	rep, err := SimulateWorkload(UBSX86(), w, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestCongruenceDesignsEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timed simulations")
 	}
-	w, err := Workload("server_002")
+	w, err := ParseWorkload("server_002")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestCongruenceDesignsEndToEnd(t *testing.T) {
 		cfg.Name = variant.name
 		cfg.DeadBlockWays = variant.dead
 		cfg.AdmissionFilter = variant.admit
-		rep, err := Simulate(UBSCustom(cfg), w, opts)
+		rep, err := SimulateWorkload(UBSCustom(cfg), w, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", variant.name, err)
 		}

@@ -6,7 +6,6 @@ import (
 
 	"ubscache/internal/cache"
 	"ubscache/internal/stats"
-	"ubscache/internal/trace"
 	"ubscache/internal/workload"
 )
 
@@ -17,17 +16,26 @@ func (r *Runner) functionalInstrs() uint64 {
 	return p.Warmup + p.Measure
 }
 
-// fig1Hist memoizes fig1Pass per workload through the aux layer so sweeps
-// can capture and schedule the passes in parallel.
+// fig1Hist resolves fig1Pass per workload through the aux layer so
+// sweeps can capture and schedule the passes in parallel.
 func (r *Runner) fig1Hist(wcfg workload.Config) (*stats.Histogram, error) {
-	v, err := r.auxRun("fig1|"+wcfg.Name, func() (interface{}, error) {
+	return r.histPass("fig1", wcfg, 16, func() (*stats.Histogram, error) {
 		r.Opts.progress("  fig1 pass: %s", wcfg.Name)
 		return fig1Pass(wcfg, r.functionalInstrs())
 	})
-	if err != nil || v == nil {
-		return stats.NewHistogram(16), err
+}
+
+// histPass resolves a byte-usage histogram pass with bins 0..max through
+// the aux layer, rejecting decoded bytes of another width.
+func (r *Runner) histPass(kind string, wcfg workload.Config, max int, pass func() (*stats.Histogram, error)) (*stats.Histogram, error) {
+	h := stats.NewHistogram(max)
+	if err := r.auxRun(kind, wcfg, h, func() (interface{}, error) { return pass() }); err != nil {
+		return nil, err
 	}
-	return v.(*stats.Histogram), nil
+	if len(h.Counts) != max+1 {
+		return nil, fmt.Errorf("exp: %s pass on %s: %d histogram bins, want %d", kind, wcfg.Name, len(h.Counts), max+1)
+	}
+	return h, nil
 }
 
 // fig4Result bundles one workload's fig4Pass outcome.
@@ -36,20 +44,15 @@ type fig4Result struct {
 	Evictions int
 }
 
-// fig4Res memoizes fig4Pass per workload through the aux layer.
+// fig4Res resolves fig4Pass per workload through the aux layer.
 func (r *Runner) fig4Res(wcfg workload.Config) (fig4Result, error) {
-	v, err := r.auxRun("fig4|"+wcfg.Name, func() (interface{}, error) {
+	var fr fig4Result
+	err := r.auxRun("fig4", wcfg, &fr, func() (interface{}, error) {
 		r.Opts.progress("  fig4 pass: %s", wcfg.Name)
-		fr, ev, err := fig4Pass(wcfg, r.functionalInstrs())
-		if err != nil {
-			return nil, err
-		}
-		return fig4Result{Fracs: fr, Evictions: ev}, nil
+		fracs, ev, err := fig4Pass(wcfg, r.functionalInstrs())
+		return fig4Result{Fracs: fracs, Evictions: ev}, err
 	})
-	if err != nil || v == nil {
-		return fig4Result{}, err
-	}
-	return v.(fig4Result), nil
+	return fr, err
 }
 
 // fig1Pass streams a workload's demand fetches through a 32KB baseline
@@ -277,5 +280,3 @@ func init() {
 		},
 	})
 }
-
-var _ trace.Source // the functional passes consume trace.Source workloads

@@ -6,11 +6,11 @@
 package exp
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
-	"sync"
 
 	"ubscache/internal/bpu"
 	"ubscache/internal/sim"
@@ -34,6 +34,12 @@ type Options struct {
 	// here; experiments request repeated points freely and rely on Exec
 	// to serve repeats from its memo.
 	Exec func(p sim.Params, w workloadspec.Workload, design string, factory sim.FrontendFactory) (sim.Result, error)
+	// Aux executes and memoizes functional analysis passes: it returns
+	// the JSON bytes of the pass of the given kind over cfg walking
+	// instrs instructions, calling pass only when it holds none.
+	// Rendering requires it; Capture never calls it. The runner
+	// subsystem binds runner.Store.RunAux here.
+	Aux func(kind string, cfg workload.Config, instrs uint64, pass func() ([]byte, error)) ([]byte, error)
 }
 
 // params returns Opts.Params normalised field-by-field: zero-valued
@@ -116,22 +122,21 @@ type SimPoint struct {
 }
 
 // AuxPoint is one functional (timing-free) analysis pass — a Figure 1/4
-// style cache walk — captured during a dry run. Run executes the pass and
-// memoizes its result on the Runner it was captured from; points with
-// distinct keys are safe to run concurrently.
+// style cache walk — captured during a dry run. Key ("fig1|server_001")
+// labels it; Run executes the pass through Opts.Aux, which memoizes it
+// for the later render. Points with distinct keys are safe to run
+// concurrently.
 type AuxPoint struct {
 	Key string
 	Run func() error
 }
 
 // Runner renders experiments: it forwards simulation points to
-// Opts.Exec, memoizes functional analysis passes, and in capture mode
-// records the points an experiment requests instead of running them.
+// Opts.Exec and functional analysis passes to Opts.Aux, and in capture
+// mode records the points an experiment requests instead of running
+// them. It memoizes nothing itself.
 type Runner struct {
 	Opts Options
-
-	mu  sync.Mutex
-	aux map[string]interface{}
 
 	// Capture state; dry runs are single-goroutine.
 	capturing bool
@@ -143,7 +148,7 @@ type Runner struct {
 
 // NewRunner builds a Runner.
 func NewRunner(opts Options) *Runner {
-	return &Runner{Opts: opts, aux: make(map[string]interface{})}
+	return &Runner{Opts: opts}
 }
 
 // Capture dry-runs e, recording every simulation point and functional
@@ -151,7 +156,7 @@ func NewRunner(opts Options) *Runner {
 // output of the dry run is discarded). The returned slices are in
 // first-request order with duplicates removed. Capture must not be called
 // concurrently with itself or with rendering on the same Runner, and it
-// never calls Opts.Exec; aux results already memoized are unaffected.
+// never calls Opts.Exec or Opts.Aux.
 func (r *Runner) Capture(e Experiment) (sims []SimPoint, aux []AuxPoint, err error) {
 	r.capturing = true
 	r.simSeen = make(map[string]bool)
@@ -210,34 +215,39 @@ func (r *Runner) runWorkload(w workloadspec.Workload, design string, factory sim
 	return r.Opts.Exec(r.Opts.params(), w, design, factory)
 }
 
-// auxRun memoizes a functional analysis pass under key. In capture mode
-// the pass is recorded for the scheduler and skipped, returning (nil, nil);
-// callers substitute an empty result for the discarded dry-run rendering.
-func (r *Runner) auxRun(key string, f func() (interface{}, error)) (interface{}, error) {
+// auxRun resolves the functional pass of the given kind over wcfg
+// through Opts.Aux and decodes its JSON bytes into v. compute runs the
+// pass only when Opts.Aux holds no bytes for it; its result is encoded
+// first, so a pass computed now and one read back from a cache render
+// alike. In capture mode the pass is recorded for the scheduler instead
+// and v is left as it is; the dry-run rendering is discarded.
+func (r *Runner) auxRun(kind string, wcfg workload.Config, v interface{}, compute func() (interface{}, error)) error {
+	instrs := r.functionalInstrs()
+	pass := func() ([]byte, error) {
+		res, err := compute()
+		if err != nil {
+			return nil, err
+		}
+		return json.Marshal(res)
+	}
 	if r.capturing {
-		if !r.auxSeen[key] {
+		if key := kind + "|" + wcfg.Name; !r.auxSeen[key] {
 			r.auxSeen[key] = true
 			r.auxes = append(r.auxes, AuxPoint{Key: key, Run: func() error {
-				_, err := r.auxRun(key, f)
+				_, err := r.Opts.Aux(kind, wcfg, instrs, pass)
 				return err
 			}})
 		}
-		return nil, nil
+		return nil
 	}
-	r.mu.Lock()
-	if v, ok := r.aux[key]; ok {
-		r.mu.Unlock()
-		return v, nil
-	}
-	r.mu.Unlock()
-	v, err := f()
+	data, err := r.Opts.Aux(kind, wcfg, instrs, pass)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	r.mu.Lock()
-	r.aux[key] = v
-	r.mu.Unlock()
-	return v, nil
+	if err := json.Unmarshal(data, v); err != nil {
+		return fmt.Errorf("exp: %s pass on %s: %w", kind, wcfg.Name, err)
+	}
+	return nil
 }
 
 // Design couples a name with its factory; the standard comparison points.

@@ -2,18 +2,26 @@ package exp
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
 	"ubscache/internal/sim"
+	"ubscache/internal/workload"
 	"ubscache/internal/workloadspec"
 )
 
 // tinyOpts keeps experiment tests fast: 1 workload per family and short
-// runs. Its Exec is a serial memo over workloadspec.Run, a test-local
-// stand-in for runner.Store (which imports exp), so a shared Runner
-// simulates each repeated point once.
+// runs. Its Exec and Aux are serial memos, test-local stand-ins for
+// runner.Store (which imports exp), so a shared Runner simulates each
+// repeated point once.
 func tinyOpts() Options {
+	return memoOpts(nil)
+}
+
+// memoOpts is tinyOpts whose Aux memo counts the passes it computes in
+// *passes (when non-nil).
+func memoOpts(passes *int) Options {
 	p := sim.DefaultParams()
 	p.Warmup = 50_000
 	p.Measure = 150_000
@@ -29,7 +37,22 @@ func tinyOpts() Options {
 		}
 		return res, err
 	}
-	return Options{Params: p, PerFamily: 1, Exec: exec}
+	auxMemo := make(map[string][]byte)
+	aux := func(kind string, cfg workload.Config, instrs uint64, pass func() ([]byte, error)) ([]byte, error) {
+		key := fmt.Sprintf("%s|%s|%d", kind, cfg.Name, instrs)
+		if data, ok := auxMemo[key]; ok {
+			return data, nil
+		}
+		if passes != nil {
+			*passes++
+		}
+		data, err := pass()
+		if err == nil {
+			auxMemo[key] = data
+		}
+		return data, err
+	}
+	return Options{Params: p, PerFamily: 1, Exec: exec, Aux: aux}
 }
 
 // render runs one experiment on a fresh Runner.
@@ -242,10 +265,14 @@ func TestCaptureTimedExperiment(t *testing.T) {
 }
 
 // TestCaptureFunctionalExperiment: fig1 is all functional passes — capture
-// must surface them as aux points (one per workload) and no sim points.
+// must surface them as aux points (one per workload) and no sim points,
+// and a captured point runs through Opts.Aux, whose memo serves the later
+// render.
 func TestCaptureFunctionalExperiment(t *testing.T) {
-	calls := 0
-	r := NewRunner(countingOpts(&calls))
+	calls, passes := 0, 0
+	opts := memoOpts(&passes)
+	opts.Exec = countingOpts(&calls).Exec
+	r := NewRunner(opts)
 	e, err := ByID("fig1")
 	if err != nil {
 		t.Fatal(err)
@@ -263,12 +290,22 @@ func TestCaptureFunctionalExperiment(t *testing.T) {
 	if calls != 0 {
 		t.Errorf("capture executed %d simulation points", calls)
 	}
-	// Running a captured aux point memoizes it for the later real render.
-	if err := auxes[0].Run(); err != nil {
+	if passes != 0 {
+		t.Errorf("capture computed %d functional passes", passes)
+	}
+	for _, ax := range auxes {
+		if err := ax.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if passes != 4 {
+		t.Fatalf("running the captured points computed %d passes, want 4", passes)
+	}
+	if _, err := e.Run(r); err != nil {
 		t.Fatal(err)
 	}
-	if len(r.aux) != 1 {
-		t.Errorf("aux run not memoized (%d entries)", len(r.aux))
+	if passes != 4 {
+		t.Errorf("render recomputed memoized passes (%d computed, want 4)", passes)
 	}
 }
 

@@ -74,16 +74,12 @@ func init() {
 	})
 }
 
-// x86Fig1Hist memoizes x86Fig1Pass per workload through the aux layer.
+// x86Fig1Hist resolves x86Fig1Pass per workload through the aux layer.
 func (r *Runner) x86Fig1Hist(wcfg workload.Config) (*stats.Histogram, error) {
-	v, err := r.auxRun("x86fig1|"+wcfg.Name, func() (interface{}, error) {
+	return r.histPass("x86fig1", wcfg, 64, func() (*stats.Histogram, error) {
 		r.Opts.progress("  x86 fig1 pass: %s", wcfg.Name)
 		return x86Fig1Pass(wcfg, r.functionalInstrs())
 	})
-	if err != nil || v == nil {
-		return stats.NewHistogram(64), err
-	}
-	return v.(*stats.Histogram), nil
 }
 
 // x86Fig1Pass is fig1Pass with byte-granular accounting (Unit=1).

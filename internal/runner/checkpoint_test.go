@@ -112,7 +112,7 @@ func checkpointedRun(t *testing.T, d sim.Design) {
 	}
 
 	// And the result was persisted to the ordinary disk cache.
-	if _, _, ok := s.loadDisk(key); !ok {
+	if rec, ok := s.loadDisk(key); !ok || rec.Result == nil {
 		t.Error("result missing from disk cache after checkpointed run")
 	}
 }

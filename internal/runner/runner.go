@@ -16,8 +16,8 @@ import (
 //
 //  1. capture — every selected experiment is dry-run to discover the
 //     simulation points and functional passes it will request;
-//  2. warm — the globally deduplicated points execute across the worker
-//     pool into the Store;
+//  2. warm — the globally deduplicated points and passes execute across
+//     the worker pool into the Store;
 //  3. render — experiments run sequentially in paper order against the
 //     warm store, so the rendered tables are byte-identical to a serial
 //     run regardless of the worker count;
@@ -83,6 +83,7 @@ func (sw *Sweep) RunContext(ctx context.Context) (*Outcome, error) {
 		Exec: func(p sim.Params, w workloadspec.Workload, design string, factory sim.FrontendFactory) (sim.Result, error) {
 			return store.RunWorkloadContext(ctx, p, w, design, factory)
 		},
+		Aux: store.RunAux,
 	})
 
 	// Phase 1: capture. Points are deduplicated across experiments by

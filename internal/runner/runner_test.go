@@ -61,6 +61,7 @@ func TestSweepParallelMatchesSequential(t *testing.T) {
 		Exec: func(p sim.Params, w workloadspec.Workload, design string, factory sim.FrontendFactory) (sim.Result, error) {
 			return store.RunWorkloadContext(context.Background(), p, w, design, factory)
 		},
+		Aux: store.RunAux,
 	})
 	var serial strings.Builder
 	for _, id := range []string{"fig9", "fig10"} {

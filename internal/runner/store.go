@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"ubscache/internal/sim"
+	"ubscache/internal/workload"
 	"ubscache/internal/workloadspec"
 )
 
@@ -42,6 +43,28 @@ func WorkloadKey(p sim.Params, w workloadspec.Workload, design string) string {
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
+// AuxKey returns the content hash identifying one functional analysis
+// pass (exp's Figure 1/4 cache walks): the model epoch, the pass kind,
+// the workload's full config and the number of instructions the pass
+// walks. The kind also names the encoding of the pass's bytes, so a
+// change to that encoding takes a new kind. The leading "aux" tag keeps
+// the hash domain disjoint from WorkloadKey's, whose first encoded value
+// is the epoch.
+func AuxKey(kind string, cfg workload.Config, instrs uint64) string {
+	return auxKey(sim.ModelEpoch, kind, cfg, instrs)
+}
+
+func auxKey(epoch int, kind string, cfg workload.Config, instrs uint64) string {
+	h := sha256.New()
+	enc := json.NewEncoder(h)
+	enc.Encode("aux")
+	enc.Encode(epoch)
+	enc.Encode(kind)
+	enc.Encode(cfg)
+	enc.Encode(instrs)
+	return hex.EncodeToString(h.Sum(nil)[:16])
+}
+
 // RunMeta records how a result was obtained. It is persisted alongside
 // cached results, so ubslint's determinism clock rule treats its fields
 // as sinks.
@@ -55,19 +78,29 @@ type RunMeta struct {
 	Disk bool
 }
 
+// entry is one memoized point: a timed simulation's result, or a
+// functional pass's JSON bytes (aux, non-nil only for AuxKey entries).
+type entry struct {
+	res  sim.Result
+	aux  []byte
+	meta RunMeta
+}
+
 type flight struct {
 	done chan struct{}
-	res  sim.Result
+	e    entry
 	err  error
 }
 
-// Store memoizes simulation results by WorkloadKey. Concurrent requests
-// for the same key block on a single in-flight simulation (singleflight)
-// rather than duplicating work, and a non-empty Dir persists every result
-// as JSON so an interrupted sweep resumes instead of recomputing. Errors
-// are not cached; a failed point may be retried.
+// Store memoizes simulation results by WorkloadKey and functional
+// analysis passes by AuxKey. Concurrent requests for the same key block
+// on a single in-flight computation (singleflight) rather than
+// duplicating work, and a non-empty Dir persists every result and pass
+// as JSON so an interrupted or repeated sweep reads it back instead of
+// recomputing. Errors are not cached; a failed point may be retried.
 type Store struct {
-	// Dir persists results under <Dir>/<key>.json when non-empty.
+	// Dir persists results and functional passes under <Dir>/<key>.json
+	// when non-empty.
 	Dir string
 	// CheckpointEvery enables crash-safe checkpointing of uncached
 	// computations: a checkpoint is written to <Dir>/<key>.ubsc every
@@ -84,9 +117,7 @@ type Store struct {
 
 	mu sync.Mutex
 	//ubs:guardedby(mu)
-	results map[string]sim.Result
-	//ubs:guardedby(mu)
-	meta map[string]RunMeta
+	entries map[string]entry
 	//ubs:guardedby(mu)
 	inflight map[string]*flight
 }
@@ -95,8 +126,7 @@ type Store struct {
 func NewStore(dir string) *Store {
 	return &Store{
 		Dir:      dir,
-		results:  make(map[string]sim.Result),
-		meta:     make(map[string]RunMeta),
+		entries:  make(map[string]entry),
 		inflight: make(map[string]*flight),
 	}
 }
@@ -118,61 +148,111 @@ func (s *Store) RunWorkloadContext(ctx context.Context, p sim.Params, w workload
 // jobs.
 func (s *Store) RunWorkloadShared(ctx context.Context, p sim.Params, w workloadspec.Workload, design string, factory sim.FrontendFactory) (sim.Result, bool, error) {
 	key := WorkloadKey(p, w, design)
+	e, shared, err := s.resolve(key, func() (entry, error) {
+		return s.compute(ctx, key, p, w, design, factory)
+	})
+	return e.res, shared, err
+}
+
+// RunAux returns the JSON bytes of the functional analysis pass
+// AuxKey(kind, cfg, instrs), calling pass only when neither the memo nor
+// Dir holds them. It keeps the rules of a timed point: one computation
+// per key across concurrent callers, a panicking pass surfaces as an
+// error, errors are not memoized, and a non-empty Dir persists the bytes
+// as <Dir>/<key>.json. The bytes are opaque to the Store; the caller
+// encodes and decodes them.
+func (s *Store) RunAux(kind string, cfg workload.Config, instrs uint64, pass func() ([]byte, error)) ([]byte, error) {
+	key := AuxKey(kind, cfg, instrs)
+	e, _, err := s.resolve(key, func() (entry, error) {
+		if rec, ok := s.loadDisk(key); ok && len(rec.Aux) > 0 {
+			return entry{aux: rec.Aux, meta: RunMeta{Seconds: rec.Seconds, Disk: true}}, nil
+		}
+		t0 := time.Now()
+		data, err := runPass(kind, cfg.Name, pass)
+		if err != nil {
+			return entry{}, err
+		}
+		//ubs:wallclock RunMeta.Seconds is cache metadata, never a simulated quantity
+		meta := RunMeta{Seconds: time.Since(t0).Seconds()}
+		s.saveDisk(diskRecord{Key: key, Workload: cfg.Name, Kind: kind, Seconds: meta.Seconds, Aux: data})
+		return entry{aux: data, meta: meta}, nil
+	})
+	return e.aux, err
+}
+
+// resolve returns key's memoized entry, computing it with compute at
+// most once across concurrent callers. shared reports whether the entry
+// was served from the memo, a disk-cache entry, or another caller's
+// in-flight computation rather than computed on behalf of this call.
+func (s *Store) resolve(key string, compute func() (entry, error)) (entry, bool, error) {
 	s.mu.Lock()
-	if res, ok := s.results[key]; ok {
+	if e, ok := s.entries[key]; ok {
 		s.mu.Unlock()
-		return res, true, nil
+		return e, true, nil
 	}
 	if f, ok := s.inflight[key]; ok {
 		s.mu.Unlock()
 		<-f.done
-		return f.res, f.err == nil, f.err
+		return f.e, f.err == nil, f.err
 	}
 	f := &flight{done: make(chan struct{})}
 	s.inflight[key] = f
 	s.mu.Unlock()
 
-	res, meta, err := s.compute(ctx, key, p, w, design, factory)
-	f.res, f.err = res, err
+	e, err := compute()
+	f.e, f.err = e, err
 	s.mu.Lock()
 	if err == nil {
-		s.results[key] = res
-		s.meta[key] = meta
+		s.entries[key] = e
 	}
 	delete(s.inflight, key)
 	s.mu.Unlock()
 	close(f.done)
-	return res, meta.Disk, err
+	return e, e.meta.Disk, err
+}
+
+// runPass isolates a functional pass's panic into an error, as simulate
+// does for a timed point.
+func runPass(kind, workload string, pass func() ([]byte, error)) (data []byte, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("runner: %s pass on %s panicked: %v", kind, workload, r)
+		}
+	}()
+	return pass()
 }
 
 // Result returns the memoized result for key, if present.
 func (s *Store) Result(key string) (sim.Result, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	res, ok := s.results[key]
-	return res, ok
+	e, ok := s.entries[key]
+	return e.res, ok
 }
 
 // Meta reports how key's result was obtained (zero value if unknown).
 func (s *Store) Meta(key string) RunMeta {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.meta[key]
+	return s.entries[key].meta
 }
 
-func (s *Store) compute(ctx context.Context, key string, p sim.Params, w workloadspec.Workload, design string, factory sim.FrontendFactory) (sim.Result, RunMeta, error) {
-	if res, sec, ok := s.loadDisk(key); ok {
-		return res, RunMeta{Seconds: sec, Disk: true}, nil
+func (s *Store) compute(ctx context.Context, key string, p sim.Params, w workloadspec.Workload, design string, factory sim.FrontendFactory) (entry, error) {
+	if rec, ok := s.loadDisk(key); ok && rec.Result != nil {
+		return entry{res: *rec.Result, meta: RunMeta{Seconds: rec.Seconds, Disk: true}}, nil
 	}
 	t0 := time.Now()
 	res, err := s.simulate(ctx, key, p, w, design, factory)
 	if err != nil {
-		return sim.Result{}, RunMeta{}, err
+		return entry{}, err
 	}
 	//ubs:wallclock RunMeta.Seconds is cache metadata, never a simulated quantity; scrubbed from comparisons
 	meta := RunMeta{Seconds: time.Since(t0).Seconds()}
-	s.saveDisk(key, res, meta.Seconds)
-	return res, meta, nil
+	s.saveDisk(diskRecord{
+		Key: key, Workload: res.Workload, Design: res.Design,
+		Seconds: meta.Seconds, Result: &res,
+	})
+	return entry{res: res, meta: meta}, nil
 }
 
 // simulate isolates per-run panics into errors so one bad design point
@@ -195,48 +275,49 @@ func (s *Store) simulate(ctx context.Context, key string, p sim.Params, w worklo
 	return workloadspec.Run(ctx, p, w, design, factory)
 }
 
-// diskRecord is the on-disk cache entry; sim.Result round-trips through
-// encoding/json because all its fields are exported value types.
+// diskRecord is the on-disk cache entry of either kind of point: a
+// timed point's Result, or a functional pass's Kind and opaque Aux bytes.
+// sim.Result round-trips through encoding/json because all its fields
+// are exported value types.
 type diskRecord struct {
-	Key      string     `json:"key"`
-	Workload string     `json:"workload"`
-	Design   string     `json:"design"`
-	Seconds  float64    `json:"seconds"`
-	Result   sim.Result `json:"result"`
+	Key      string          `json:"key"`
+	Workload string          `json:"workload"`
+	Design   string          `json:"design,omitempty"`
+	Kind     string          `json:"kind,omitempty"`
+	Seconds  float64         `json:"seconds"`
+	Result   *sim.Result     `json:"result,omitempty"`
+	Aux      json.RawMessage `json:"aux,omitempty"`
 }
 
 func (s *Store) path(key string) string { return filepath.Join(s.Dir, key+".json") }
 
-func (s *Store) loadDisk(key string) (sim.Result, float64, bool) {
+func (s *Store) loadDisk(key string) (diskRecord, bool) {
 	if s.Dir == "" {
-		return sim.Result{}, 0, false
+		return diskRecord{}, false
 	}
 	data, err := os.ReadFile(s.path(key))
 	if err != nil {
-		return sim.Result{}, 0, false
+		return diskRecord{}, false
 	}
 	var rec diskRecord
 	if err := json.Unmarshal(data, &rec); err != nil || rec.Key != key {
 		// A truncated or stale entry is treated as a miss and overwritten.
-		return sim.Result{}, 0, false
+		return diskRecord{}, false
 	}
-	return rec.Result, rec.Seconds, true
+	return rec, true
 }
 
 // saveDisk persists best-effort: a full disk must not fail the sweep, the
-// result is still held in memory. writeFileAtomic (unique temp file in
+// entry is still held in memory. writeFileAtomic (unique temp file in
 // the cache directory, fsync, rename) guarantees a killed process can
 // never leave a truncated cache entry behind.
-func (s *Store) saveDisk(key string, res sim.Result, seconds float64) {
+func (s *Store) saveDisk(rec diskRecord) {
 	if s.Dir == "" {
 		return
 	}
-	data, err := json.Marshal(diskRecord{
-		Key: key, Workload: res.Workload, Design: res.Design,
-		Seconds: seconds, Result: res,
-	})
+	data, err := json.Marshal(rec)
 	if err != nil {
 		return
 	}
-	writeFileAtomic(s.path(key), data)
+	writeFileAtomic(s.path(rec.Key), data)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // parseYAML decodes the small YAML subset mix files use — block mappings,
@@ -13,10 +14,14 @@ import (
 // []any, string, float64/int64, bool, nil). Keeping the decoder to this
 // subset avoids a YAML dependency while covering the multi-client spec
 // grammar; anything fancier (anchors, flow collections, multi-line
-// scalars, documents) is rejected with a line-numbered error.
+// scalars, documents) is rejected with a line-numbered error, and so is
+// text that is not UTF-8, which the JSON re-encoding would rewrite.
 func parseYAML(data []byte) (interface{}, error) {
 	p := &yamlParser{}
 	for num, raw := range strings.Split(string(data), "\n") {
+		if !utf8.ValidString(raw) {
+			return nil, fmt.Errorf("yaml line %d: invalid UTF-8", num+1)
+		}
 		line := strings.TrimRight(raw, " \r")
 		stripped := stripComment(line)
 		if strings.TrimSpace(stripped) == "" {

@@ -14,8 +14,8 @@
 //
 // Quick start:
 //
-//	w, _ := ubscache.Workload("server_001")
-//	rep, _ := ubscache.Simulate(ubscache.UBS(), w, ubscache.Quick())
+//	w, _ := ubscache.ParseWorkload("server_001")
+//	rep, _ := ubscache.SimulateWorkload(ubscache.UBS(), w, ubscache.Quick())
 //	fmt.Printf("IPC %.3f, L1-I MPKI %.1f\n", rep.IPC(), rep.MPKI())
 //
 // See the examples directory and cmd/ubsim, cmd/ubsweep, cmd/tracegen.
@@ -23,7 +23,6 @@ package ubscache
 
 import (
 	"context"
-	"fmt"
 	"io"
 
 	"ubscache/internal/checkpoint"
@@ -88,29 +87,8 @@ func ResolveWorkload(spec WorkloadSpec) (ResolvedWorkload, error) {
 // WorkloadKinds lists the registered workload kinds, sorted.
 func WorkloadKinds() []string { return workloadspec.WorkloadKinds() }
 
-// Workload resolves a preset workload by name (e.g. "server_003"); see
-// WorkloadNames.
-//
-// Deprecated: use ParseWorkload, which accepts the same names plus every
-// other registry shorthand. Workload only reaches generator-backed
-// workloads and cannot express mixes or trace replays.
-func Workload(name string) (WorkloadConfig, error) {
-	w, err := workloadspec.ParseWorkload(name)
-	if err != nil {
-		return WorkloadConfig{}, err
-	}
-	cfg, ok := w.Config()
-	if !ok {
-		return WorkloadConfig{}, fmt.Errorf("ubscache: workload %q is not generator-backed; use ParseWorkload + SimulateWorkload", name)
-	}
-	return cfg, nil
-}
-
-// WorkloadNames lists the preset workloads of a family.
-//
-// Deprecated: preset names are ParseWorkload shorthands; new code should
-// enumerate presets only for discovery and address workloads through the
-// registry.
+// WorkloadNames lists the preset workloads of a family, for discovery:
+// each name is a ParseWorkload shorthand.
 func WorkloadNames(f Family) []string { return workload.Names(f) }
 
 // Families lists all workload families.
@@ -387,9 +365,9 @@ type ExperimentOptions struct {
 }
 
 // RunExperiment regenerates one paper artifact and returns its rendered
-// text. Simulation points run serially, as the rendering requests them,
-// through a fresh in-memory ResultStore, so a point the artifact needs
-// twice runs once.
+// text. Simulation points and functional passes run serially, as the
+// rendering requests them, through a fresh in-memory ResultStore, so a
+// point the artifact needs twice runs once.
 func RunExperiment(id string, eo ExperimentOptions) (string, error) {
 	e, err := exp.ByID(id)
 	if err != nil {
@@ -405,6 +383,7 @@ func RunExperiment(id string, eo ExperimentOptions) (string, error) {
 		Exec: func(p sim.Params, w workloadspec.Workload, design string, factory sim.FrontendFactory) (sim.Result, error) {
 			return store.RunWorkloadContext(ctx, p, w, design, factory)
 		},
+		Aux: store.RunAux,
 	}))
 }
 

@@ -21,14 +21,14 @@ func quickTest() Options {
 }
 
 func TestWorkloadResolution(t *testing.T) {
-	w, err := Workload("server_001")
+	w, err := ParseWorkload("server_001")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if w.Name != "server_001" {
 		t.Errorf("name %q", w.Name)
 	}
-	if _, err := Workload("bogus"); err == nil {
+	if _, err := ParseWorkload("bogus"); err == nil {
 		t.Error("bogus workload accepted")
 	}
 	if len(Families()) != 8 {
@@ -56,11 +56,11 @@ func TestConventional32IsTableIBaseline(t *testing.T) {
 		t.Fatalf("Conventional(32).Name = %q", d.Name)
 	}
 
-	w, err := Workload("server_001")
+	w, err := ParseWorkload("server_001")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Simulate(d, w, quickTest())
+	got, err := SimulateWorkload(d, w, quickTest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestConventional32IsTableIBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Simulate(Design{base.Name, bd.Factory}, w, quickTest())
+	want, err := SimulateWorkload(Design{base.Name, bd.Factory}, w, quickTest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,15 +79,15 @@ func TestConventional32IsTableIBaseline(t *testing.T) {
 }
 
 func TestSimulateUBSvsBaseline(t *testing.T) {
-	w, err := Workload("server_001")
+	w, err := ParseWorkload("server_001")
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := Simulate(Conventional(32), w, quickTest())
+	base, err := SimulateWorkload(Conventional(32), w, quickTest())
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := Simulate(UBS(), w, quickTest())
+	u, err := SimulateWorkload(UBS(), w, quickTest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func avg(v []float64) float64 {
 }
 
 func TestAllDesignsRun(t *testing.T) {
-	w, err := Workload("client_001")
+	w, err := ParseWorkload("client_001")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestAllDesignsRun(t *testing.T) {
 	opts.Warmup = 20_000
 	opts.Measure = 60_000
 	for _, d := range designs {
-		rep, err := Simulate(d, w, opts)
+		rep, err := SimulateWorkload(d, w, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", d.Name, err)
 		}
@@ -143,11 +143,12 @@ func TestAllDesignsRun(t *testing.T) {
 }
 
 func TestTraceRoundTripThroughFacade(t *testing.T) {
-	w, err := Workload("spec_001")
+	w, err := ParseWorkload("spec_001")
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := NewSource(w)
+	cfg, _ := w.Config() // a preset is generator-backed
+	src, err := NewSource(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
