@@ -14,7 +14,8 @@
 //	//ubs:artifact       (type doc)   struct marshalled into a results artifact; a determinism sink
 //	//ubs:detached <why> (stmt/line)  waive one ctxleak diagnostic; justification required
 //	//ubs:guardedby(mu)  (field doc/line) field may only be accessed holding sibling mutex mu; checked by mutexguard
-//	//ubs:locked(mu)     (func doc)   callers hold the receiver's mutex mu on entry (mutexguard entry state)
+//	//ubs:locked(mu)     (func doc)   callers hold the receiver's mutex mu on entry (mutexguard entry state);
+//	                                  more locks may follow as dotted paths, e.g. //ubs:locked(mu, j.mu)
 //	//ubs:unguarded <why> (stmt/line) waive one mutexguard diagnostic; justification required
 package lintutil
 

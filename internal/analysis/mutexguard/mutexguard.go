@@ -16,6 +16,9 @@
 // keeps the lock held to the end of the body. A helper whose contract
 // is "caller holds the lock" declares it with `//ubs:locked(mu)` in its
 // doc comment, which seeds the entry state with the receiver's mutex.
+// The list may go on with dotted paths taken as written, such as
+// `//ubs:locked(mu, j.mu)` for a helper whose parameter j guards its
+// fields with a pointer to the receiver's mutex.
 //
 // An access the analysis cannot prove locked but a human has audited is
 // waived line-level with `//ubs:unguarded <justification>`; the
@@ -28,6 +31,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 
 	"golang.org/x/tools/go/analysis"
 	"golang.org/x/tools/go/analysis/passes/ctrlflow"
@@ -151,10 +155,13 @@ type checker struct {
 // in force at its program point.
 func (c *checker) checkFunc(fn dataflow.Func, waivers *lintutil.Waivers) {
 	entry := lockSet{}
-	if lock, ok := lintutil.DirectiveParam(fn.Decl.Doc, "locked"); ok {
-		if recv := receiverName(fn.Decl); recv != "" {
-			entry[recv+"."+lock] = true
-		} else {
+	if locks, ok := lintutil.DirectiveParam(fn.Decl.Doc, "locked"); ok {
+		recv := receiverName(fn.Decl)
+		for _, lock := range strings.Split(locks, ",") {
+			lock = strings.TrimSpace(lock)
+			if recv != "" && !strings.Contains(lock, ".") {
+				lock = recv + "." + lock
+			}
 			entry[lock] = true
 		}
 	}

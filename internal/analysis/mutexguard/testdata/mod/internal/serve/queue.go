@@ -76,6 +76,29 @@ func (s *sched) caller() (int, bool) {
 	return s.takeLocked()
 }
 
+// item guards its fields with a pointer to its scheduler's mutex.
+type item struct {
+	mu *sync.Mutex
+	//ubs:guardedby(mu)
+	state int
+}
+
+// moveLocked names the item's lock path beside its own: clean.
+//
+//ubs:locked(mu, it.mu)
+func (s *sched) moveLocked(it *item) {
+	s.running++
+	it.state++
+}
+
+// moveHalfLocked names only its own lock.
+//
+//ubs:locked(mu)
+func (s *sched) moveHalfLocked(it *item) {
+	s.running++
+	it.state++ // want `field state is //ubs:guardedby\(mu\) but it\.mu is not provably held`
+}
+
 // waived is an audited constructor-time access: no other goroutine can
 // see the value yet.
 func newSched(capacity int) *sched {

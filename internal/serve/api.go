@@ -51,18 +51,22 @@ func (p Priority) valid() bool { return p == Interactive || p == Batch }
 
 // JobState is one node of the job lifecycle state machine:
 //
-//	queued ──→ running ──→ done | failed
-//	   ↑           │
-//	   │           ↓
-//	   └────── suspended
-//	   │           │
-//	   └───────────┴─────→ cancelled
+//	          begin             result
+//	queued ─────────→ running ─────────→ done
+//	  ↑                 │  │    error
+//	  │      suspend or │  └───────────→ failed
+//	  │         preempt ↓
+//	  └────────────  suspended
+//	       resume
+//
+//	queued | running | suspended ──cancel──→ cancelled
 //
 // A running job can be suspended — preempted by the scheduler to make
 // room for interactive work, or parked explicitly via the API — and a
 // suspended job re-enters the queue (suspended → queued) when resumed.
 // With store checkpointing enabled, the suspended attempt's partial
-// progress persists on disk and the next attempt resumes from it.
+// progress persists on disk and the next attempt resumes from it. A
+// running job also ends cancelled when a drain runs out of time.
 type JobState string
 
 // The job states.

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -58,7 +59,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	var req SubmitRequest
-	if err := dec.Decode(&req); err != nil {
+	err := dec.Decode(&req)
+	if err == nil && dec.Decode(new(json.RawMessage)) != io.EOF {
+		err = errors.New("trailing data after the JSON value")
+	}
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: "serve: bad request body: " + err.Error()})
 		return
 	}
@@ -108,7 +113,7 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.reg.get(r.PathValue("id"))
+	j, ok := s.Job(r.PathValue("id"))
 	if !ok {
 		writeJSON(w, http.StatusNotFound, apiError{Error: "serve: no such job"})
 		return
@@ -152,7 +157,7 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.reg.get(r.PathValue("id"))
+	j, ok := s.Job(r.PathValue("id"))
 	if !ok {
 		writeJSON(w, http.StatusNotFound, apiError{Error: "serve: no such job"})
 		return
@@ -161,16 +166,14 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.reg.get(r.PathValue("id"))
+	j, ok := s.Job(r.PathValue("id"))
 	if !ok {
 		writeJSON(w, http.StatusNotFound, apiError{Error: "serve: no such job"})
 		return
 	}
-	_, data, ok := j.Result()
-	if !ok {
-		st := j.Status()
-		code := http.StatusConflict
-		writeJSON(w, code, apiError{Error: "serve: job is " + string(st.State) + ", no result"})
+	st, data := j.snapshot()
+	if st.State != JobDone {
+		writeJSON(w, http.StatusConflict, apiError{Error: "serve: job is " + string(st.State) + ", no result"})
 		return
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")

@@ -306,14 +306,19 @@ func promValue(t *testing.T, body, name string) float64 {
 // the API reports as terminal must already be counted in /metrics
 // done/failed/cancelled, and no longer in jobs_inflight. Jobs run in
 // small waves; each wave mixes a completed, a failed, a memoized, and a
-// cancelled job, and the checker spins on the API until the whole wave is
+// cancelled job, plus one suspended while it runs and cancelled while its
+// attempt unwinds. The checker spins on the API until the whole wave is
 // terminal, then reads /metrics at once, when every job ever submitted
 // is terminal and the counters must match exactly. Run it under -race.
 func TestHTTPMetricsBeforeTerminalState(t *testing.T) {
 	store := runner.NewStore("")
 	store.SimWorkload = func(ctx context.Context, _ sim.Params, w workloadspec.Workload, design string, _ sim.FrontendFactory) (sim.Result, error) {
+		wait := time.After(100 * time.Microsecond)
+		if strings.Contains(design, "16B") {
+			wait = nil // the suspended job's attempt runs until it is cancelled
+		}
 		select {
-		case <-time.After(100 * time.Microsecond):
+		case <-wait:
 		case <-ctx.Done():
 			return sim.Result{}, ctx.Err()
 		}
@@ -346,6 +351,16 @@ func TestHTTPMetricsBeforeTerminalState(t *testing.T) {
 			ids = append(ids, j.ID())
 		}
 		call(http.MethodDelete, "/jobs/"+ids[2])
+		held := submitOK(t, s, SubmitRequest{Design: "smallblock16", Workload: "server_001", Measure: 20_000 + uint64(wave)})
+		for held.State() != JobRunning {
+			if time.Now().After(deadline) {
+				t.Fatalf("job %s stuck in %s", held.ID(), held.State())
+			}
+			time.Sleep(10 * time.Microsecond)
+		}
+		call(http.MethodPost, "/jobs/"+held.ID()+"/suspend")
+		call(http.MethodDelete, "/jobs/"+held.ID())
+		ids = append(ids, held.ID())
 		for _, id := range ids {
 			var st JobStatus
 			for !st.State.Terminal() {
@@ -369,5 +384,28 @@ func TestHTTPMetricsBeforeTerminalState(t *testing.T) {
 		if want[name] == 0 {
 			t.Errorf("no job counted in %s: the hammer missed a finish path", name)
 		}
+	}
+}
+
+// TestHTTPSubmitRejectsBadBodies: a POST /jobs body must be exactly one
+// JSON object of known fields; anything after it is rejected too.
+func TestHTTPSubmitRejectsBadBodies(t *testing.T) {
+	var calls atomic.Int64
+	s := New(testConfig(stubStore(&calls, nil), 1))
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, body := range []string{
+		`not json`,
+		`{"design":"conv:32","workload":"server_001","bogus":1}`,
+		`{"design":"conv:32","workload":"server_001"} trailing garbage`,
+		`{"design":"conv:32","workload":"server_001"}{"design":"ubs"}`,
+	} {
+		if resp, _ := postJob(t, ts, body); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST /jobs %s = %d, want 400", body, resp.StatusCode)
+		}
+	}
+	if n := len(s.Jobs()); n != 0 {
+		t.Fatalf("bad bodies created %d jobs", n)
 	}
 }

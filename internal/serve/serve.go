@@ -66,12 +66,11 @@ func (c *Config) withDefaults() Config {
 	return out
 }
 
-// Server is the multi-tenant simulation daemon: registry + scheduler +
-// HTTP surface. Construct with New, serve Handler, and call Drain for a
+// Server is the multi-tenant simulation daemon: scheduler + HTTP
+// surface. Construct with New, serve Handler, and call Drain for a
 // graceful shutdown.
 type Server struct {
 	cfg     Config
-	reg     *jobRegistry
 	sched   *sched
 	metrics *metrics
 	health  *obs.Health
@@ -87,7 +86,6 @@ func New(cfg Config) *Server {
 	base, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:     cfg,
-		reg:     newJobRegistry(),
 		metrics: m,
 		health:  obs.NewHealth(),
 		sched: newSched(cfg.Store, m, cfg.Workers,
@@ -110,57 +108,41 @@ func (s *Server) Submit(req SubmitRequest) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.sched.reserve(rv.priority); err != nil {
-		return nil, err
-	}
 	ctx, cancel := context.WithCancel(s.base)
 	j := &Job{
 		key: rv.key, priority: rv.priority,
 		design: rv.design, wl: rv.wl, params: rv.params,
 		ctx: ctx, cancel: cancel,
-		log:   newEventLog(),
-		state: JobQueued, submittedAt: time.Now(),
+		log: newEventLog(), mu: &s.sched.mu,
 	}
-	s.reg.add(j)
-	j.emitStatus()
-	s.sched.enqueue(j)
+	if err := s.sched.fire(j, event{kind: evSubmit}); err != nil {
+		cancel()
+		return nil, err
+	}
 	return j, nil
 }
 
 // Job looks a job up by id.
-func (s *Server) Job(id string) (*Job, bool) { return s.reg.get(id) }
+func (s *Server) Job(id string) (*Job, bool) { return s.sched.get(id) }
 
 // Jobs lists every job in submission order.
-func (s *Server) Jobs() []*Job { return s.reg.list() }
+func (s *Server) Jobs() []*Job { return s.sched.list() }
 
-// Cancel requests cancellation of a job: a queued job terminates
-// immediately, a running job's context fires and the simulation unwinds
-// at its next heartbeat interval, and a terminal job is left untouched
-// (reported by the false return).
-func (s *Server) Cancel(id string) (*Job, bool, error) {
-	j, ok := s.reg.get(id)
+// fire applies one API event to the job with the given id; ok reports
+// whether the event applied in the job's state.
+func (s *Server) fire(id string, kind evKind) (*Job, bool, error) {
+	j, ok := s.sched.get(id)
 	if !ok {
 		return nil, false, fmt.Errorf("serve: no job %q", id)
 	}
-	count := func() { s.metrics.finished(JobCancelled) }
-	if s.sched.remove(j) {
-		// Still queued: finish it here; the worker never sees it.
-		j.finish(JobCancelled, nil, false, context.Canceled, count)
-		return j, true, nil
-	}
-	if s.sched.unpark(j) {
-		// Suspended: no worker owns it, so finish it here. finish cancels
-		// the job context, which also keeps a racing resume from reviving
-		// it.
-		j.finish(JobCancelled, nil, false, context.Canceled, count)
-		return j, true, nil
-	}
-	if j.State().Terminal() {
-		return j, false, nil
-	}
-	j.cancel()
-	return j, true, nil
+	return j, s.sched.fire(j, event{kind: kind}) == nil, nil
 }
+
+// Cancel cancels a job: a queued or suspended job terminates at once,
+// and a running one too, while its attempt's context fires and the
+// simulation unwinds at its next heartbeat interval. A terminal job is
+// left untouched (reported by the false return).
+func (s *Server) Cancel(id string) (*Job, bool, error) { return s.fire(id, evCancel) }
 
 // Suspend parks a running job: its execution attempt unwinds at the
 // next heartbeat boundary and the job waits in the suspended state
@@ -168,37 +150,25 @@ func (s *Server) Cancel(id string) (*Job, bool, error) {
 // than stranding them). The job's partial progress survives on disk
 // when the store has checkpointing enabled. false means the job was not
 // running.
-func (s *Server) Suspend(id string) (*Job, bool, error) {
-	j, ok := s.reg.get(id)
-	if !ok {
-		return nil, false, fmt.Errorf("serve: no job %q", id)
-	}
-	return j, s.sched.park(j, true), nil
-}
+func (s *Server) Suspend(id string) (*Job, bool, error) { return s.fire(id, evSuspend) }
 
 // Resume moves a suspended job back into its priority queue ahead of
 // the scheduler's own lazy resume. false means the job was not
 // suspended.
-func (s *Server) Resume(id string) (*Job, bool, error) {
-	j, ok := s.reg.get(id)
-	if !ok {
-		return nil, false, fmt.Errorf("serve: no job %q", id)
-	}
-	return j, s.sched.resume(j), nil
-}
+func (s *Server) Resume(id string) (*Job, bool, error) { return s.fire(id, evResume) }
 
 // Draining reports whether a drain has begun.
 func (s *Server) Draining() bool { return !s.health.Ready() }
 
 // Drain gracefully shuts the server down: readiness flips to 503,
-// admission stops (submissions fail with ErrDraining), queued and
-// in-flight jobs run to completion, and only if ctx expires first are
-// the survivors force-cancelled (they finish as "cancelled", which the
-// memoizing store does not record, so a restart recomputes them). Drain
-// returns nil when the pool wound down before ctx expired.
+// admission stops (submissions fail with ErrDraining), queued, parked
+// and in-flight jobs run to completion, and only if ctx expires first
+// are the survivors force-cancelled (they finish as "cancelled", which
+// the memoizing store does not record, so a restart recomputes them).
+// Drain returns nil when the pool wound down before ctx expired.
 func (s *Server) Drain(ctx context.Context) error {
 	s.health.SetReady(false)
-	s.sched.drain()
+	s.sched.fire(nil, event{kind: evDrain})
 	done := make(chan struct{})
 	go func() {
 		s.sched.wait()
@@ -218,10 +188,10 @@ func (s *Server) Drain(ctx context.Context) error {
 // abrupt shutdown paths.
 func (s *Server) Close() {
 	s.health.SetReady(false)
-	s.sched.drain()
+	s.sched.fire(nil, event{kind: evDrain})
 	s.baseCancel()
 	s.sched.wait()
 }
 
 // ActiveJobs counts jobs that have not reached a terminal state.
-func (s *Server) ActiveJobs() int { return s.reg.active() }
+func (s *Server) ActiveJobs() int { return s.sched.active() }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -317,6 +318,9 @@ func ParseDesignSpec(name string) (DesignSpec, error) {
 		var spec DesignSpec
 		if err := dec.Decode(&spec); err != nil {
 			return DesignSpec{}, fmt.Errorf("sim: inline design spec: %w", err)
+		}
+		if dec.Decode(new(json.RawMessage)) != io.EOF {
+			return DesignSpec{}, fmt.Errorf("sim: inline design spec: trailing data after the JSON value")
 		}
 		return spec, nil
 	case name == "conv32" || name == "conv:32":

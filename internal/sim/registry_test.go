@@ -53,6 +53,8 @@ func TestParseDesignErrors(t *testing.T) {
 		`{"kind":"bogus"}`,
 		`{"kind":"conv","config":{"unknown_field":1}}`,
 		`{"kind":"conv","config":{"policy":"mru"}}`,
+		`{"kind":"ubs"} trailing garbage`,
+		`{"kind":"ubs"}{"kind":"conv"}`,
 	} {
 		if _, err := ParseDesign(in); err == nil {
 			t.Errorf("ParseDesign(%q) accepted", in)

@@ -24,6 +24,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 
@@ -367,6 +368,9 @@ func ParseWorkloadSpec(name string) (Spec, error) {
 		var spec Spec
 		if err := dec.Decode(&spec); err != nil {
 			return Spec{}, fmt.Errorf("workloadspec: inline workload spec: %w", err)
+		}
+		if dec.Decode(new(json.RawMessage)) != io.EOF {
+			return Spec{}, fmt.Errorf("workloadspec: inline workload spec: trailing data after the JSON value")
 		}
 		return spec, nil
 	case strings.HasPrefix(name, "preset:"):

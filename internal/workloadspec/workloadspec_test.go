@@ -45,8 +45,14 @@ func TestParseWorkloadSpec(t *testing.T) {
 			t.Errorf("ParseWorkloadSpec(%q).Kind = %q, want %q", c.in, spec.Kind, c.kind)
 		}
 	}
-	if _, err := ParseWorkloadSpec(""); err == nil {
-		t.Error("ParseWorkloadSpec(\"\") succeeded, want error")
+	for _, in := range []string{
+		"",
+		`{"kind":"preset","config":{"name":"server_003"}} trailing garbage`,
+		`{"kind":"preset","config":{"name":"server_003"}}{}`,
+	} {
+		if _, err := ParseWorkloadSpec(in); err == nil {
+			t.Errorf("ParseWorkloadSpec(%q) succeeded, want error", in)
+		}
 	}
 }
 
