@@ -11,10 +11,8 @@ package ubscache
 import (
 	"testing"
 
-	"ubscache/internal/bench"
 	"ubscache/internal/bpu"
 	"ubscache/internal/cache"
-	"ubscache/internal/mem"
 	"ubscache/internal/sim"
 	"ubscache/internal/trace"
 	"ubscache/internal/ubs"
@@ -114,14 +112,6 @@ func BenchmarkAblationWindow16(b *testing.B) {
 
 // --- Microbenchmarks ---------------------------------------------------
 
-// BenchmarkHotPath runs the per-access hot-path suite shared with
-// TestHotPathAllocGate (internal/bench).
-func BenchmarkHotPath(b *testing.B) {
-	for _, c := range bench.Cases() {
-		b.Run(c.Name, c.Bench)
-	}
-}
-
 // BenchmarkSimulatorThroughput measures end-to-end simulated instructions
 // per second on the full system.
 func BenchmarkSimulatorThroughput(b *testing.B) {
@@ -139,20 +129,6 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(p.Measure), "instrs/op")
-}
-
-// BenchmarkUBSFetch measures the UBS lookup fast path.
-func BenchmarkUBSFetch(b *testing.B) {
-	h := mem.MustNewHierarchy(mem.DefaultHierarchyConfig())
-	u := ubs.MustNew(ubs.DefaultConfig(), h)
-	// Warm a few blocks.
-	for i := 0; i < 4096; i++ {
-		u.Fetch(0x10000+uint64(i%512)*16, 8, uint64(i*10))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u.Fetch(0x10000+uint64(i%512)*16, 8, uint64(i))
-	}
 }
 
 // BenchmarkConvCacheAccess measures the generic cache array fast path.

@@ -9,18 +9,18 @@
 // Concretely, outside _test.go files:
 //
 //   - (*mem.Hierarchy).FetchBlock may be called only from internal/mem
-//     (the fetch engine and the hierarchy's own plumbing) and from the
-//     internal/bench harness.
+//     (the fetch engine and the hierarchy's own plumbing).
 //   - (*mem.FetchEngine).Issue may be called only from internal/mem (the
-//     L1-D), from methods of icache.Engine, and from internal/bench.
+//     L1-D) and from methods of icache.Engine.
 //   - (*mem.MSHR).Insert and (*mem.MSHR).RecordFullStall may be called
-//     only from internal/mem and internal/bench: allocating MSHR entries
-//     or recording full-stalls anywhere else means a frontend is running
-//     its own miss path and its retry accounting will drift.
+//     only from internal/mem: allocating MSHR entries or recording
+//     full-stalls anywhere else means a frontend is running its own miss
+//     path and its retry accounting will drift.
 //
-// "internal/mem", "internal/icache", and "internal/bench" are matched as
-// package-path suffixes, so fixtures reproduce the layout under their own
-// module path.
+// Benchmarks that drive these entry points directly live in _test.go
+// files. "internal/mem" and "internal/icache" are matched as
+// package-path suffixes, so fixtures reproduce the layout under their
+// own module path.
 package misspath
 
 import (
@@ -46,7 +46,6 @@ var Analyzer = &analysis.Analyzer{
 const (
 	pkgMem    = "internal/mem"
 	pkgICache = "internal/icache"
-	pkgBench  = "internal/bench"
 )
 
 // restricted maps receiver type -> method -> diagnostic detail for the
@@ -65,8 +64,8 @@ var restricted = map[string]map[string]string{
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
-	// The owning and harness packages are exempt wholesale.
-	if lintutil.PkgPathHasSuffix(pass.Pkg.Path(), pkgMem, pkgBench) {
+	// The owning package is exempt wholesale.
+	if lintutil.PkgPathHasSuffix(pass.Pkg.Path(), pkgMem) {
 		return nil, nil
 	}
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)

@@ -283,6 +283,10 @@ func Complete(m *sim.Machine, meta Meta, every uint64, save func(data []byte) er
 // WriteFileAtomic writes data to path via a same-directory temp file,
 // fsync, and rename, so concurrent readers and crashes observe either
 // the old complete file or the new complete file — never a torn write.
+// The temp name is unique per call, so concurrent writers of one path
+// never share a staging file: the last rename wins. Missing parent
+// directories are created; the file is published with mode 0644, and a
+// failure removes the staging file and leaves path untouched.
 func WriteFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	if dir != "." {

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"ubscache/internal/cache"
-	"ubscache/internal/testutil"
 )
 
 func TestMSHRBasics(t *testing.T) {
@@ -527,51 +526,5 @@ func TestDRAMMonotonicCompletion(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestMSHRSteadyStateAllocFree pins the tentpole property: the lookup /
-// capacity-check / insert cycle on a hot MSHR never heap-allocates once the
-// file's backing array exists.
-func TestMSHRSteadyStateAllocFree(t *testing.T) {
-	if testutil.RaceEnabled {
-		t.Skip("allocation counts are unreliable under the race detector")
-	}
-	m := NewMSHR(32)
-	now := uint64(0)
-	i := 0
-	allocs := testing.AllocsPerRun(10_000, func() {
-		now += 3
-		block := uint64(i%64) * 64
-		i++
-		if _, merged := m.Lookup(block, now); merged {
-			return
-		}
-		if !m.Full(now) {
-			m.Insert(block, now+100)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("MSHR steady state allocates %.1f objects per op, want 0", allocs)
-	}
-}
-
-// TestFetchBlockAllocFree pins the same property for the full L2/L3/DRAM
-// walk, including aborted (retry) requests.
-func TestFetchBlockAllocFree(t *testing.T) {
-	if testutil.RaceEnabled {
-		t.Skip("allocation counts are unreliable under the race detector")
-	}
-	h := MustNewHierarchy(DefaultHierarchyConfig())
-	ctx := cache.AccessContext{}
-	now := uint64(0)
-	i := 0
-	allocs := testing.AllocsPerRun(10_000, func() {
-		now += 2
-		h.FetchBlock(uint64(i%8192)*64, now, ctx)
-		i++
-	})
-	if allocs != 0 {
-		t.Errorf("FetchBlock allocates %.1f objects per op, want 0", allocs)
 	}
 }

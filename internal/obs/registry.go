@@ -17,8 +17,8 @@
 //     reading live state.
 //
 // A nil Observer costs the simulation hot path nothing: the per-cycle loop
-// performs a single integer comparison and never allocates (pinned by the
-// HotPath benchmark suite and a CI allocs gate).
+// performs a single integer comparison and never allocates (pinned by
+// sim.TestNilObserverAllocFree, which CI's alloc gate runs).
 package obs
 
 import (

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"ubscache/internal/checkpoint"
 	"ubscache/internal/sim"
 	"ubscache/internal/stats"
 	"ubscache/internal/workloadspec"
@@ -165,7 +166,7 @@ func WriteResults(path string, rf *ResultsFile) error {
 	if err != nil {
 		return fmt.Errorf("runner: results: %w", err)
 	}
-	return writeFileAtomic(path, append(data, '\n'))
+	return checkpoint.WriteFileAtomic(path, append(data, '\n'))
 }
 
 // csvHeader matches RunRecord's JSON field order.
@@ -205,5 +206,5 @@ func WriteCSV(path string, records []RunRecord) error {
 	if err := w.Error(); err != nil {
 		return err
 	}
-	return writeFileAtomic(path, []byte(b.String()))
+	return checkpoint.WriteFileAtomic(path, []byte(b.String()))
 }

@@ -7,13 +7,15 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"ubscache/internal/checkpoint"
 )
 
 func TestWriteFileAtomicBasics(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sub", "entry.json")
 	want := []byte(`{"key":"abc"}`)
-	if err := writeFileAtomic(path, want); err != nil {
+	if err := checkpoint.WriteFileAtomic(path, want); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(path)
@@ -33,7 +35,7 @@ func TestWriteFileAtomicBasics(t *testing.T) {
 
 	// Overwrite replaces the content wholesale, shrinking included.
 	short := []byte("x")
-	if err := writeFileAtomic(path, short); err != nil {
+	if err := checkpoint.WriteFileAtomic(path, short); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := os.ReadFile(path); !bytes.Equal(got, short) {
@@ -66,7 +68,7 @@ func TestWriteFileAtomicConcurrent(t *testing.T) {
 			defer wg.Done()
 			p := payload(w)
 			for r := 0; r < rounds; r++ {
-				if err := writeFileAtomic(path, p); err != nil {
+				if err := checkpoint.WriteFileAtomic(path, p); err != nil {
 					errs <- err
 					return
 				}

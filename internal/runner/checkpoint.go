@@ -33,7 +33,7 @@ func (s *Store) ckPath(key string) string { return filepath.Join(s.Dir, key+".ub
 func (s *Store) runCheckpointed(ctx context.Context, key string, p sim.Params, w workloadspec.Workload, design string, factory sim.FrontendFactory) (sim.Result, error) {
 	ckpath := s.ckPath(key)
 	meta := checkpoint.Meta{Workload: w.Spec, WorkloadName: w.Name, Design: design, Params: p}
-	save := func(data []byte) error { return writeFileAtomic(ckpath, data) }
+	save := func(data []byte) error { return checkpoint.WriteFileAtomic(ckpath, data) }
 
 	_, st, err := checkpoint.Read(ckpath)
 	if err != nil && !os.IsNotExist(err) {

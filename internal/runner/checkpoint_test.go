@@ -74,7 +74,7 @@ func checkpointedRun(t *testing.T, d sim.Design) {
 	meta := checkpoint.Meta{Workload: w.Spec, WorkloadName: w.Name, Design: d.Name, Params: p}
 	_, err = checkpoint.Complete(m, meta, s.CheckpointEvery, func(data []byte) error {
 		cancel()
-		return writeFileAtomic(s.ckPath(key), data)
+		return checkpoint.WriteFileAtomic(s.ckPath(key), data)
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"ubscache/internal/checkpoint"
 	"ubscache/internal/exp"
 	"ubscache/internal/sim"
 	"ubscache/internal/workloadspec"
@@ -200,7 +201,8 @@ func (sw *Sweep) RunContext(ctx context.Context) (*Outcome, error) {
 	if sw.ArtifactDir != "" {
 		for i, pl := range plans {
 			txt := filepath.Join(sw.ArtifactDir, pl.e.ID+".txt")
-			if err := writeFileAtomic(txt, []byte(out.Experiments[i].Output+"\n")); err != nil {
+			//ubs:wallclock Output is the rendered table; the clock reaches only out's Seconds fields
+			if err := checkpoint.WriteFileAtomic(txt, []byte(out.Experiments[i].Output+"\n")); err != nil {
 				return nil, err
 			}
 			recs := make([]RunRecord, 0, len(pl.keys))

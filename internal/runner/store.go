@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"ubscache/internal/checkpoint"
 	"ubscache/internal/sim"
 	"ubscache/internal/workload"
 	"ubscache/internal/workloadspec"
@@ -308,8 +309,8 @@ func (s *Store) loadDisk(key string) (diskRecord, bool) {
 }
 
 // saveDisk persists best-effort: a full disk must not fail the sweep, the
-// entry is still held in memory. writeFileAtomic (unique temp file in
-// the cache directory, fsync, rename) guarantees a killed process can
+// entry is still held in memory. checkpoint.WriteFileAtomic (unique temp
+// file in the cache directory, fsync, rename) guarantees a killed process can
 // never leave a truncated cache entry behind.
 func (s *Store) saveDisk(rec diskRecord) {
 	if s.Dir == "" {
@@ -319,5 +320,5 @@ func (s *Store) saveDisk(rec diskRecord) {
 	if err != nil {
 		return
 	}
-	writeFileAtomic(s.path(rec.Key), data)
+	checkpoint.WriteFileAtomic(s.path(rec.Key), data)
 }

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -223,6 +224,81 @@ func TestStatusEventsFollowTransitions(t *testing.T) {
 			if !lifecycle[[2]JobState{trail[k-1], trail[k]}] {
 				t.Fatalf("job %s status trail %v: %s → %s is not a lifecycle edge", j.ID(), trail, trail[k-1], trail[k])
 			}
+		}
+	}
+}
+
+// TestFinishedJobsForgotten pins ubsd's retention bound: past
+// maxFinished terminal jobs the registry forgets the job that finished
+// first, never a queued, running or suspended one; a forgotten job's
+// routes answer 404 and no ID is ever reissued.
+func TestFinishedJobsForgotten(t *testing.T) {
+	var calls atomic.Int64
+	s := New(testConfig(stubStore(&calls, make(chan struct{})), 1))
+	defer s.Close()
+	h := s.Handler()
+	status := func(id string) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/jobs/"+id, nil))
+		return rec.Code
+	}
+
+	suspended := submitOK(t, s, SubmitRequest{Design: "ubs", Workload: "server_001", Measure: 20_000})
+	waitState(t, suspended, JobRunning)
+	if _, ok, _ := s.Suspend(suspended.ID()); !ok {
+		t.Fatal("Suspend of a running job failed")
+	}
+	running := submitOK(t, s, SubmitRequest{Design: "ubs", Workload: "server_001", Measure: 20_001})
+	waitState(t, running, JobRunning)
+	queued := submitOK(t, s, SubmitRequest{Design: "ubs", Workload: "server_001", Measure: 20_002})
+	live := []*Job{suspended, running, queued}
+
+	const extra = 50
+	seen := map[string]bool{suspended.ID(): true, running.ID(): true, queued.ID(): true}
+	var finished []string
+	for i := 0; i < maxFinished+extra; i++ {
+		j := submitOK(t, s, SubmitRequest{Design: "ubs", Workload: "server_001", Measure: uint64(30_000 + i)})
+		if seen[j.ID()] {
+			t.Fatalf("ID %s issued twice", j.ID())
+		}
+		seen[j.ID()] = true
+		if _, ok, _ := s.Cancel(j.ID()); !ok {
+			t.Fatalf("Cancel of queued job %s failed", j.ID())
+		}
+		finished = append(finished, j.ID())
+	}
+
+	jobs := s.Jobs()
+	if len(jobs) != len(live)+maxFinished {
+		t.Fatalf("registry holds %d jobs, want %d live + %d finished", len(jobs), len(live), maxFinished)
+	}
+	for k, j := range live {
+		if jobs[k] != j {
+			t.Fatalf("Jobs()[%d] = %s, want live job %s", k, jobs[k].ID(), j.ID())
+		}
+	}
+	for k, id := range finished[extra:] {
+		if got := jobs[len(live)+k].ID(); got != id {
+			t.Fatalf("Jobs()[%d] = %s, want %s: the retained finished jobs are the last %d", len(live)+k, got, id, maxFinished)
+		}
+	}
+	if st := suspended.State(); st != JobSuspended {
+		t.Errorf("suspended job is %s", st)
+	}
+	if st := running.State(); st != JobRunning {
+		t.Errorf("running job is %s", st)
+	}
+	if st := queued.State(); st != JobQueued {
+		t.Errorf("queued job is %s", st)
+	}
+	for _, id := range finished[:extra] {
+		if code := status(id); code != http.StatusNotFound {
+			t.Fatalf("GET /jobs/%s of a forgotten job = %d, want 404", id, code)
+		}
+	}
+	for _, id := range []string{finished[extra], finished[len(finished)-1], suspended.ID()} {
+		if code := status(id); code != http.StatusOK {
+			t.Fatalf("GET /jobs/%s of a retained job = %d, want 200", id, code)
 		}
 	}
 }

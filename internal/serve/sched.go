@@ -34,6 +34,14 @@ type sched struct {
 	jobs map[string]*Job
 	//ubs:guardedby(mu)
 	order []*Job
+	// finished lists the retained terminal jobs in the order they
+	// finished; past maxFinished the first is forgotten.
+	//ubs:guardedby(mu)
+	finished []*Job
+	// seq numbers the admitted jobs: an ID is never reissued, even
+	// after its job is forgotten.
+	//ubs:guardedby(mu)
+	seq int
 	//ubs:guardedby(mu)
 	queues map[Priority][]*Job
 	// running lists the jobs in state running, in the order their
@@ -52,6 +60,11 @@ type sched struct {
 	fx []context.CancelFunc
 	wg sync.WaitGroup
 }
+
+// maxFinished bounds the terminal jobs ubsd retains, with their event
+// logs and result bytes. Queued, running and suspended jobs are always
+// kept.
+const maxFinished = 1024
 
 // parkedJob is one suspended job. sticky marks an explicit API suspend,
 // which waits for Resume; a job the scheduler preempted (sticky false)
@@ -108,10 +121,12 @@ var errStale = errors.New("serve: event does not apply to the job's state")
 // step is the job lifecycle. It applies e to j (nil for a drain) and,
 // in the same critical section, moves j between the queues, the parked
 // list and the running set, sets the queue-depth and in-flight gauges
-// to match, counts terminal jobs, and appends j's status and end
-// events, so a job's status events are exactly its transitions, in
-// order. It returns j's attempt number. The cancel funcs a transition
-// owes go to s.fx. Caller holds s.mu, which j.mu points at.
+// to match, counts terminal jobs (forgetting the one that finished
+// first once more than maxFinished are retained), and appends j's
+// status and end events, so a job's status events are exactly its
+// transitions, in order. It returns j's attempt number. The cancel
+// funcs a transition owes go to s.fx. Caller holds s.mu, which j.mu
+// points at.
 //
 //ubs:locked(mu, j.mu)
 func (s *sched) step(j *Job, e event) (int, error) {
@@ -131,7 +146,8 @@ func (s *sched) step(j *Job, e event) (int, error) {
 			s.metrics.rejected[p].Inc()
 			return 0, &SaturatedError{Priority: p, Bound: bound, RetryAfter: s.retryAfter}
 		}
-		j.id = fmt.Sprintf("job-%06d", len(s.order)+1)
+		s.seq++
+		j.id = fmt.Sprintf("job-%06d", s.seq)
 		s.jobs[j.id] = j
 		s.order = append(s.order, j)
 		s.metrics.admitted[p].Inc()
@@ -216,6 +232,14 @@ func (s *sched) step(j *Job, e event) (int, error) {
 		}
 		s.metrics.finished(to)
 		s.fx = append(s.fx, j.cancel)
+		s.finished = append(s.finished, j)
+		if len(s.finished) > maxFinished {
+			old := s.finished[0]
+			s.finished = slices.Delete(s.finished, 0, 1)
+			delete(s.jobs, old.id)
+			i := slices.Index(s.order, old)
+			s.order = slices.Delete(s.order, i, i+1)
+		}
 	}
 	s.metrics.queue[Interactive].Set(float64(len(s.queues[Interactive])))
 	s.metrics.queue[Batch].Set(float64(len(s.queues[Batch])))
@@ -291,7 +315,7 @@ func (s *sched) get(id string) (*Job, bool) {
 	return j, ok
 }
 
-// list returns every job in submission order.
+// list returns every retained job in submission order.
 func (s *sched) list() []*Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()

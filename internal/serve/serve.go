@@ -125,7 +125,8 @@ func (s *Server) Submit(req SubmitRequest) (*Job, error) {
 // Job looks a job up by id.
 func (s *Server) Job(id string) (*Job, bool) { return s.sched.get(id) }
 
-// Jobs lists every job in submission order.
+// Jobs lists every retained job in submission order: every queued,
+// running and suspended job, and the last 1,024 jobs to finish.
 func (s *Server) Jobs() []*Job { return s.sched.list() }
 
 // fire applies one API event to the job with the given id; ok reports

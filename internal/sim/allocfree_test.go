@@ -4,31 +4,81 @@ import (
 	"context"
 	"sync"
 	"testing"
+
+	"ubscache/internal/testutil"
+	"ubscache/internal/workload"
 )
 
-// steadyMachine builds a machine for the given registered design kind and
-// drives it past the cold-start region: construction pools are sized, the
-// caches and MSHRs have filled, and the walker's call stack has reached
-// its working depth.
-func steadyMachine(t *testing.T, kind string) *Machine {
-	t.Helper()
+// The measured windows of the steady-state ops, in instructions.
+const (
+	steadyInstrs      = 50_000
+	nilObserverInstrs = 10_000
+)
+
+// steadyMachine builds server_001 on the given registered design kind,
+// sampling storage efficiency every sampleInterval cycles (0: off), and
+// drives it past the cold-start region: construction pools are sized,
+// the caches and MSHRs have filled, and the walker's call stack has
+// reached its working depth.
+func steadyMachine(tb testing.TB, kind string, sampleInterval uint64) *Machine {
+	tb.Helper()
 	d, err := ResolveDesign(DesignSpec{Kind: kind})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
+	}
+	wcfg, err := workload.Preset(workload.FamilyServer, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	src, err := workload.New(wcfg)
+	if err != nil {
+		tb.Fatal(err)
 	}
 	p := DefaultParams()
 	p.Warmup = 0
-	m, err := NewMachine(context.Background(), p, mustWalker(t), "server_001", d.Name, d.Factory)
+	p.SampleInterval = sampleInterval
+	m, err := NewMachine(context.Background(), p, src, wcfg.Name, d.Name, d.Factory)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := m.Warmup(); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := m.Advance(300_000); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return m
+}
+
+// requireAdvanceAllocFree fails t unless advancing m by n instructions,
+// runs times, performs no heap allocation.
+func requireAdvanceAllocFree(t *testing.T, m *Machine, runs int, n uint64) {
+	t.Helper()
+	var advErr error
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := m.Advance(n); err != nil {
+			advErr = err
+		}
+	})
+	if advErr != nil {
+		t.Fatal(advErr)
+	}
+	if allocs != 0 {
+		t.Errorf("steady-state Advance(%d) allocates %.1f allocs/run, want 0", n, allocs)
+	}
+}
+
+// benchAdvance times Advance(n) on m, reporting allocations and the
+// marginal cost per simulated instruction.
+func benchAdvance(b *testing.B, m *Machine, n uint64) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.Advance(n); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*n), "ns/instr")
 }
 
 // TestSimulateSteadyStateAllocFree pins the arena contract end to end: a
@@ -45,24 +95,39 @@ func TestSimulateSteadyStateAllocFree(t *testing.T) {
 	}
 	for _, kind := range kinds {
 		t.Run(kind, func(t *testing.T) {
-			m := steadyMachine(t, kind)
-			var advErr error
-			allocs := testing.AllocsPerRun(3, func() {
-				if err := m.Advance(50_000); err != nil {
-					advErr = err
-				}
-			})
-			if advErr != nil {
-				t.Fatal(advErr)
-			}
-			if allocs != 0 {
-				t.Errorf("steady-state Advance allocates %.1f allocs/run, want 0", allocs)
-			}
+			m := steadyMachine(t, kind, DefaultParams().SampleInterval)
+			requireAdvanceAllocFree(t, m, 3, steadyInstrs)
 			if err := m.Core().Validate(); err != nil {
 				t.Error(err)
 			}
 		})
 	}
+}
+
+// TestNilObserverAllocFree pins the observability layer's zero-cost
+// contract: with no observer and sampling off, the steady-state
+// measurement loop performs no allocations at all.
+func TestNilObserverAllocFree(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	requireAdvanceAllocFree(t, steadyMachine(t, "ubs", 0), 5, nilObserverInstrs)
+}
+
+// BenchmarkSimInstr times the steady-state window
+// TestSimulateSteadyStateAllocFree gates, per design kind: the marginal
+// cost of simulated instructions that sweeps and ubsd jobs pay.
+func BenchmarkSimInstr(b *testing.B) {
+	for _, kind := range DesignKinds() {
+		b.Run(kind, func(b *testing.B) {
+			benchAdvance(b, steadyMachine(b, kind, DefaultParams().SampleInterval), steadyInstrs)
+		})
+	}
+}
+
+// BenchmarkNilObserver times the window TestNilObserverAllocFree gates.
+func BenchmarkNilObserver(b *testing.B) {
+	benchAdvance(b, steadyMachine(b, "ubs", 0), nilObserverInstrs)
 }
 
 // TestSteadyStatePoolsConcurrent runs one machine per design kind in
@@ -73,7 +138,7 @@ func TestSteadyStatePoolsConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for _, kind := range DesignKinds() {
-		m := steadyMachine(t, kind)
+		m := steadyMachine(t, kind, DefaultParams().SampleInterval)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

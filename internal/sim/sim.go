@@ -39,7 +39,7 @@ type Params struct {
 	// Observer receives run lifecycle events and periodic heartbeat
 	// snapshots (see internal/obs). nil disables observability entirely:
 	// the measurement loop then costs one integer comparison per cycle and
-	// zero allocations (pinned by the HotPath benchmark suite). Observers
+	// zero allocations (pinned by TestNilObserverAllocFree). Observers
 	// never affect simulation results, so the field is excluded from JSON
 	// encodings and therefore from the runner's content keys.
 	Observer obs.Observer `json:"-"`
