@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"testing"
 
 	"ubscache/internal/cache"
@@ -12,13 +13,20 @@ import (
 // stream its test gates. All are deterministic: fixed address streams,
 // fixed clock advance, no RNG.
 
-// mshrChurn returns one op of a 32-entry MSHR at steady state: the clock
-// advances a few cycles per op while each in-flight miss lives ~100
-// cycles, so the file hovers at capacity with continuous expiry, merge
-// hits and misses, capacity checks and inserts — the per-access sequence
-// the frontends issue.
-func mshrChurn() func() {
-	m := NewMSHR(32)
+// mshrCapacities are the MSHR file sizes the model builds: L1-I (every
+// frontend's fetch engine), L1-D, L2 and L3.
+var mshrCapacities = []int{8, 16, 32, 64}
+
+// mshrChurn returns one op of an MSHR file of the given capacity at
+// steady state: the clock advances a few cycles per op while each
+// in-flight miss lives ~100 cycles, so ~33 misses want to be in flight.
+// The 8- and 16-entry files stay full and refuse most inserts, the
+// 32-entry one hovers at capacity with continuous expiry, and the
+// 64-entry one never fills: between them, lookups, expiry, capacity
+// checks and refused and accepted inserts — the per-access sequence the
+// frontends issue.
+func mshrChurn(capacity int) func() {
+	m := NewMSHR(capacity)
 	now := uint64(0)
 	i := 0
 	return func() {
@@ -36,10 +44,12 @@ func mshrChurn() func() {
 
 // fetchBlockWalk returns one op of the shared L2/L3/DRAM walk over a
 // working set exactly the size of the L2: L2 hits, L3 hits, MSHR merges,
-// DRAM misses and aborted (retry) requests.
-func fetchBlockWalk() func() {
+// DRAM misses and aborted (retry) requests. Demand walks come from the
+// frontends' misses; prefetch walks, from their FDIP prefetches, fill
+// blocks marked prefetched.
+func fetchBlockWalk(prefetch bool) func() {
 	h := MustNewHierarchy(DefaultHierarchyConfig())
-	ctx := cache.AccessContext{}
+	ctx := cache.AccessContext{Prefetch: prefetch}
 	now := uint64(0)
 	i := 0
 	return func() {
@@ -47,6 +57,15 @@ func fetchBlockWalk() func() {
 		h.FetchBlock(uint64(i%8192)*64, now, ctx)
 		i++
 	}
+}
+
+// fetchBlockKinds names the two walks fetchBlockWalk builds.
+var fetchBlockKinds = []struct {
+	name     string
+	prefetch bool
+}{
+	{"demand", false},
+	{"prefetch", true},
 }
 
 // dataCacheLoads returns one op of the L1-D front of the hierarchy on a
@@ -96,16 +115,24 @@ func benchOp(b *testing.B, op func()) {
 }
 
 // TestMSHRSteadyStateAllocFree pins the lookup / capacity-check / insert
-// cycle on a hot MSHR: it never heap-allocates once the file's backing
-// array exists.
+// cycle on a hot MSHR of each size the model builds: it never
+// heap-allocates once the file's backing array exists.
 func TestMSHRSteadyStateAllocFree(t *testing.T) {
-	requireAllocFree(t, "MSHR steady state", mshrChurn())
+	for _, c := range mshrCapacities {
+		t.Run(fmt.Sprintf("mshrs%d", c), func(t *testing.T) {
+			requireAllocFree(t, "MSHR steady state", mshrChurn(c))
+		})
+	}
 }
 
 // TestFetchBlockAllocFree pins the same property for the full L2/L3/DRAM
-// walk.
+// walk, demand and prefetch.
 func TestFetchBlockAllocFree(t *testing.T) {
-	requireAllocFree(t, "FetchBlock", fetchBlockWalk())
+	for _, k := range fetchBlockKinds {
+		t.Run(k.name, func(t *testing.T) {
+			requireAllocFree(t, "FetchBlock", fetchBlockWalk(k.prefetch))
+		})
+	}
 }
 
 // TestDataCacheLoadAllocFree pins it for L1-D loads, hits and misses.
@@ -113,6 +140,16 @@ func TestDataCacheLoadAllocFree(t *testing.T) {
 	requireAllocFree(t, "DataCache.Load", dataCacheLoads(t))
 }
 
-func BenchmarkMSHR(b *testing.B)          { benchOp(b, mshrChurn()) }
-func BenchmarkFetchBlock(b *testing.B)    { benchOp(b, fetchBlockWalk()) }
+func BenchmarkMSHR(b *testing.B) {
+	for _, c := range mshrCapacities {
+		b.Run(fmt.Sprintf("mshrs%d", c), func(b *testing.B) { benchOp(b, mshrChurn(c)) })
+	}
+}
+
+func BenchmarkFetchBlock(b *testing.B) {
+	for _, k := range fetchBlockKinds {
+		b.Run(k.name, func(b *testing.B) { benchOp(b, fetchBlockWalk(k.prefetch)) })
+	}
+}
+
 func BenchmarkDataCacheLoad(b *testing.B) { benchOp(b, dataCacheLoads(b)) }

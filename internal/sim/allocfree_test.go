@@ -15,18 +15,23 @@ const (
 	nilObserverInstrs = 10_000
 )
 
-// steadyMachine builds server_001 on the given registered design kind,
-// sampling storage efficiency every sampleInterval cycles (0: off), and
-// drives it past the cold-start region: construction pools are sized,
-// the caches and MSHRs have filled, and the walker's call stack has
-// reached its working depth.
-func steadyMachine(tb testing.TB, kind string, sampleInterval uint64) *Machine {
+// steadyFamilies are the workloads the steady-state gate runs, by their
+// first preset: server_001, front-end bound (the paper's target), and
+// spec_001, loop code that the core and branch predictor dominate.
+var steadyFamilies = []workload.Family{workload.FamilyServer, workload.FamilySPEC}
+
+// steadyMachine builds the first preset of family on the given
+// registered design kind, sampling storage efficiency every
+// sampleInterval cycles (0: off), and drives it past the cold-start
+// region: construction pools are sized, the caches and MSHRs have
+// filled, and the walker's call stack has reached its working depth.
+func steadyMachine(tb testing.TB, family workload.Family, kind string, sampleInterval uint64) *Machine {
 	tb.Helper()
 	d, err := ResolveDesign(DesignSpec{Kind: kind})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	wcfg, err := workload.Preset(workload.FamilyServer, 0)
+	wcfg, err := workload.Preset(family, 0)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -84,7 +89,8 @@ func benchAdvance(b *testing.B, m *Machine, n uint64) {
 // TestSimulateSteadyStateAllocFree pins the arena contract end to end: a
 // measured simulation window — core cycle loop, FDIP fill, frontend
 // fetches, L1-D, hierarchy, efficiency sampling — performs zero
-// allocations at steady state, for every registered design kind. Every
+// allocations at steady state, for every registered design kind on each
+// of steadyFamilies. Every
 // pool (ROB, in-flight wheel and its far list, decode FIFO, FTQ backing,
 // walker stack, efficiency window) is pre-sized at construction, so the marginal
 // cost of a simulated instruction never includes the allocator.
@@ -95,10 +101,14 @@ func TestSimulateSteadyStateAllocFree(t *testing.T) {
 	}
 	for _, kind := range kinds {
 		t.Run(kind, func(t *testing.T) {
-			m := steadyMachine(t, kind, DefaultParams().SampleInterval)
-			requireAdvanceAllocFree(t, m, 3, steadyInstrs)
-			if err := m.Core().Validate(); err != nil {
-				t.Error(err)
+			for _, f := range steadyFamilies {
+				m := steadyMachine(t, f, kind, DefaultParams().SampleInterval)
+				t.Run(m.workload, func(t *testing.T) {
+					requireAdvanceAllocFree(t, m, 3, steadyInstrs)
+					if err := m.Core().Validate(); err != nil {
+						t.Error(err)
+					}
+				})
 			}
 		})
 	}
@@ -106,28 +116,39 @@ func TestSimulateSteadyStateAllocFree(t *testing.T) {
 
 // TestNilObserverAllocFree pins the observability layer's zero-cost
 // contract: with no observer and sampling off, the steady-state
-// measurement loop performs no allocations at all.
+// measurement loop on server_001 performs no allocations at all, for
+// every registered design kind.
 func TestNilObserverAllocFree(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	requireAdvanceAllocFree(t, steadyMachine(t, "ubs", 0), 5, nilObserverInstrs)
-}
-
-// BenchmarkSimInstr times the steady-state window
-// TestSimulateSteadyStateAllocFree gates, per design kind: the marginal
-// cost of simulated instructions that sweeps and ubsd jobs pay.
-func BenchmarkSimInstr(b *testing.B) {
 	for _, kind := range DesignKinds() {
-		b.Run(kind, func(b *testing.B) {
-			benchAdvance(b, steadyMachine(b, kind, DefaultParams().SampleInterval), steadyInstrs)
+		t.Run(kind, func(t *testing.T) {
+			requireAdvanceAllocFree(t, steadyMachine(t, workload.FamilyServer, kind, 0), 5, nilObserverInstrs)
 		})
 	}
 }
 
-// BenchmarkNilObserver times the window TestNilObserverAllocFree gates.
+// BenchmarkSimInstr times the steady-state window
+// TestSimulateSteadyStateAllocFree gates on server_001, per design kind:
+// the marginal cost of simulated instructions that sweeps and ubsd jobs
+// pay.
+func BenchmarkSimInstr(b *testing.B) {
+	for _, kind := range DesignKinds() {
+		b.Run(kind, func(b *testing.B) {
+			benchAdvance(b, steadyMachine(b, workload.FamilyServer, kind, DefaultParams().SampleInterval), steadyInstrs)
+		})
+	}
+}
+
+// BenchmarkNilObserver times the window TestNilObserverAllocFree gates,
+// per design kind.
 func BenchmarkNilObserver(b *testing.B) {
-	benchAdvance(b, steadyMachine(b, "ubs", 0), nilObserverInstrs)
+	for _, kind := range DesignKinds() {
+		b.Run(kind, func(b *testing.B) {
+			benchAdvance(b, steadyMachine(b, workload.FamilyServer, kind, 0), nilObserverInstrs)
+		})
+	}
 }
 
 // TestSteadyStatePoolsConcurrent runs one machine per design kind in
@@ -138,7 +159,7 @@ func TestSteadyStatePoolsConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for _, kind := range DesignKinds() {
-		m := steadyMachine(t, kind, DefaultParams().SampleInterval)
+		m := steadyMachine(t, workload.FamilyServer, kind, DefaultParams().SampleInterval)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
