@@ -1,6 +1,9 @@
 package checkpoint
 
 import (
+	"context"
+	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -31,4 +34,27 @@ func BenchmarkCodec(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkResume times Resume of the golden server_001/ubs image from
+// its file: the read and decode, the workload's walker over the program
+// (shared with the run that wrote the image), the machine's assembly
+// and the restore. Each op starts on a collected heap, as perfbench's
+// resume_ms samples do.
+func BenchmarkResume(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "golden.ubsc")
+	if err := WriteFileAtomic(path, goldenImage(b, "server_001", "ubs")); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC()
+		b.StartTimer()
+		r, err := Resume(context.Background(), path, ResumeOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		r.Close()
+	}
 }

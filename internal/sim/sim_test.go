@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -303,5 +305,52 @@ func TestWarmupZeroesEveryCounter(t *testing.T) {
 		if st := m.bp.Stats(); st != (bpu.Stats{}) {
 			t.Errorf("%s: BPU stats after warmup = %+v, want zero", d.Name, st)
 		}
+	}
+}
+
+// TestInvalidTraceRecordEndsRun replays a .ubst file whose 201st record
+// is an instruction of size zero on UBS. The reader must end the stream
+// there, so the run fails with a short trace; the record used to reach
+// FDIP and panic the UBS range mask.
+func TestInvalidTraceRecordEndsRun(t *testing.T) {
+	src, err := workload.New(specCfg(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	w, err := trace.NewWriter(&buf, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		in, _ := src.Next()
+		if err := w.Write(in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A plain instruction at the next PC (head: class 0, pcIsSeq) of size
+	// 0, then valid ones of size 4.
+	data := append(buf.Bytes(), 0x80, 0x00)
+	for i := 0; i < 4000; i++ {
+		data = append(data, 0x80, 0x04)
+	}
+	r, err := trace.NewReader(bytes.NewReader(data), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := ParseDesign("ubs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := DefaultParams()
+	p.Warmup, p.Measure = 1000, 5000
+	if _, err := RunSource(p, r, "bad-trace", d.Name, d.Factory); err == nil {
+		t.Fatal("run over a trace with a zero-size instruction succeeded")
+	}
+	if !errors.Is(r.Err(), trace.ErrBadFormat) {
+		t.Errorf("reader error %v, want ErrBadFormat", r.Err())
 	}
 }

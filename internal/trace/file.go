@@ -242,7 +242,9 @@ func Open(path string) (*Reader, error) {
 	return tr, nil
 }
 
-// Read decodes the next instruction. It returns io.EOF at end of stream.
+// Read decodes the next instruction. It returns io.EOF at end of stream,
+// and an error wrapping ErrBadFormat for a record that fails Validate.
+// Errors are sticky: every later Read returns the same one.
 func (r *Reader) Read() (Instr, error) {
 	if r.err != nil {
 		return Instr{}, r.err
@@ -308,6 +310,13 @@ func (r *Reader) Read() (Instr, error) {
 		}
 		in.Dep1 = uint16(d1)
 		in.Dep2 = uint16(d2)
+	}
+	// Writer.Write refuses what Validate rejects, so such a record is
+	// damage, and passing it on would break the simulator's invariants
+	// (a zero-size instruction, say) far from the file.
+	if err := Validate(in); err != nil {
+		r.err = fmt.Errorf("%w: %v", ErrBadFormat, err)
+		return Instr{}, r.err
 	}
 	prevMem := r.prev.MemAddr
 	r.prev = in

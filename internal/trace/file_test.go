@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
 	"path/filepath"
@@ -129,6 +130,49 @@ func TestFileRejectsInvalid(t *testing.T) {
 	}
 	if err := w.Write(Instr{PC: 1, Size: 0}); err == nil {
 		t.Error("zero-size instruction accepted")
+	}
+}
+
+// TestReaderRejectsInvalidRecord reads a stream whose 21st record is an
+// instruction of size zero, which no Writer emits. Passed on, it used to
+// panic the UBS frontend's range mask; the reader must stop there with a
+// sticky ErrBadFormat.
+func TestReaderRejectsInvalidRecord(t *testing.T) {
+	ins := randomStream(rand.New(rand.NewSource(3)), 20)
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range ins {
+		if err := w.Write(in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A plain instruction at the next PC (head: class 0, pcIsSeq) of
+	// size 0, then a valid one of size 4.
+	data := append(buf.Bytes(), 0x80, 0x00, 0x80, 0x04)
+	r, err := NewReader(bytes.NewReader(data), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ins {
+		if _, err := r.Read(); err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+	}
+	_, err = r.Read()
+	if !errors.Is(err, ErrBadFormat) {
+		t.Fatalf("zero-size record: Read returned %v, want ErrBadFormat", err)
+	}
+	if _, again := r.Read(); again != err {
+		t.Errorf("Read after %v returned %v", err, again)
+	}
+	if r.Err() != err {
+		t.Errorf("Err() = %v, want %v", r.Err(), err)
 	}
 }
 

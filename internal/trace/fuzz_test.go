@@ -17,10 +17,11 @@ const maxFuzzRecords = 4
 const maxFuzzReads = 32
 
 // FuzzReader feeds arbitrary bytes, plain or gzip-wrapped, to the UBST
-// reader. It must never panic; once a Read fails, every later Read
-// returns the same error, and Err reports it unless it is io.EOF. A
-// plain record takes at least two bytes, so a plain stream ends within
-// len(data)/2 reads. Seeded with a stream NewWriter wrote, both ways.
+// reader. It must never panic, and every instruction it decodes passes
+// Validate; once a Read fails, every later Read returns the same error,
+// and Err reports it unless it is io.EOF. A plain record takes at least
+// two bytes, so a plain stream ends within len(data)/2 reads. Seeded
+// with a stream NewWriter wrote, both ways.
 func FuzzReader(f *testing.F) {
 	ins := randomStream(rand.New(rand.NewSource(5)), 24)
 	for _, compress := range []bool{false, true} {
@@ -47,7 +48,8 @@ func FuzzReader(f *testing.F) {
 		}
 		defer r.Close()
 		for n := 0; n < maxFuzzReads; n++ {
-			if _, err := r.Read(); err != nil {
+			in, err := r.Read()
+			if err != nil {
 				if _, again := r.Read(); again != err {
 					t.Fatalf("Read after %v returned %v", err, again)
 				}
@@ -55,6 +57,9 @@ func FuzzReader(f *testing.F) {
 					t.Fatalf("Err() = %v after Read returned %v", got, err)
 				}
 				return
+			}
+			if err := Validate(in); err != nil {
+				t.Fatalf("record %d decoded: %v", n, err)
 			}
 			if !compressed && n >= len(data)/2 {
 				t.Fatalf("%d records decoded from %d plain bytes", n+1, len(data))

@@ -108,7 +108,7 @@ func checkWalkInBlocks(t *testing.T, p *Program, n int) {
 	for fi := range p.Funcs {
 		for bi := range p.Funcs[fi].Blocks {
 			b := &p.Funcs[fi].Blocks[bi]
-			spans = append(spans, span{b.Addr, b.End()})
+			spans = append(spans, span{b.Addr, p.End(b)})
 		}
 	}
 	sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })

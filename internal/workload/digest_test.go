@@ -46,16 +46,18 @@ func programDigest(p *Program) string {
 			b(blk.Cold)
 			b(blk.Split)
 			i(blk.Next)
-			n(blk.Offs == nil, len(blk.Offs))
-			for _, o := range blk.Offs {
+			offs := blockOffs(p, blk)
+			n(offs == nil, len(offs))
+			for _, o := range offs {
 				u(uint64(o))
 			}
 			t := &blk.Term
 			u(uint64(t.Kind))
 			i(t.TargetBlock)
 			i(t.Callee)
-			n(t.Callees == nil, len(t.Callees))
-			for _, c := range t.Callees {
+			callees := p.Callees(t)
+			n(callees == nil, len(callees))
+			for _, c := range callees {
 				i(c)
 			}
 			u(math.Float64bits(t.TakenProb))
@@ -64,6 +66,15 @@ func programDigest(p *Program) string {
 		buf = buf[:0]
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// blockOffs returns b's instruction byte offsets in p's offsets table,
+// or nil for a fixed-size ISA, which has no table.
+func blockOffs(p *Program, b *Block) []uint16 {
+	if p.offs == nil {
+		return nil
+	}
+	return p.offs[b.OffsAt : b.OffsAt+b.NInstr+1]
 }
 
 // TestProgramDigests pins the program of every preset byte for byte, so a

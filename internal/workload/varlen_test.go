@@ -21,19 +21,20 @@ func TestVarLenBlocksHaveOffsets(t *testing.T) {
 	for fi := range p.Funcs {
 		for bi := range p.Funcs[fi].Blocks {
 			b := &p.Funcs[fi].Blocks[bi]
-			if b.Offs == nil {
+			offs := blockOffs(p, b)
+			if offs == nil {
 				t.Fatalf("func %d block %d has no offsets", fi, bi)
 			}
-			if len(b.Offs) != b.NInstr+1 {
-				t.Fatalf("offsets length %d for %d instructions", len(b.Offs), b.NInstr)
+			if len(offs) != b.NInstr+1 {
+				t.Fatalf("offsets length %d for %d instructions", len(offs), b.NInstr)
 			}
 			for i := 0; i < b.NInstr; i++ {
-				sz := b.InstrSize(i)
+				sz := p.InstrSize(b, i)
 				if sz < 2 || sz > 9 {
 					t.Fatalf("instruction size %d out of [2,9]", sz)
 				}
 			}
-			if b.SizeBytes() != int(b.Offs[b.NInstr]) {
+			if p.SizeBytes(b) != int(offs[b.NInstr]) {
 				t.Fatal("SizeBytes mismatch")
 			}
 		}
@@ -50,7 +51,7 @@ func TestVarLenBlocksDoNotOverlap(t *testing.T) {
 	for fi := range p.Funcs {
 		for bi := range p.Funcs[fi].Blocks {
 			b := &p.Funcs[fi].Blocks[bi]
-			spans = append(spans, span{b.Addr, b.End()})
+			spans = append(spans, span{b.Addr, p.End(b)})
 		}
 	}
 	for i := range spans {
@@ -131,16 +132,16 @@ func TestX86FamilyPreset(t *testing.T) {
 }
 
 func TestFixedISAUnchanged(t *testing.T) {
-	// The fixed-size path must keep Offs nil (memory) and 4-byte sizes.
+	// The fixed-size path must have no offsets table (memory) and 4-byte sizes.
 	p, err := Build(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := &p.Funcs[0].Blocks[0]
-	if b.Offs != nil {
+	if blockOffs(p, b) != nil {
 		t.Error("fixed ISA block has offsets")
 	}
-	if b.InstrSize(0) != 4 || b.InstrAddr(1) != b.Addr+4 {
+	if p.InstrSize(b, 0) != 4 || p.InstrAddr(b, 1) != b.Addr+4 {
 		t.Error("fixed ISA accessors wrong")
 	}
 }

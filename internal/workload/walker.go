@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"sync"
 
 	"ubscache/internal/trace"
 )
@@ -77,13 +78,13 @@ func (w *Walker) Next() (trace.Instr, bool) {
 	}
 	f := &w.prog.Funcs[w.st.Fn]
 	b := &f.Blocks[w.st.Blk]
-	pc := b.InstrAddr(w.st.Pos)
+	pc := w.prog.InstrAddr(b, w.st.Pos)
 	lastInBlock := w.st.Pos == b.NInstr-1
 	isTerm := lastInBlock && b.Term.Kind != TermFallthrough
 
 	var in trace.Instr
 	in.PC = pc
-	in.Size = uint8(b.InstrSize(w.st.Pos))
+	in.Size = uint8(w.prog.InstrSize(b, w.st.Pos))
 
 	if isTerm {
 		in = w.terminate(in, b)
@@ -162,7 +163,8 @@ func (w *Walker) terminate(in trace.Instr, b *Block) trace.Instr {
 	case TermCall, TermIndirectCall:
 		callee := b.Term.Callee
 		if b.Term.Kind == TermIndirectCall {
-			callee = b.Term.Callees[w.st.RNG.Intn(len(b.Term.Callees))]
+			callees := w.prog.Callees(&b.Term)
+			callee = callees[w.st.RNG.Intn(len(callees))]
 			in.Class = trace.ClassIndirectCall
 		} else {
 			in.Class = trace.ClassCall
@@ -240,13 +242,44 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// New builds the program for cfg and returns a Walker over it.
+// New returns a Walker over the program for cfg. Calls with equal
+// configs share one program, built by the first of them (see last).
 func New(cfg Config) (*Walker, error) {
-	p, err := Build(cfg)
-	if err != nil {
-		return nil, err
+	last.mu.Lock()
+	e := last.e
+	if e == nil || e.cfg != cfg {
+		e = &built{cfg: cfg}
+		last.e = e
 	}
-	return NewWalker(p), nil
+	last.mu.Unlock()
+	e.once.Do(func() { e.p, e.err = Build(cfg) })
+	if e.err != nil {
+		return nil, e.err
+	}
+	return NewWalker(e.p), nil
+}
+
+// last holds the program New built last, so that a sweep, a ubsd stream
+// or a checkpoint resume, which open one workload over and over, build
+// it once. Like a sync.Pool it is package state no caller can observe
+// but in time and memory: it caches a pure function (Build) of a
+// comparable key (Config, under ==), and its values are immutable, as a
+// Walker only reads its program and never hands it out. (== equates -0
+// and 0, which Build's uses of Config's floats treat alike.) It keeps
+// one entry, which another config replaces, so at most one program
+// outlives its walkers.
+var last struct {
+	mu sync.Mutex
+	e  *built
+}
+
+// built is one program New shares. Concurrent callers with its config
+// wait on once for the same build.
+type built struct {
+	cfg  Config
+	once sync.Once
+	p    *Program
+	err  error
 }
 
 // State is a Walker's mutable state, the form the walker keeps it in and

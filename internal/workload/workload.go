@@ -57,12 +57,15 @@ func (k TermKind) String() string {
 // Terminator describes a basic block's final control transfer.
 type Terminator struct {
 	Kind TermKind
+	// NCallees is the number of candidate function indices of a
+	// TermIndirectCall, which start at CalleesAt in the program's callee
+	// table (Program.Callees); 0 for every other kind.
+	NCallees  uint8
+	CalleesAt int32
 	// TargetBlock is the intra-function block index for TermCond/TermJump.
 	TargetBlock int
 	// Callee is the program function index for TermCall.
 	Callee int
-	// Callees are candidate function indices for TermIndirectCall.
-	Callees []int
 	// TakenProb is the probability a TermCond branch is taken.
 	TakenProb float64
 }
@@ -70,6 +73,11 @@ type Terminator struct {
 // Block is one basic block: NInstr instructions, the last of which
 // realises the terminator (unless the terminator is a fallthrough, in
 // which case every instruction is a plain one).
+//
+// A Block holds no pointer: what varies in length (a variable-length
+// block's instruction offsets, an indirect call's callees) lives in the
+// Program's side tables, so a program's blocks cost the garbage
+// collector nothing to scan. Read a block's extent through its Program.
 type Block struct {
 	Addr   uint64
 	NInstr int
@@ -80,38 +88,11 @@ type Block struct {
 	// Next is the intra-function block index executed after a fallthrough,
 	// an untaken conditional, or a call return. -1 for return blocks.
 	Next int
-	// Offs holds per-instruction byte offsets for variable-length ISAs
-	// (len NInstr+1, last entry = block byte length); nil for the fixed
-	// 4-byte ISA.
-	Offs []uint16
+	// OffsAt is where the block's NInstr+1 instruction byte offsets (the
+	// last one the block's byte length) start in the program's offsets
+	// table, which only a variable-length ISA has.
+	OffsAt int
 }
-
-// SizeBytes returns the block's byte length.
-func (b *Block) SizeBytes() int {
-	if b.Offs != nil {
-		return int(b.Offs[b.NInstr])
-	}
-	return b.NInstr * InstrBytes
-}
-
-// InstrAddr returns the address of the i-th instruction.
-func (b *Block) InstrAddr(i int) uint64 {
-	if b.Offs != nil {
-		return b.Addr + uint64(b.Offs[i])
-	}
-	return b.Addr + uint64(i*InstrBytes)
-}
-
-// InstrSize returns the byte size of the i-th instruction.
-func (b *Block) InstrSize(i int) int {
-	if b.Offs != nil {
-		return int(b.Offs[i+1] - b.Offs[i])
-	}
-	return InstrBytes
-}
-
-// End returns the address one past the block's last byte.
-func (b *Block) End() uint64 { return b.Addr + uint64(b.SizeBytes()) }
 
 // Func is one function of the synthetic program.
 type Func struct {
@@ -130,7 +111,49 @@ type Program struct {
 	// CodeBytes is the total laid-out code size, including cold regions.
 	CodeBytes uint64
 	cfg       Config
+	// offs holds every block's instruction byte offsets for a
+	// variable-length ISA and is nil for the fixed 4-byte ISA; callees
+	// holds every indirect call's candidate callees.
+	offs    []uint16
+	callees []int
 }
+
+// Callees returns the candidate callees of a TermIndirectCall, or nil
+// for any other terminator.
+func (p *Program) Callees(t *Terminator) []int {
+	if t.NCallees == 0 {
+		return nil
+	}
+	at, end := int(t.CalleesAt), int(t.CalleesAt)+int(t.NCallees)
+	return p.callees[at:end:end]
+}
+
+// SizeBytes returns b's byte length.
+func (p *Program) SizeBytes(b *Block) int {
+	if p.offs != nil {
+		return int(p.offs[b.OffsAt+b.NInstr])
+	}
+	return b.NInstr * InstrBytes
+}
+
+// InstrAddr returns the address of b's i-th instruction.
+func (p *Program) InstrAddr(b *Block, i int) uint64 {
+	if p.offs != nil {
+		return b.Addr + uint64(p.offs[b.OffsAt+i])
+	}
+	return b.Addr + uint64(i*InstrBytes)
+}
+
+// InstrSize returns the byte size of b's i-th instruction.
+func (p *Program) InstrSize(b *Block, i int) int {
+	if p.offs != nil {
+		return int(p.offs[b.OffsAt+i+1] - p.offs[b.OffsAt+i])
+	}
+	return InstrBytes
+}
+
+// End returns the address one past b's last byte.
+func (p *Program) End(b *Block) uint64 { return b.Addr + uint64(p.SizeBytes(b)) }
 
 // Config parameterises program synthesis. All distributions are uniform over
 // the inclusive [2]int ranges unless stated otherwise.
@@ -272,11 +295,10 @@ func branchBias(rng *RNG) float64 {
 	}
 }
 
-// Arena chunk sizes, in elements. Build hands out each function's
-// blocks, each variable-length block's offsets and each indirect call's
-// callees as sub-slices of a few large chunks instead of allocating every
-// slice on its own: a server program has ~75k blocks, and one allocation
-// per slice used to cost Build more than the synthesis itself.
+// Block arena chunk sizes, in blocks. Build hands out each function's
+// blocks as sub-slices of a few large chunks instead of allocating every
+// function's slice on its own: a server program has ~75k blocks, and one
+// allocation per slice used to cost Build more than the synthesis itself.
 //
 // A chunk of smallChunk blocks (28 KB) is still a small object, which
 // the Go allocator serves from per-size spans. Larger chunks come from
@@ -289,45 +311,30 @@ const (
 	blockChunk     = 8 << 10
 	smallChunk     = 256
 	maxSmallChunks = 64
-	offsChunk      = 64 << 10
-	calleeChunk    = 4 << 10
 )
 
-// builder is Build's working state: the config, the generator, the
-// arenas the program's slices are cut from, and per-function scratch
-// reused across functions.
+// builder is Build's working state: the program, the generator, the
+// block arena, and per-function scratch reused across functions.
 type builder struct {
+	p   *Program
 	cfg *Config
 	rng RNG // draws what rand.New(rand.NewSource(Seed)) would
-	// Arena chunks: the filled prefix is handed out, the spare capacity
-	// is free. A block chunk holds chunk blocks.
-	chunk   int
-	blocks  []Block
-	offs    []uint16
-	callees []int
+	// The block arena chunk: the filled prefix is handed out, the spare
+	// capacity is free. A chunk holds chunk blocks.
+	chunk  int
+	blocks []Block
+	// indirect counts the indirect calls, to size the callee table.
+	indirect int
 	// hotIdx is the block index of each hot position; coldAfter the cold
 	// block that follows it, or -1.
 	hotIdx    []int
 	coldAfter []int
 }
 
-// carve cuts n zeroed elements from the free tail of *arena, starting a
-// new chunk of max(chunk, n) elements when the tail is short. The result
-// is capped at its length, so appending to it never writes into a
-// neighbour.
-func carve[T any](arena *[]T, n, chunk int) []T {
-	if cap(*arena)-len(*arena) < n {
-		*arena = make([]T, 0, max(chunk, n))
-	}
-	l := len(*arena)
-	*arena = (*arena)[:l+n]
-	return (*arena)[l : l+n : l+n]
-}
-
 // Build synthesises the static program for cfg. The result is a pure
-// function of cfg (including Seed). The program is immutable once built:
-// functions' blocks share arena chunks, and walkers, checkpoints and
-// callers only read it.
+// function of cfg (including Seed), and each call returns a fresh
+// program. The program is immutable once built: functions' blocks share
+// arena chunks, and walkers, checkpoints and callers only read it.
 func Build(cfg Config) (*Program, error) {
 	if cfg.FuncAlign == 0 {
 		cfg.FuncAlign = 16
@@ -354,10 +361,18 @@ func Build(cfg Config) (*Program, error) {
 		return nil, err
 	}
 	p := &Program{cfg: cfg, Funcs: make([]Func, cfg.Functions)}
-	bl := &builder{cfg: &p.cfg, chunk: blockChunk}
+	bl := &builder{p: p, cfg: &p.cfg, chunk: blockChunk}
 	// A function has at most 2×HotBlocksPer[1] blocks.
 	if most := 2 * cfg.Functions * cfg.HotBlocksPer[1]; most <= maxSmallChunks*smallChunk {
 		bl.chunk = min(smallChunk, most)
+	}
+	if cfg.VarLenISA {
+		// Size the offsets table for its expected length, which counts a
+		// cold block's chance after every hot block, the last ones too,
+		// so appending almost never regrows it.
+		mean := func(r [2]int) float64 { return float64(r[0]+r[1]) / 2 }
+		perHot := mean(cfg.HotBlockInstrs) + 1 + cfg.ColdFrac*(mean(cfg.ColdBlockInstrs)+1)
+		p.offs = make([]uint16, 0, int(float64(cfg.Functions)*mean(cfg.HotBlocksPer)*perHot))
 	}
 	bl.rng.Seed(cfg.Seed)
 	for fi := range p.Funcs {
@@ -365,7 +380,9 @@ func Build(cfg Config) (*Program, error) {
 	}
 	rng := &bl.rng
 
-	// Callees are picked once all functions exist.
+	// Callees are picked once all functions exist. An indirect call has
+	// at most 4.
+	p.callees = make([]int, 0, 4*bl.indirect)
 	for fi := range p.Funcs {
 		f := &p.Funcs[fi]
 		for bi := range f.Blocks {
@@ -375,9 +392,9 @@ func Build(cfg Config) (*Program, error) {
 				term.Callee = p.pickCallee(rng, fi)
 			case TermIndirectCall:
 				n := 2 + rng.Intn(3)
-				term.Callees = carve(&bl.callees, n, calleeChunk)
-				for k := range term.Callees {
-					term.Callees[k] = p.pickCallee(rng, fi)
+				term.NCallees, term.CalleesAt = uint8(n), int32(len(p.callees))
+				for k := 0; k < n; k++ {
+					p.callees = append(p.callees, p.pickCallee(rng, fi))
 				}
 			}
 		}
@@ -397,7 +414,7 @@ func Build(cfg Config) (*Program, error) {
 				continue
 			}
 			f.Blocks[bi].Addr = addr
-			addr += uint64(f.Blocks[bi].SizeBytes())
+			addr += uint64(p.SizeBytes(&f.Blocks[bi]))
 		}
 	}
 	for fi := range p.Funcs {
@@ -410,7 +427,7 @@ func Build(cfg Config) (*Program, error) {
 				addr += cfg.FuncAlign - rem
 			}
 			f.Blocks[bi].Addr = addr
-			addr += uint64(f.Blocks[bi].SizeBytes())
+			addr += uint64(p.SizeBytes(&f.Blocks[bi]))
 		}
 	}
 	p.CodeBytes = addr - cfg.CodeBase
@@ -511,6 +528,7 @@ func (bl *builder) buildFunc(f *Func, fi int) {
 			b.Term = Terminator{Kind: TermCall}
 			if rng.Float64() < cfg.IndirectFrac {
 				b.Term.Kind = TermIndirectCall
+				bl.indirect++
 			}
 		case rng.Float64() < cfg.CondProb:
 			// Forward conditional skipping 1..3 hot blocks (if/else shape);
@@ -566,7 +584,7 @@ func (p *Program) BlockAt(addr uint64) (fn, blk int, ok bool) {
 	for fi := range p.Funcs {
 		for bi := range p.Funcs[fi].Blocks {
 			b := &p.Funcs[fi].Blocks[bi]
-			if addr >= b.Addr && addr < b.End() {
+			if addr >= b.Addr && addr < p.End(b) {
 				return fi, bi, true
 			}
 		}
@@ -581,24 +599,25 @@ func (p *Program) HotBytes() uint64 {
 	for fi := range p.Funcs {
 		for bi := range p.Funcs[fi].Blocks {
 			if !p.Funcs[fi].Blocks[bi].Cold {
-				n += uint64(p.Funcs[fi].Blocks[bi].SizeBytes())
+				n += uint64(p.SizeBytes(&p.Funcs[fi].Blocks[bi]))
 			}
 		}
 	}
 	return n
 }
 
-// sizeInstrs assigns per-instruction byte offsets for variable-length
-// ISAs, cut from the offsets arena; fixed-size ISAs keep Offs nil.
+// sizeInstrs appends b's per-instruction byte offsets to the program's
+// offsets table for variable-length ISAs; fixed-size ISAs have none.
 func (bl *builder) sizeInstrs(b *Block) {
 	if !bl.cfg.VarLenISA {
 		return
 	}
-	b.Offs = carve(&bl.offs, b.NInstr+1, offsChunk)
+	p := bl.p
+	b.OffsAt = len(p.offs)
 	off := 0
 	for i := 0; i < b.NInstr; i++ {
-		b.Offs[i] = uint16(off)
+		p.offs = append(p.offs, uint16(off))
 		off += uniform(&bl.rng, bl.cfg.InstrSizeRange)
 	}
-	b.Offs[b.NInstr] = uint16(off)
+	p.offs = append(p.offs, uint16(off))
 }

@@ -123,7 +123,7 @@ func TestProgramStructure(t *testing.T) {
 				t.Fatalf("func %d block %d empty", fi, bi)
 			}
 			// Blocks must not overlap.
-			for a := b.Addr; a < b.End(); a += InstrBytes {
+			for a := b.Addr; a < p.End(b); a += InstrBytes {
 				if seen[a] {
 					t.Fatalf("address %#x covered twice", a)
 				}
@@ -142,11 +142,12 @@ func TestProgramStructure(t *testing.T) {
 						fi, f.Level, b.Term.Callee, callee.Level)
 				}
 			case TermIndirectCall:
-				if len(b.Term.Callees) < 2 {
+				callees := p.Callees(&b.Term)
+				if len(callees) < 2 {
 					t.Fatalf("func %d block %d: indirect call with %d targets",
-						fi, bi, len(b.Term.Callees))
+						fi, bi, len(callees))
 				}
-				for _, c := range b.Term.Callees {
+				for _, c := range callees {
 					if p.Funcs[c].Level != f.Level+1 {
 						t.Fatalf("indirect callee at wrong level")
 					}
@@ -305,7 +306,7 @@ func TestColdCodeRarelyExecutes(t *testing.T) {
 			b := &p.Funcs[fi].Blocks[bi]
 			totalBytes += uint64(b.NInstr * InstrBytes)
 			if b.Cold {
-				colds = append(colds, rng{b.Addr, b.End()})
+				colds = append(colds, rng{b.Addr, p.End(b)})
 				coldBytes += uint64(b.NInstr * InstrBytes)
 			}
 		}
@@ -353,8 +354,8 @@ func TestSplitColdLayout(t *testing.T) {
 				if b.Addr < minCold {
 					minCold = b.Addr
 				}
-			} else if b.End() > maxHot {
-				maxHot = b.End()
+			} else if p.End(b) > maxHot {
+				maxHot = p.End(b)
 			}
 		}
 	}
