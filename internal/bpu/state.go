@@ -1,6 +1,9 @@
 package bpu
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // State is the predictor's mutable state, the form the BPU keeps it in
 // and the checkpoint stores: the perceptron weight tables
@@ -25,31 +28,47 @@ type State struct {
 // memory with the predictor.
 func (b *BPU) Snapshot(dst *State) { copyState(dst, &b.st) }
 
-// Restore installs a State captured from a predictor of the same
-// geometry, after checking every table shape and the RAS top index.
-func (b *BPU) Restore(src *State) error {
-	if err := sameShape(src.Weights, b.st.Weights, "bpu weights"); err != nil {
+// RestoreInPlace installs a State captured from a predictor of the same
+// geometry: fill decodes it into the predictor's own State, in place,
+// and every table shape and the RAS top index are then checked. A failed
+// RestoreInPlace leaves the predictor unusable.
+func (b *BPU) RestoreInPlace(fill func(any) error) error {
+	// fill may replace the tables' rows in their backing arrays; the
+	// shape the checks compare against keeps its own row headers.
+	want := b.st
+	want.Weights = slices.Clone(want.Weights)
+	want.BTBTags = slices.Clone(want.BTBTags)
+	want.BTBTargets = slices.Clone(want.BTBTargets)
+	want.BTBLRU = slices.Clone(want.BTBLRU)
+	if err := fill(&b.st); err != nil {
 		return err
 	}
-	if err := sameShape(src.BTBTags, b.st.BTBTags, "btb tags"); err != nil {
+	return check(&b.st, &want)
+}
+
+// check validates an image against want, the predictor's state as built.
+func check(src, want *State) error {
+	if err := sameShape(src.Weights, want.Weights, "bpu weights"); err != nil {
 		return err
 	}
-	if err := sameShape(src.BTBTargets, b.st.BTBTargets, "btb targets"); err != nil {
+	if err := sameShape(src.BTBTags, want.BTBTags, "btb tags"); err != nil {
 		return err
 	}
-	if err := sameShape(src.BTBLRU, b.st.BTBLRU, "btb lru"); err != nil {
+	if err := sameShape(src.BTBTargets, want.BTBTargets, "btb targets"); err != nil {
 		return err
 	}
-	if len(src.Bias) != len(b.st.Bias) {
-		return fmt.Errorf("bpu bias: snapshot has %d entries, predictor has %d", len(src.Bias), len(b.st.Bias))
+	if err := sameShape(src.BTBLRU, want.BTBLRU, "btb lru"); err != nil {
+		return err
 	}
-	if len(src.RAS) != len(b.st.RAS) {
-		return fmt.Errorf("bpu ras: snapshot has %d entries, predictor has %d", len(src.RAS), len(b.st.RAS))
+	if len(src.Bias) != len(want.Bias) {
+		return fmt.Errorf("bpu bias: snapshot has %d entries, predictor has %d", len(src.Bias), len(want.Bias))
+	}
+	if len(src.RAS) != len(want.RAS) {
+		return fmt.Errorf("bpu ras: snapshot has %d entries, predictor has %d", len(src.RAS), len(want.RAS))
 	}
 	if src.RASTop < 0 || src.RASTop >= len(src.RAS) {
 		return fmt.Errorf("bpu ras: snapshot top %d outside [0,%d)", src.RASTop, len(src.RAS))
 	}
-	copyState(&b.st, src)
 	return nil
 }
 

@@ -1,6 +1,9 @@
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // State is a Cache's mutable state, the form the cache keeps it in and
 // the checkpoint stores: every Block (set-major, Sets*Ways entries), the
@@ -39,13 +42,35 @@ func (c *Cache) Snapshot(dst *State) { copyState(dst, &c.st) }
 // Restore installs a State captured from a cache of the same geometry
 // and policy, after checking every length against this cache.
 func (c *Cache) Restore(src *State) error {
-	if len(src.Blocks) != len(c.st.Blocks) {
-		return fmt.Errorf("cache %s: snapshot has %d blocks, cache holds %d", c.cfg.Name, len(src.Blocks), len(c.st.Blocks))
-	}
-	if err := sameShape(src.Policy.Tables, c.st.Policy.Tables); err != nil {
-		return fmt.Errorf("cache %s: %s policy tables: %w", c.cfg.Name, c.policy.Name(), err)
+	if err := c.check(src, &c.st); err != nil {
+		return err
 	}
 	copyState(&c.st, src)
+	return nil
+}
+
+// RestoreInPlace fills the cache's own State in place through fill,
+// which decodes into the value it is handed, and then runs Restore's
+// checks on it. A failed RestoreInPlace leaves the cache unusable.
+func (c *Cache) RestoreInPlace(fill func(any) error) error {
+	// fill may replace the policy tables' rows in their backing array;
+	// the shape the checks compare against keeps its own row headers.
+	want := c.st
+	want.Policy.Tables = slices.Clone(want.Policy.Tables)
+	if err := fill(&c.st); err != nil {
+		return err
+	}
+	return c.check(&c.st, &want)
+}
+
+// check validates an image against want, this cache's state as built.
+func (c *Cache) check(src, want *State) error {
+	if len(src.Blocks) != len(want.Blocks) {
+		return fmt.Errorf("cache %s: snapshot has %d blocks, cache holds %d", c.cfg.Name, len(src.Blocks), len(want.Blocks))
+	}
+	if err := sameShape(src.Policy.Tables, want.Policy.Tables); err != nil {
+		return fmt.Errorf("cache %s: %s policy tables: %w", c.cfg.Name, c.policy.Name(), err)
+	}
 	return nil
 }
 

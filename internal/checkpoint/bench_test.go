@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+
+	"ubscache/internal/sim"
 )
 
 // BenchmarkCodec times the checkpoint codec alone on a mid-run
@@ -36,11 +38,38 @@ func BenchmarkCodec(b *testing.B) {
 	})
 }
 
+// BenchmarkWrite times what perfbench's checkpoint_write_ms times short
+// of the file write: Snapshot of the golden server_001/ubs machine (run
+// as goldenImage runs it) into a fresh MachineState, then Encode. Each
+// op starts on a collected heap.
+func BenchmarkWrite(b *testing.B) {
+	p := sim.DefaultParams()
+	p.Warmup, p.Measure = 50_000, 200_000
+	m, w := freshMachine(b, context.Background(), p, "server_001", "ubs")
+	if err := m.Advance(100_000); err != nil {
+		b.Fatal(err)
+	}
+	meta := Meta{Workload: w.Spec, WorkloadName: w.Name, Design: "ubs", Params: p}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC()
+		b.StartTimer()
+		var st sim.MachineState
+		if err := m.Snapshot(&st); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := Encode(meta, &st); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkResume times Resume of the golden server_001/ubs image from
-// its file: the read and decode, the workload's walker over the program
+// its file: the read and parse, the workload's walker over the program
 // (shared with the run that wrote the image), the machine's assembly
-// and the restore. Each op starts on a collected heap, as perfbench's
-// resume_ms samples do.
+// and the in-place decode of the state. Each op starts on a collected
+// heap, as perfbench's resume_ms samples do.
 func BenchmarkResume(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "golden.ubsc")
 	if err := WriteFileAtomic(path, goldenImage(b, "server_001", "ubs")); err != nil {

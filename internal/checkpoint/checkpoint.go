@@ -84,6 +84,22 @@ func Encode(meta Meta, st *sim.MachineState) ([]byte, error) {
 
 // Decode parses and verifies the checkpoint wire format.
 func Decode(data []byte) (Meta, *sim.MachineState, error) {
+	meta, state, err := Parse(data)
+	if err != nil {
+		return meta, nil, err
+	}
+	st := &sim.MachineState{}
+	if err := snap.Unmarshal(state, st); err != nil {
+		return meta, nil, fmt.Errorf("checkpoint: decoding state: %w", err)
+	}
+	return meta, st, nil
+}
+
+// Parse verifies the checkpoint wire format (checksum, magic, version,
+// framing) and decodes the metadata, leaving the state block encoded:
+// sim.Machine.RestoreEncoded decodes it straight into the machine that
+// Meta describes.
+func Parse(data []byte) (Meta, []byte, error) {
 	var meta Meta
 	if len(data) < len(magic)+2+4+4+4 {
 		return meta, nil, fmt.Errorf("checkpoint: file too short (%d bytes)", len(data))
@@ -117,11 +133,7 @@ func Decode(data []byte) (Meta, *sim.MachineState, error) {
 	if stateLen < 0 || off+stateLen != len(payload) {
 		return meta, nil, fmt.Errorf("checkpoint: state block overruns file")
 	}
-	st := &sim.MachineState{}
-	if err := snap.Unmarshal(payload[off:off+stateLen], st); err != nil {
-		return meta, nil, fmt.Errorf("checkpoint: decoding state: %w", err)
-	}
-	return meta, st, nil
+	return meta, payload[off:], nil
 }
 
 // Write snapshots m and atomically persists it to path (temp file +
@@ -139,17 +151,18 @@ func Write(path string, meta Meta, m *sim.Machine) error {
 	return WriteFileAtomic(path, data)
 }
 
-// Read loads and verifies the checkpoint at path.
-func Read(path string) (Meta, *sim.MachineState, error) {
+// Read loads and verifies the checkpoint at path (Parse), returning its
+// metadata and its still-encoded state block.
+func Read(path string) (Meta, []byte, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return Meta{}, nil, err
 	}
-	meta, st, err := Decode(data)
+	meta, state, err := Parse(data)
 	if err != nil {
 		return Meta{}, nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return meta, st, nil
+	return meta, state, nil
 }
 
 // ResumeOptions re-injects the process-local wiring a checkpoint cannot
@@ -180,13 +193,16 @@ func (r *Resumed) Close() error {
 }
 
 // Resume rebuilds a runnable machine from the checkpoint at path: it
-// re-resolves the recorded workload and design, opens a fresh source,
-// restores it from the recorded walker image or, without one,
-// fast-forwards it to the recorded replay cursor, and restores every
-// layer's state. The returned machine continues with Advance and ends
-// with Finish exactly as an uninterrupted run would.
+// reads and verifies the file and its metadata, re-resolves the
+// recorded workload and design, opens a fresh source, builds the
+// machine, and decodes the state straight into it
+// (sim.Machine.RestoreEncoded): the source is restored from the
+// recorded walker image or, without one, fast-forwarded to the recorded
+// replay cursor, and every layer's state is restored. The returned
+// machine continues with Advance and ends with Finish exactly as an
+// uninterrupted run would.
 func Resume(ctx context.Context, path string, opts ResumeOptions) (*Resumed, error) {
-	meta, st, err := Read(path)
+	meta, state, err := Read(path)
 	if err != nil {
 		return nil, err
 	}
@@ -213,7 +229,7 @@ func Resume(ctx context.Context, path string, opts ResumeOptions) (*Resumed, err
 		r.Close()
 		return nil, err
 	}
-	if err := m.Restore(st); err != nil {
+	if err := m.RestoreEncoded(state); err != nil {
 		r.Close()
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

@@ -135,16 +135,17 @@ func tinyParams() sim.Params {
 var fuzzBases = []string{"server_001", "spec_001"}
 
 // FuzzDecode feeds corrupted checkpoints to the reader and every image
-// it accepts to Restore, neither of which may panic. A fuzzed input is
-// an edit of a tiny ubs checkpoint of one of fuzzBases: patch overwrites
-// the bytes at off, the file loses its last cut bytes, and the checksum
-// is resealed, so the edit reaches the framing, the metadata and the
-// state decoder behind the CRC. A decoded image is restored into a fresh
-// machine of the base's own workload, design and parameters (the fuzzed
-// metadata is not trusted to size one), which then runs 2,000 more
-// instructions. The patch alone is also read as a whole file. Edits keep
-// the fuzzed inputs small, which keeps the fuzzer's minimization of each
-// new input fast.
+// it accepts to Restore and to RestoreEncoded, none of which may panic.
+// A fuzzed input is an edit of a tiny ubs checkpoint of one of
+// fuzzBases: patch overwrites the bytes at off, the file loses its last
+// cut bytes, and the checksum is resealed, so the edit reaches the
+// framing, the metadata and the state decoder behind the CRC. A decoded
+// image is restored into a fresh machine of the base's own workload,
+// design and parameters (the fuzzed metadata is not trusted to size
+// one), which then runs 2,000 more instructions; so is every state block
+// Parse accepts, decoded in place as Resume decodes it. The patch alone
+// is also read as a whole file. Edits keep the fuzzed inputs small,
+// which keeps the fuzzer's minimization of each new input fast.
 func FuzzDecode(f *testing.F) {
 	p := tinyParams()
 	bases := make([][]byte, len(fuzzBases))
@@ -164,12 +165,20 @@ func FuzzDecode(f *testing.F) {
 		data := append([]byte(nil), bases[b]...)
 		copy(data[int(off%uint32(len(data))):], patch)
 		data = data[:len(data)-int(cut%uint32(len(data)-3))]
-		_, st, err := Decode(reseal(data))
+		data = reseal(data)
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		// Resume's path: the parsed state block decoded in place.
+		if _, state, err := Parse(data); err == nil {
+			m, _ := freshMachine(t, ctx, p, fuzzBases[b], "ubs")
+			if m.RestoreEncoded(state) == nil {
+				_ = m.Advance(2_000)
+			}
+		}
+		_, st, err := Decode(data)
 		if err != nil {
 			return
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
 		m, _ := freshMachine(t, ctx, p, fuzzBases[b], "ubs")
 		if m.Restore(st) == nil {
 			_ = m.Advance(2_000)

@@ -33,13 +33,19 @@ func editFrontend[S any](edit func(*S)) func(*testing.T, *sim.MachineState) {
 // TestRestoreRejectsOutOfRange edits one field of a decoded, CRC-valid
 // image per case to a value no machine produces. Restore must return an
 // error: accepted, each would index past a table in a later Advance, be
-// silently ignored, or stall the machine for good.
+// silently ignored, or stall the machine for good. Restore encodes the
+// image and decodes it in place as Resume does, so each case also meets
+// Resume's checks.
 func TestRestoreRejectsOutOfRange(t *testing.T) {
 	cases := []struct {
 		name, design string
 		edit         func(*testing.T, *sim.MachineState)
 	}{
 		{"bpu-ras-top", "ubs", func(_ *testing.T, st *sim.MachineState) { st.BPU.RASTop = 1 << 20 }},
+		{"bpu-weights-row", "ubs", func(_ *testing.T, st *sim.MachineState) { st.BPU.Weights[1] = st.BPU.Weights[1][:1] }},
+		{"btb-lru-row", "ubs", func(_ *testing.T, st *sim.MachineState) {
+			st.BPU.BTBLRU[0] = append(st.BPU.BTBLRU[0], 0)
+		}},
 		{"smallblock-buffer-pos", "smallblock16", editFrontend(func(st *icache.SmallBlockState) { st.Buffer.Pos = 1 << 20 })},
 		{"acic-bypass-len", "acic", editFrontend(func(st *icache.ConventionalState) { st.ACIC.Bypass = make([]uint64, 64) })},
 		{"acic-pos", "acic", editFrontend(func(st *icache.ConventionalState) { st.ACIC.Pos = 1 << 20 })},

@@ -62,28 +62,62 @@ func (c *Core) Snapshot(dst *State) {
 // steady-state capacity invariants (Validate) keep holding, and the
 // occupancy wheel is rebuilt from the restored ROB.
 func (c *Core) Restore(src *State) error {
-	switch n := len(c.st.ROB); {
-	case len(src.ROB) != n:
-		return fmt.Errorf("core: snapshot ROB has %d slots, core has %d", len(src.ROB), n)
-	case src.ROBHead < 0 || src.ROBHead >= n || src.ROBCount < 0 || src.ROBCount > n:
-		return fmt.Errorf("core: snapshot ROB head/count %d/%d out of range for %d slots", src.ROBHead, src.ROBCount, n)
-	case len(src.Decode) > cap(c.st.Decode):
-		return fmt.Errorf("core: snapshot decode window %d exceeds queue capacity %d", len(src.Decode), cap(c.st.Decode))
-	case int(src.BlockReason) >= len(src.Stats.Stalls):
-		return fmt.Errorf("core: snapshot stall reason %d unknown", src.BlockReason)
+	if err := check(src, &c.st); err != nil {
+		return err
 	}
 	rob, decode := c.st.ROB, c.st.Decode
 	c.st = *src
 	c.st.ROB = append(rob[:0], src.ROB...)
 	c.st.Decode = append(decode[:0], src.Decode...)
+	c.resume()
+	return nil
+}
+
+// RestoreInPlace fills the core's own State in place through fill, which
+// decodes into the value it is handed, runs Restore's checks on it and
+// rebuilds the occupancy wheel. A failed RestoreInPlace leaves the core
+// unusable.
+func (c *Core) RestoreInPlace(fill func(any) error) error {
+	want := c.st
+	if err := fill(&c.st); err != nil {
+		return err
+	}
+	if err := check(&c.st, &want); err != nil {
+		return err
+	}
+	c.resume()
+	return nil
+}
+
+// State returns the core's live state for checks that read a restored
+// machine; the caller must not modify it. Its decode queue is the live
+// window only right after a restore.
+func (c *Core) State() *State { return &c.st }
+
+// check validates an image against want, the core's state as built.
+func check(src, want *State) error {
+	switch n := len(want.ROB); {
+	case len(src.ROB) != n:
+		return fmt.Errorf("core: snapshot ROB has %d slots, core has %d", len(src.ROB), n)
+	case src.ROBHead < 0 || src.ROBHead >= n || src.ROBCount < 0 || src.ROBCount > n:
+		return fmt.Errorf("core: snapshot ROB head/count %d/%d out of range for %d slots", src.ROBHead, src.ROBCount, n)
+	case len(src.Decode) > cap(want.Decode):
+		return fmt.Errorf("core: snapshot decode window %d exceeds queue capacity %d", len(src.Decode), cap(want.Decode))
+	case int(src.BlockReason) >= len(src.Stats.Stalls):
+		return fmt.Errorf("core: snapshot stall reason %d unknown", src.BlockReason)
+	}
+	return nil
+}
+
+// resume derives what a restored state leaves out: the decode window
+// starts at its backing's head, and the occupancy wheel holds the live
+// ROB entries not yet complete at the clock.
+func (c *Core) resume() {
 	c.decodeHead = 0
-	// Rebuild the occupancy wheel: the instructions in flight are the
-	// live ROB entries not yet complete at the clock.
 	c.busy = inflight{far: c.busy.far[:0], next: c.st.Clock}
 	for i := 0; i < c.st.ROBCount; i++ {
 		if e := &c.st.ROB[(c.st.ROBHead+i)%len(c.st.ROB)]; e.Done >= c.st.Clock {
 			c.busy.add(*e)
 		}
 	}
-	return nil
 }

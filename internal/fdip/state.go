@@ -34,16 +34,32 @@ func (f *FTQ) Snapshot(dst *State) {
 	dst.Queue = append(queue[:0], f.st.Queue[f.head:]...)
 }
 
-// Restore installs a State captured from an FTQ of the same
-// configuration, after checking the queue length against the capacity
-// and the walk counters against the queue. The caller is responsible
-// for positioning the trace source at instruction EnqueuedTot (see
-// sim.Machine.Restore).
-func (f *FTQ) Restore(src *State) error {
+// RestoreInPlace installs a State captured from an FTQ of the same
+// configuration: fill decodes it into the FTQ's own State, in place, and
+// the queue length is then checked against the capacity and the walk
+// counters against the queue. A failed RestoreInPlace leaves the FTQ
+// unusable. The caller positions the trace source at instruction
+// EnqueuedTot (see sim.Machine.RestoreEncoded).
+func (f *FTQ) RestoreInPlace(fill func(any) error) error {
+	want := f.st
+	if err := fill(&f.st); err != nil {
+		return err
+	}
+	f.head = 0
+	return check(&f.st, &want)
+}
+
+// State returns the FTQ's live state for checks that read a restored
+// machine; the caller must not modify it. Its queue is the live window
+// only right after a restore.
+func (f *FTQ) State() *State { return &f.st }
+
+// check validates an image against want, the FTQ's state as built.
+func check(src, want *State) error {
 	n := uint64(len(src.Queue))
 	switch {
-	case len(src.Queue) > cap(f.st.Queue):
-		return fmt.Errorf("ftq: snapshot holds %d items, queue capacity is %d", len(src.Queue), cap(f.st.Queue))
+	case len(src.Queue) > cap(want.Queue):
+		return fmt.Errorf("ftq: snapshot holds %d items, queue capacity is %d", len(src.Queue), cap(want.Queue))
 	case src.EnqueuedTot < src.ConsumedTot || src.EnqueuedTot-src.ConsumedTot != n:
 		return fmt.Errorf("ftq: snapshot counters enqueued %d, consumed %d disagree with %d queued items", src.EnqueuedTot, src.ConsumedTot, n)
 	case src.PrefCursor < src.ConsumedTot || src.PrefCursor > src.EnqueuedTot:
@@ -51,10 +67,6 @@ func (f *FTQ) Restore(src *State) error {
 	case src.Regions != regions(src.Queue):
 		return fmt.Errorf("ftq: snapshot counts %d regions, its queue holds %d", src.Regions, regions(src.Queue))
 	}
-	queue := f.st.Queue
-	f.st = *src
-	f.st.Queue = append(queue[:0], src.Queue...)
-	f.head = 0
 	return nil
 }
 

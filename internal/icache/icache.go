@@ -111,7 +111,7 @@ type Frontend interface {
 	// Latency returns the hit latency in cycles.
 	Latency() uint64
 	// MSHRLastDone returns the latest completion cycle in the L1-I MSHR
-	// file, 0 when it is empty; sim.Machine.Restore checks it against
+	// file, 0 when it is empty; sim.Machine.RestoreEncoded checks it against
 	// the clock.
 	MSHRLastDone() uint64
 }

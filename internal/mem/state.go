@@ -46,6 +46,26 @@ func (m *MSHR) Snapshot(dst *MSHRState) {
 // The entries must fit the capacity and keep the heap order that expiry
 // relies on.
 func (m *MSHR) Restore(src *MSHRState) error {
+	if err := m.check(src); err != nil {
+		return err
+	}
+	entries := m.Entries
+	m.MSHRState = *src
+	m.Entries = append(entries[:0], src.Entries...)
+	return nil
+}
+
+// RestoreInPlace fills the file's state in place through fill (see
+// cache.Cache.RestoreInPlace) and then runs Restore's checks on it.
+func (m *MSHR) RestoreInPlace(fill func(any) error) error {
+	if err := fill(&m.MSHRState); err != nil {
+		return err
+	}
+	return m.check(&m.MSHRState)
+}
+
+// check validates an image against this file's capacity.
+func (m *MSHR) check(src *MSHRState) error {
 	if len(src.Entries) > m.cap {
 		return fmt.Errorf("mshr: snapshot has %d entries, file capacity is %d", len(src.Entries), m.cap)
 	}
@@ -54,9 +74,6 @@ func (m *MSHR) Restore(src *MSHRState) error {
 			return fmt.Errorf("mshr: snapshot entry %d breaks the completion-time heap order", i)
 		}
 	}
-	entries := m.Entries
-	m.MSHRState = *src
-	m.Entries = append(entries[:0], src.Entries...)
 	return nil
 }
 
@@ -72,27 +89,34 @@ type DRAMState struct {
 
 // Snapshot copies the DRAM model's state into dst; dst shares no memory
 // with the model.
-func (d *DRAM) Snapshot(dst *DRAMState) { copyDRAM(dst, &d.DRAMState) }
+func (d *DRAM) Snapshot(dst *DRAMState) {
+	rows, busy := dst.Rows, dst.Busy
+	*dst = d.DRAMState
+	dst.Rows = append(rows[:0], d.Rows...)
+	dst.Busy = append(busy[:0], d.Busy...)
+}
 
-// Restore installs a State captured from a model with the same bank
-// count.
-func (d *DRAM) Restore(src *DRAMState) error {
-	if len(src.Rows) != len(d.Rows) || len(src.Busy) != len(d.Busy) {
-		return fmt.Errorf("dram: snapshot has %d/%d banks, model has %d", len(src.Rows), len(src.Busy), len(d.Rows))
+// RestoreInPlace fills the model's state in place through fill (see
+// cache.Cache.RestoreInPlace) and then checks its bank count against
+// the model's.
+func (d *DRAM) RestoreInPlace(fill func(any) error) error {
+	if err := fill(&d.DRAMState); err != nil {
+		return err
 	}
-	copyDRAM(&d.DRAMState, src)
+	return d.check(&d.DRAMState)
+}
+
+// check validates an image against this model's bank count.
+func (d *DRAM) check(src *DRAMState) error {
+	if len(src.Rows) != d.cfg.Banks || len(src.Busy) != d.cfg.Banks {
+		return fmt.Errorf("dram: snapshot has %d/%d banks, model has %d", len(src.Rows), len(src.Busy), d.cfg.Banks)
+	}
 	return nil
 }
 
-// copyDRAM deep-copies src into dst, reusing dst's backing arrays.
-func copyDRAM(dst, src *DRAMState) {
-	rows, busy := dst.Rows, dst.Busy
-	*dst = *src
-	dst.Rows = append(rows[:0], src.Rows...)
-	dst.Busy = append(busy[:0], src.Busy...)
-}
-
 // LevelState is one shared cache level: its array plus its MSHR file.
+// Level.RestoreInPlace decodes the fields in this order
+// (sim.TestRestoreEncodedWireOrder pins the two together).
 type LevelState struct {
 	Cache cache.State
 	MSHR  MSHRState
@@ -104,15 +128,15 @@ func (l *Level) Snapshot(dst *LevelState) {
 	l.MSHR.Snapshot(&dst.MSHR)
 }
 
-// Restore installs a previously captured LevelState.
-func (l *Level) Restore(src *LevelState) error {
-	if err := l.Cache.Restore(&src.Cache); err != nil {
-		return err
-	}
-	return l.MSHR.Restore(&src.MSHR)
+// RestoreInPlace fills the level's state in place, part by part (see
+// cache.Cache.RestoreInPlace).
+func (l *Level) RestoreInPlace(fill func(any) error) error {
+	return restoreParts(fill, l.Cache.RestoreInPlace, l.MSHR.RestoreInPlace)
 }
 
 // HierarchyState captures the shared L2 → L3 → DRAM path.
+// Hierarchy.RestoreInPlace decodes the fields in this order
+// (sim.TestRestoreEncodedWireOrder pins the two together).
 type HierarchyState struct {
 	L2   LevelState
 	L3   LevelState
@@ -126,19 +150,16 @@ func (h *Hierarchy) Snapshot(dst *HierarchyState) {
 	h.DRAM.Snapshot(&dst.DRAM)
 }
 
-// Restore installs a previously captured HierarchyState.
-func (h *Hierarchy) Restore(src *HierarchyState) error {
-	if err := h.L2.Restore(&src.L2); err != nil {
-		return err
-	}
-	if err := h.L3.Restore(&src.L3); err != nil {
-		return err
-	}
-	return h.DRAM.Restore(&src.DRAM)
+// RestoreInPlace fills the hierarchy's state in place, level by level
+// (see cache.Cache.RestoreInPlace).
+func (h *Hierarchy) RestoreInPlace(fill func(any) error) error {
+	return restoreParts(fill, h.L2.RestoreInPlace, h.L3.RestoreInPlace, h.DRAM.RestoreInPlace)
 }
 
 // DataCacheState captures the L1-D array and its MSHR file (which the
 // data cache shares with its fetch engine, so one copy covers both).
+// DataCache.RestoreInPlace decodes the fields in this order
+// (sim.TestRestoreEncodedWireOrder pins the two together).
 type DataCacheState struct {
 	Cache cache.State
 	MSHR  MSHRState
@@ -150,10 +171,19 @@ func (d *DataCache) Snapshot(dst *DataCacheState) {
 	d.MSHR.Snapshot(&dst.MSHR)
 }
 
-// Restore installs a previously captured DataCacheState.
-func (d *DataCache) Restore(src *DataCacheState) error {
-	if err := d.C.Restore(&src.Cache); err != nil {
-		return err
+// RestoreInPlace fills the data cache's state in place, part by part
+// (see cache.Cache.RestoreInPlace).
+func (d *DataCache) RestoreInPlace(fill func(any) error) error {
+	return restoreParts(fill, d.C.RestoreInPlace, d.MSHR.RestoreInPlace)
+}
+
+// restoreParts runs each part's RestoreInPlace in wire order, stopping
+// at the first error.
+func restoreParts(fill func(any) error, parts ...func(func(any) error) error) error {
+	for _, restore := range parts {
+		if err := restore(fill); err != nil {
+			return err
+		}
 	}
-	return d.MSHR.Restore(&src.MSHR)
+	return nil
 }

@@ -35,7 +35,9 @@ func (s *Store) runCheckpointed(ctx context.Context, key string, p sim.Params, w
 	meta := checkpoint.Meta{Workload: w.Spec, WorkloadName: w.Name, Design: design, Params: p}
 	save := func(data []byte) error { return checkpoint.WriteFileAtomic(ckpath, data) }
 
-	_, st, err := checkpoint.Read(ckpath)
+	// The file is verified before the machine is built, and its state
+	// is then decoded straight into that machine.
+	_, state, err := checkpoint.Read(ckpath)
 	if err != nil && !os.IsNotExist(err) {
 		// A checkpoint existed but could not be read; recompute from
 		// scratch rather than fail the point.
@@ -45,8 +47,9 @@ func (s *Store) runCheckpointed(ctx context.Context, key string, p sim.Params, w
 	if err != nil {
 		return sim.Result{}, err
 	}
-	if st != nil && m.Restore(st) != nil {
-		// The image does not fit this machine: start over on a fresh one.
+	if state != nil && m.RestoreEncoded(state) != nil {
+		// The image does not fit this machine, which is left unusable:
+		// start over on a fresh one.
 		release()
 		os.Remove(ckpath)
 		if m, release, err = newMachine(ctx, p, w, design, factory); err != nil {

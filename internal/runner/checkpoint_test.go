@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"testing"
@@ -191,11 +192,33 @@ func TestStoreVersion2CheckpointRecomputes(t *testing.T) { oldVersionRecomputes(
 // 3, which carried no walker image.
 func TestStoreVersion3CheckpointRecomputes(t *testing.T) { oldVersionRecomputes(t, 3) }
 
+// TestStoreRejectedCheckpointRecomputes pins the fallback when a
+// CRC-valid checkpoint of the current version sits under a point's key
+// but does not fit the point's machine: one taken under a smaller L2.
+// Decoding it in place leaves that machine unusable, so the Store must
+// recompute the point on a fresh machine, to the uninterrupted bytes.
+func TestStoreRejectedCheckpointRecomputes(t *testing.T) {
+	other := ckTestParams()
+	other.Hierarchy.L2Sets /= 2
+	recomputes(t, checkpointOf(t, other), "a checkpoint of other params")
+}
+
 // oldVersionRecomputes relabels a genuine checkpoint as the given layout
 // version and checks the Store recomputes the point to the
 // uninterrupted bytes.
 func oldVersionRecomputes(t *testing.T, version uint16) {
-	p := ckTestParams()
+	// A genuine mid-measure checkpoint of this point, relabelled as
+	// the old version with its checksum resealed.
+	data := checkpointOf(t, ckTestParams())
+	binary.LittleEndian.PutUint16(data[4:], version)
+	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(data[:len(data)-4]))
+	recomputes(t, data, fmt.Sprintf("version-%d checkpoint", version))
+}
+
+// checkpointOf encodes a mid-measure checkpoint of server_001 on conv:32
+// run under p.
+func checkpointOf(t *testing.T, p sim.Params) []byte {
+	t.Helper()
 	w, err := workloadspec.ParseWorkload("server_001")
 	if err != nil {
 		t.Fatal(err)
@@ -204,14 +227,6 @@ func oldVersionRecomputes(t *testing.T, version uint16) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := workloadspec.Run(context.Background(), p, w, "conv:32", d.Factory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := json.Marshal(ref)
-
-	// A genuine mid-measure checkpoint of this point, relabelled as
-	// the old version with its checksum resealed.
 	src, err := w.NewSource()
 	if err != nil {
 		t.Fatal(err)
@@ -232,8 +247,29 @@ func oldVersionRecomputes(t *testing.T, version uint16) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint16(data[4:], version)
-	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(data[:len(data)-4]))
+	return data
+}
+
+// recomputes stores data as the checkpoint of server_001 on conv:32
+// under ckTestParams and checks the Store recomputes that point from
+// its warmup, to the uninterrupted run's bytes, and then removes the
+// checkpoint.
+func recomputes(t *testing.T, data []byte, what string) {
+	t.Helper()
+	p := ckTestParams()
+	w, err := workloadspec.ParseWorkload("server_001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := sim.ParseDesign("conv:32")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := workloadspec.Run(context.Background(), p, w, "conv:32", d.Factory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.Marshal(ref)
 
 	s := NewStore(t.TempDir())
 	s.CheckpointEvery = 7_000
@@ -253,10 +289,10 @@ func oldVersionRecomputes(t *testing.T, version uint16) {
 	}}
 	res, err := s.RunWorkloadContext(context.Background(), hp, w, "conv:32", d.Factory)
 	if err != nil {
-		t.Fatalf("version-%d checkpoint should fall back, got %v", version, err)
+		t.Fatalf("%s should fall back, got %v", what, err)
 	}
 	if warmBeats == 0 {
-		t.Errorf("version-%d checkpoint was resumed instead of recomputed", version)
+		t.Errorf("%s was resumed instead of recomputed", what)
 	}
 	if got, _ := json.Marshal(res); string(got) != string(want) {
 		t.Errorf("recomputed point diverged:\n got:  %s\n want: %s", got, want)

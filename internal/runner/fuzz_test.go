@@ -1,6 +1,8 @@
 package runner
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -32,6 +34,50 @@ func FuzzLoadSpec(f *testing.F) {
 		}
 		if err := s.Validate(); err != nil {
 			t.Fatalf("LoadSpec accepted a spec that fails Validate: %v", err)
+		}
+	})
+}
+
+// FuzzLoadDisk writes arbitrary bytes as the result record of a key.
+// loadDisk must never panic and must accept only a record filed under
+// that key, and a record it accepts must come back from saveDisk and
+// loadDisk as the same record. The seeds are short records: the fuzzer
+// minimizes every input that finds new coverage, which takes long on a
+// long one.
+func FuzzLoadDisk(f *testing.F) {
+	const key = "k1"
+	for _, seed := range []string{
+		`{"key":"k1","workload":"w","design":"ubs","seconds":0.5,"result":{"workload":"w"}}`,
+		`{"key":"k1","kind":"aux","aux":{"a":[1,2]}}`,
+		`{"key":"k2","workload":"w"}`,
+		`{"key":"k1","result":{"core":null}}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := NewStore(t.TempDir())
+		if err := os.WriteFile(s.path(key), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rec, ok := s.loadDisk(key)
+		if !ok {
+			return
+		}
+		if rec.Key != key {
+			t.Fatalf("accepted a record filed under %q for key %q", rec.Key, key)
+		}
+		s.saveDisk(rec)
+		again, ok := s.loadDisk(key)
+		if !ok {
+			t.Fatal("a saved record does not load back")
+		}
+		a, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatalf("an accepted record does not encode: %v", err)
+		}
+		b, _ := json.Marshal(again)
+		if !bytes.Equal(a, b) {
+			t.Fatalf("record changed across saveDisk and loadDisk:\n before: %s\n after:  %s", a, b)
 		}
 	})
 }

@@ -9,6 +9,7 @@ import (
 	"ubscache/internal/fdip"
 	"ubscache/internal/icache"
 	"ubscache/internal/mem"
+	"ubscache/internal/snap"
 	"ubscache/internal/trace"
 	"ubscache/internal/workload"
 )
@@ -39,7 +40,8 @@ import (
 // The file-format version lives in the checkpoint header (package
 // checkpoint), not here: MachineState's layout IS the format, and the
 // header version is bumped whenever a layer's State type or the snap
-// layout changes.
+// layout changes. RestoreEncoded decodes the fields one by one in this
+// order; TestRestoreEncodedWireOrder pins the two together.
 //
 //ubs:state
 type MachineState struct {
@@ -116,78 +118,123 @@ func (m *Machine) Snapshot(dst *MachineState) error {
 }
 
 // Restore installs a previously captured MachineState into a fresh
-// Machine built from the same Params, design, and workload. The
-// machine's trace source is restored from the snapshot's walker image
-// or, without one, fast-forwarded to its replay cursor; every layer's
-// state is copied into its pre-sized backings, and the observer (if any)
-// is re-armed at the measure phase, so the next Advance continues
-// exactly where the snapshot left off.
+// Machine built from the same Params, design, and workload. It encodes
+// src and restores the encoding with RestoreEncoded, so the two entries
+// share one restore path and accept the same images; a machine whose
+// Restore failed is not to be run.
 func (m *Machine) Restore(src *MachineState) error {
+	state, err := snap.Marshal(src)
+	if err != nil {
+		return err
+	}
+	return m.RestoreEncoded(state)
+}
+
+// RestoreEncoded installs the snap encoding of a MachineState (the state
+// block of a checkpoint file) into a fresh Machine built from the same
+// Params, design, and workload, decoding it straight into the machine's
+// own tables: no MachineState is built and nothing is copied twice. Each
+// part is decoded in wire order (MachineState's field order) into the
+// layer that keeps it, which then checks it, so a bad image is an error
+// and never a panic in a later Advance. The trace source is restored
+// from the image's walker part or, without one, fast-forwarded to the
+// FTQ's replay cursor, and the observer (if any) is re-armed at the
+// measure phase, so the next Advance continues exactly where the
+// snapshot left off. An image that fails decoding or a check leaves the
+// machine unusable: build a fresh one to run or restore again.
+func (m *Machine) RestoreEncoded(state []byte) error {
 	if m.run.Warmed || m.c.Clock() != 0 {
 		return fmt.Errorf("sim: restore target must be a fresh machine")
-	}
-	if !src.Warmed {
-		return fmt.Errorf("sim: snapshot was taken before warmup completed")
 	}
 	ck, ok := m.ic.(icache.Checkpointable)
 	if !ok {
 		return fmt.Errorf("sim: frontend %T is not checkpointable", m.ic)
 	}
-	if (src.DataCache == nil) != (m.dc == nil) {
+	d := snap.NewDecoder(state)
+	if err := d.Decode(&m.run); err != nil {
+		return err
+	}
+	if !m.run.Warmed {
+		return fmt.Errorf("sim: snapshot was taken before warmup completed")
+	}
+	if n := len(m.run.EffSamples); n > effWindowCap || m.run.EffStride == 0 {
+		return fmt.Errorf("sim: snapshot sample window holds %d samples at stride %d, want at most %d at stride >= 1", n, m.run.EffStride, effWindowCap)
+	}
+	for _, restore := range []func(func(any) error) error{m.c.RestoreInPlace, m.ftq.RestoreInPlace, m.bp.RestoreInPlace} {
+		if err := restore(d.Decode); err != nil {
+			return err
+		}
+	}
+	var fe []byte
+	if err := d.Decode(&fe); err != nil {
+		return err
+	}
+	if err := ck.RestoreState(fe); err != nil {
+		return err
+	}
+	hasDC, err := d.Present()
+	if err != nil {
+		return err
+	}
+	if hasDC != (m.dc != nil) {
 		return fmt.Errorf("sim: snapshot and params disagree on data-cache modelling")
 	}
-	if len(src.EffSamples) > effWindowCap || src.EffStride == 0 {
-		return fmt.Errorf("sim: snapshot sample window holds %d samples at stride %d, want at most %d at stride >= 1", len(src.EffSamples), src.EffStride, effWindowCap)
-	}
-	// Position the fresh source on the instruction the FTQ would pull
-	// next. The image decides how: a walker image is installed directly;
-	// without one the source is replayed. EnqueuedTot counts exactly the
-	// successful Next calls; a source that already ended (SourceDone) is
-	// restored via the flag alone, so no extra Next is needed here.
-	if src.Walker != nil {
-		w, ok := m.src.(*workload.Walker)
-		if !ok {
-			return fmt.Errorf("sim: snapshot holds a walker image but the source is %T", m.src)
-		}
-		if src.Walker.Emitted != src.FTQ.EnqueuedTot {
-			return fmt.Errorf("sim: walker image emitted %d instructions, the FTQ consumed %d", src.Walker.Emitted, src.FTQ.EnqueuedTot)
-		}
-		if err := w.Restore(src.Walker); err != nil {
-			return err
-		}
-	} else if err := trace.Skip(m.src, src.FTQ.EnqueuedTot); err != nil {
-		return err
-	}
-	if err := m.c.Restore(&src.Core); err != nil {
-		return err
-	}
-	if err := m.ftq.Restore(&src.FTQ); err != nil {
-		return err
-	}
-	if err := m.bp.Restore(&src.BPU); err != nil {
-		return err
-	}
-	if err := ck.RestoreState(src.Frontend); err != nil {
-		return err
-	}
-	if m.dc != nil {
-		if err := m.dc.Restore(src.DataCache); err != nil {
+	if hasDC {
+		if err := m.dc.RestoreInPlace(d.Decode); err != nil {
 			return err
 		}
 	}
-	if err := m.h.Restore(&src.Hierarchy); err != nil {
+	if err := m.h.RestoreInPlace(d.Decode); err != nil {
 		return err
 	}
-	if err := m.checkProgress(src); err != nil {
+	hasWalker, err := d.Present()
+	if err != nil {
 		return err
 	}
-	samples := m.run.EffSamples
-	m.run = src.RunState
-	m.run.EffSamples = append(samples[:0], src.EffSamples...)
-	// Observer plumbing: re-enter the measure phase and recompute the
-	// heartbeat schedule against the restored clock. Beats fire exactly
-	// on multiples of the period, so the resumed run stays on the same
-	// cycle grid as the uninterrupted one.
+	if err := m.restoreSource(hasWalker, d.Decode); err != nil {
+		return err
+	}
+	if err := d.Done(); err != nil {
+		return err
+	}
+	return m.resume()
+}
+
+// restoreSource positions the fresh source on the instruction the
+// restored FTQ would pull next, its replay cursor EnqueuedTot. The image
+// decides how: with a walker part (hasWalker), fill decodes that part
+// into the source, which must be a walker, and its emitted count must
+// equal the cursor; without one the source is replayed. The cursor
+// counts exactly the successful Next calls; a source that already ended
+// (SourceDone) is restored via the flag alone, so no extra Next is
+// needed here.
+func (m *Machine) restoreSource(hasWalker bool, fill func(any) error) error {
+	enqueued := m.ftq.State().EnqueuedTot
+	if !hasWalker {
+		return trace.Skip(m.src, enqueued)
+	}
+	w, ok := m.src.(*workload.Walker)
+	if !ok {
+		return fmt.Errorf("sim: snapshot holds a walker image but the source is %T", m.src)
+	}
+	if err := w.RestoreInPlace(fill); err != nil {
+		return err
+	}
+	if w.Emitted() != enqueued {
+		return fmt.Errorf("sim: walker image emitted %d instructions, the FTQ consumed %d", w.Emitted(), enqueued)
+	}
+	return nil
+}
+
+// resume finishes a restore once every layer holds its part: it checks
+// that the restored machine can make progress, then re-enters the
+// measure phase and recomputes the heartbeat schedule against the
+// restored clock. Beats fire exactly on multiples of the period, so the
+// resumed run stays on the same cycle grid as the uninterrupted one.
+func (m *Machine) resume() error {
+	if err := m.checkProgress(); err != nil {
+		return err
+	}
 	m.st.startPhase("measure", m.p.Measure)
 	if m.st != nil || m.cancellable {
 		m.nextHB = (m.c.Cycles()/m.every + 1) * m.every
@@ -217,10 +264,10 @@ func (m *Machine) eventHorizon() uint64 {
 // context never returns: a runahead blocked on a mispredict that nothing
 // will resolve, or an event (a fetch or redirect stall, an instruction's
 // completion, a miss, a DRAM bank's busy time) beyond the event horizon.
-// It runs once every layer has restored its part: the L1-I MSHR file is
-// read from the restored frontend, whose image is opaque here.
-func (m *Machine) checkProgress(src *MachineState) error {
-	c, ftq := &src.Core, &src.FTQ
+// It runs once every layer has restored its part, and reads the layers'
+// restored state.
+func (m *Machine) checkProgress() error {
+	c, ftq := m.c.State(), m.ftq.State()
 	queued, decoding := false, false
 	for i := range ftq.Queue {
 		queued = queued || ftq.Queue[i].Mispredict
@@ -268,9 +315,9 @@ func (m *Machine) checkProgress(src *MachineState) error {
 			return err
 		}
 	}
-	mshrs := []*mem.MSHRState{&src.Hierarchy.L2.MSHR, &src.Hierarchy.L3.MSHR}
-	if src.DataCache != nil {
-		mshrs = append(mshrs, &src.DataCache.MSHR)
+	mshrs := []*mem.MSHRState{&m.h.L2.MSHR.MSHRState, &m.h.L3.MSHR.MSHRState}
+	if m.dc != nil {
+		mshrs = append(mshrs, &m.dc.MSHR.MSHRState)
 	}
 	for _, f := range mshrs {
 		if err := late("miss completion", f.LastDone()); err != nil {
@@ -280,7 +327,7 @@ func (m *Machine) checkProgress(src *MachineState) error {
 	if err := late("L1-I miss completion", m.ic.MSHRLastDone()); err != nil {
 		return err
 	}
-	for _, busy := range src.Hierarchy.DRAM.Busy {
+	for _, busy := range m.h.DRAM.Busy {
 		if err := late("DRAM bank busy time", busy); err != nil {
 			return err
 		}

@@ -2,14 +2,70 @@ package sim
 
 import (
 	"context"
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
+	"ubscache/internal/bpu"
+	"ubscache/internal/cache"
+	"ubscache/internal/core"
+	"ubscache/internal/fdip"
+	"ubscache/internal/mem"
 	"ubscache/internal/trace"
 	"ubscache/internal/workload"
 )
 
+// TestRestoreEncodedWireOrder pins the field order of the state structs
+// whose parts RestoreEncoded and mem's RestoreInPlace methods decode one
+// by one, to the order those functions decode them in. Snap encodes the
+// fields in declaration order, so a reordered or added field would make
+// the part-by-part decode misparse the image.
+func TestRestoreEncodedWireOrder(t *testing.T) {
+	cases := []struct {
+		typ  reflect.Type
+		want []string
+	}{
+		{reflect.TypeFor[MachineState](), []string{
+			fmt.Sprint("RunState ", reflect.TypeFor[RunState]()),
+			fmt.Sprint("Core ", reflect.TypeFor[core.State]()),
+			fmt.Sprint("FTQ ", reflect.TypeFor[fdip.State]()),
+			fmt.Sprint("BPU ", reflect.TypeFor[bpu.State]()),
+			fmt.Sprint("Frontend ", reflect.TypeFor[[]byte]()),
+			fmt.Sprint("DataCache ", reflect.TypeFor[*mem.DataCacheState]()),
+			fmt.Sprint("Hierarchy ", reflect.TypeFor[mem.HierarchyState]()),
+			fmt.Sprint("Walker ", reflect.TypeFor[*workload.State]()),
+		}},
+		{reflect.TypeFor[mem.HierarchyState](), []string{
+			fmt.Sprint("L2 ", reflect.TypeFor[mem.LevelState]()),
+			fmt.Sprint("L3 ", reflect.TypeFor[mem.LevelState]()),
+			fmt.Sprint("DRAM ", reflect.TypeFor[mem.DRAMState]()),
+		}},
+		{reflect.TypeFor[mem.LevelState](), []string{
+			fmt.Sprint("Cache ", reflect.TypeFor[cache.State]()),
+			fmt.Sprint("MSHR ", reflect.TypeFor[mem.MSHRState]()),
+		}},
+		{reflect.TypeFor[mem.DataCacheState](), []string{
+			fmt.Sprint("Cache ", reflect.TypeFor[cache.State]()),
+			fmt.Sprint("MSHR ", reflect.TypeFor[mem.MSHRState]()),
+		}},
+	}
+	for _, tc := range cases {
+		var got []string
+		for i := range tc.typ.NumField() {
+			if f := tc.typ.Field(i); f.IsExported() {
+				got = append(got, fmt.Sprint(f.Name, " ", f.Type))
+			}
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%v fields:\n got:  %q\n want: %q", tc.typ, got, tc.want)
+		}
+	}
+}
+
 // TestWalkerImageCorruptionRejected pins that a walker image read from
-// file bytes is checked before it is installed: a real mid-measure
+// file bytes is checked when it is restored (Restore decodes it in place
+// as RestoreEncoded, which Resume calls, does): a real mid-measure
 // snapshot restores, and the same snapshot with any one walker field
 // corrupted is refused with an error, never a panic. The generator
 // register itself has no invalid values; its taps do.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"reflect"
 	"slices"
 	"unsafe"
@@ -13,10 +14,16 @@ import (
 // types: types whose every leaf is a fixed-width scalar (bool, sized or
 // platform ints and uints, floats) reached through arrays and structs,
 // with no pointers anywhere. A flat value is encoded and decoded straight
-// from and into memory at field offsets reflect reported once per type.
-// Each scalar is loaded or stored natively and converted with
-// encoding/binary, so the bytes do not depend on host endianness. Flat
-// memory holds no pointers, so the raw stores need no write barrier.
+// from and into memory. Each type's layout is compiled once, when its
+// plan is built, into copy runs: stretches of memory whose bytes are
+// their wire bytes, which a little-endian host has for every fixed-width
+// scalar (a platform int or uint only where it is 8 bytes wide). A
+// padded layout copies each value run by run; one without padding copies
+// a whole slice at once. Where some leaf's memory differs from its wire
+// form (a big-endian host, a 4-byte int), the layout keeps the leaf loop:
+// each scalar is loaded or stored natively and converted with
+// encoding/binary. Both paths write the same bytes. Flat memory holds no
+// pointers, so the raw stores need no write barrier.
 
 // Leaf operations: how one scalar is written and read.
 const (
@@ -31,9 +38,18 @@ const (
 
 // leaf is one scalar of a flat layout.
 type leaf struct {
-	off uintptr
-	op  uint8
-	typ reflect.Type // for overflow errors
+	off  uintptr
+	op   uint8
+	wire int          // its size on the wire
+	typ  reflect.Type // for overflow errors
+}
+
+// run is a stretch of a flat value whose memory bytes are its wire
+// bytes, copied with one copy.
+type run struct {
+	mem  uintptr // offset in memory
+	wire int     // offset on the wire
+	n    int     // length in bytes
 }
 
 // layout is the compiled shape of a flat type.
@@ -41,9 +57,19 @@ type layout struct {
 	leaves []leaf
 	stride uintptr // the type's size in memory
 	wire   int     // its size on the wire
-	// bytes marks a single non-bool byte, whose slices copy whole.
-	bytes bool
+	// runs replace the leaf loop when every leaf's memory bytes are its
+	// wire bytes on this host; nil otherwise.
+	runs []run
+	// bools holds the wire offset of every bool leaf, which the run path
+	// checks before it copies a value in.
+	bools []int
+	// whole marks a layout without padding (one run spanning the
+	// stride), whose slices copy as one run.
+	whole bool
 }
+
+// littleEndian reports whether this host stores scalars in wire order.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // layoutOf returns t's layout, or false when t is not flat.
 func layoutOf(t reflect.Type) (*layout, bool) {
@@ -51,8 +77,45 @@ func layoutOf(t reflect.Type) (*layout, bool) {
 	if !l.add(t, 0) {
 		return nil, false
 	}
-	l.bytes = l.stride == 1 && len(l.leaves) == 1 && l.leaves[0].op == op1
+	l.compileRuns()
 	return l, true
+}
+
+// compileRuns merges neighbouring leaves into runs when every leaf's
+// memory bytes are its wire bytes, and leaves runs nil otherwise.
+func (l *layout) compileRuns() {
+	var runs []run
+	raw, wire := true, 0
+	for _, f := range l.leaves {
+		if f.op == opBool {
+			l.bools = append(l.bools, wire)
+		}
+		raw = raw && rawLeaf(f.op)
+		if k := len(runs) - 1; k >= 0 && runs[k].mem+uintptr(runs[k].n) == f.off {
+			runs[k].n += f.wire
+		} else {
+			runs = append(runs, run{mem: f.off, wire: wire, n: f.wire})
+		}
+		wire += f.wire
+	}
+	if raw {
+		l.runs = runs
+		l.whole = len(runs) == 1 && runs[0].mem == 0 && uintptr(runs[0].n) == l.stride
+	}
+}
+
+// rawLeaf reports whether a leaf of op has its wire bytes in memory on
+// this host. A bool's memory byte is 0 or 1, its wire byte.
+func rawLeaf(op uint8) bool {
+	switch {
+	case op == opBool || op == op1:
+		return true
+	case !littleEndian:
+		return false
+	case op == opInt || op == opUint:
+		return bits.UintSize == 64
+	}
+	return true
 }
 
 // add appends the leaves of a t at offset off, reporting whether t is
@@ -94,7 +157,7 @@ func (l *layout) add(t reflect.Type, off uintptr) bool {
 	default:
 		return false
 	}
-	l.leaves = append(l.leaves, leaf{off: off, op: op, typ: t})
+	l.leaves = append(l.leaves, leaf{off: off, op: op, wire: wire, typ: t})
 	l.wire += wire
 	return true
 }
@@ -153,10 +216,62 @@ func grow(buf []byte, n int) []byte {
 // encodeFlat writes n consecutive values of layout l, starting at base,
 // into dst, which holds exactly n*l.wire bytes.
 func encodeFlat(dst []byte, base unsafe.Pointer, n int, l *layout) {
-	if l.bytes {
-		copy(dst, unsafe.Slice((*byte)(base), n))
-		return
+	switch {
+	case l.whole:
+		copy(dst, unsafe.Slice((*byte)(base), n*l.wire))
+	case l.runs != nil:
+		for i := 0; i < n; i++ {
+			elem, out := unsafe.Add(base, uintptr(i)*l.stride), dst[i*l.wire:]
+			for _, r := range l.runs {
+				copy(out[r.wire:r.wire+r.n], unsafe.Slice((*byte)(unsafe.Add(elem, r.mem)), r.n))
+			}
+		}
+	default:
+		encodeLeaves(dst, base, n, l)
 	}
+}
+
+// decodeFlat reads n consecutive values of layout l from src, which
+// holds exactly n*l.wire bytes, into memory starting at base. On the run
+// path a value's bool bytes are checked before the value is written.
+func decodeFlat(src []byte, base unsafe.Pointer, n int, l *layout) error {
+	switch {
+	case l.runs == nil:
+		return decodeLeaves(src, base, n, l)
+	case l.whole:
+		for i := 0; i < n && len(l.bools) > 0; i++ {
+			if err := checkBools(src[i*l.wire:], l.bools); err != nil {
+				return err
+			}
+		}
+		copy(unsafe.Slice((*byte)(base), n*l.wire), src)
+		return nil
+	}
+	for i := 0; i < n; i++ {
+		elem, in := unsafe.Add(base, uintptr(i)*l.stride), src[i*l.wire:]
+		if err := checkBools(in, l.bools); err != nil {
+			return err
+		}
+		for _, r := range l.runs {
+			copy(unsafe.Slice((*byte)(unsafe.Add(elem, r.mem)), r.n), in[r.wire:r.wire+r.n])
+		}
+	}
+	return nil
+}
+
+// checkBools rejects a value whose bool bytes, at the given offsets into
+// its encoding in, are not 0 or 1.
+func checkBools(in []byte, bools []int) error {
+	for _, off := range bools {
+		if b := in[off]; b > 1 {
+			return fmt.Errorf("snap: invalid bool byte 0x%02x", b)
+		}
+	}
+	return nil
+}
+
+// encodeLeaves is encodeFlat one scalar at a time.
+func encodeLeaves(dst []byte, base unsafe.Pointer, n int, l *layout) {
 	for i := 0; i < n; i++ {
 		elem := unsafe.Add(base, uintptr(i)*l.stride)
 		for _, f := range l.leaves {
@@ -191,13 +306,8 @@ func encodeFlat(dst []byte, base unsafe.Pointer, n int, l *layout) {
 	}
 }
 
-// decodeFlat reads n consecutive values of layout l from src, which
-// holds exactly n*l.wire bytes, into memory starting at base.
-func decodeFlat(src []byte, base unsafe.Pointer, n int, l *layout) error {
-	if l.bytes {
-		copy(unsafe.Slice((*byte)(base), n), src)
-		return nil
-	}
+// decodeLeaves is decodeFlat one scalar at a time.
+func decodeLeaves(src []byte, base unsafe.Pointer, n int, l *layout) error {
 	for i := 0; i < n; i++ {
 		elem := unsafe.Add(base, uintptr(i)*l.stride)
 		for _, f := range l.leaves {

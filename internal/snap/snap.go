@@ -89,16 +89,42 @@ func root(v any) (reflect.Value, error) {
 // capacity in *v is reused where possible. Trailing garbage and
 // truncation are both errors.
 func Unmarshal(data []byte, v any) error {
-	rv := reflect.ValueOf(v)
-	if rv.Kind() != reflect.Pointer || rv.IsNil() {
-		return fmt.Errorf("snap: unmarshal target must be a non-nil pointer, got %T", v)
-	}
-	r := &reader{data: data}
-	if err := planOf(rv.Type().Elem()).dec(r, rv.Elem()); err != nil {
+	d := NewDecoder(data)
+	if err := d.Decode(v); err != nil {
 		return err
 	}
-	if r.off != len(data) {
-		return fmt.Errorf("snap: %d trailing bytes after value", len(data)-r.off)
+	return d.Done()
+}
+
+// A Decoder reads an encoding value by value, so a caller can decode the
+// parts of one composite value straight into where it keeps them: the
+// encoding of a struct is its encoded fields back to back, and a pointer
+// field's is Present's flag and then, when set, its target.
+type Decoder struct {
+	r reader
+}
+
+// NewDecoder returns a Decoder reading data from its start.
+func NewDecoder(data []byte) *Decoder { return &Decoder{r: reader{data: data}} }
+
+// Decode decodes the next value into v, a non-nil pointer, exactly as
+// Unmarshal would decode it, reusing the slice capacity *v holds.
+func (d *Decoder) Decode(v any) error {
+	rv := reflect.ValueOf(v)
+	if rv.Kind() != reflect.Pointer || rv.IsNil() {
+		return fmt.Errorf("snap: decode target must be a non-nil pointer, got %T", v)
+	}
+	return planOf(rv.Type().Elem()).dec(&d.r, rv.Elem())
+}
+
+// Present reads the flag that precedes a pointer's target, reporting
+// whether a target follows.
+func (d *Decoder) Present() (bool, error) { return d.r.present() }
+
+// Done reports an error unless every byte has been decoded.
+func (d *Decoder) Done() error {
+	if d.r.off != len(d.r.data) {
+		return fmt.Errorf("snap: %d trailing bytes after value", len(d.r.data)-d.r.off)
 	}
 	return nil
 }
@@ -265,22 +291,17 @@ func pointerPlan(elem *plan) plan {
 			return elem.enc(append(buf, 1), v.Elem())
 		},
 		dec: func(r *reader, v reflect.Value) error {
-			b, err := r.take(1)
-			if err != nil {
+			present, err := r.present()
+			switch {
+			case err != nil:
 				return err
-			}
-			switch b[0] {
-			case 0:
+			case !present:
 				v.SetZero()
 				return nil
-			case 1:
-				if v.IsNil() {
-					v.Set(reflect.New(v.Type().Elem()))
-				}
-				return elem.dec(r, v.Elem())
-			default:
-				return fmt.Errorf("snap: invalid pointer flag 0x%02x", b[0])
+			case v.IsNil():
+				v.Set(reflect.New(v.Type().Elem()))
 			}
+			return elem.dec(r, v.Elem())
 		},
 	}
 }
@@ -349,6 +370,21 @@ func (r *reader) take(n int) ([]byte, error) {
 	b := r.data[r.off : r.off+n]
 	r.off += n
 	return b, nil
+}
+
+// present reads a pointer's presence flag.
+func (r *reader) present() (bool, error) {
+	b, err := r.take(1)
+	if err != nil {
+		return false, err
+	}
+	switch b[0] {
+	case 0:
+		return false, nil
+	case 1:
+		return true, nil
+	}
+	return false, fmt.Errorf("snap: invalid pointer flag 0x%02x", b[0])
 }
 
 func (r *reader) u32() (uint32, error) {

@@ -40,18 +40,20 @@ const (
 	stateInFn                      // next: emit from the current block
 )
 
-// NewWalker returns a Walker over p, seeded from the program's config.
+// NewWalker returns a Walker over p, its generator a copy of the one
+// Build seeded from the program's config.
 func NewWalker(p *Program) *Walker {
-	w := &Walker{
+	return &Walker{
 		prog: p,
 		cfg:  p.Config(),
-		// The call stack's depth is bounded by the program's static level
-		// structure; pre-sizing keeps the emit path allocation-free.
-		st: State{Stack: make([]Frame, 0, 64)},
+		st:   State{RNG: p.rng, Stack: make([]Frame, 0, stackCap)},
 	}
-	w.st.RNG.Seed(w.cfg.Seed ^ 0x5eed_0001)
-	return w
 }
+
+// stackCap is the walker's call-stack capacity. The stack's depth is
+// bounded by the program's static level structure; pre-sizing keeps the
+// emit path allocation-free.
+const stackCap = 64
 
 // Emitted returns the number of instructions produced so far.
 func (w *Walker) Emitted() uint64 { return w.st.Emitted }
@@ -288,7 +290,7 @@ type built struct {
 // Program, which is rebuilt from the workload's config, it determines
 // the rest of the stream, so a restored walker continues without
 // replaying what came before. Emitted doubles as the replay cursor
-// check: it must equal the FTQ's EnqueuedTot (sim.Machine.Restore).
+// check: it must equal the FTQ's EnqueuedTot (sim.Machine.RestoreEncoded).
 type State struct {
 	RNG RNG
 	// Interpreter state.
@@ -317,7 +319,7 @@ func (w *Walker) Snapshot(dst *State) {
 // The stack is filled in place, so Next stays allocation-free.
 func (w *Walker) Restore(src *State) error {
 	if err := w.check(src); err != nil {
-		return fmt.Errorf("workload %s: walker image: %w", w.cfg.Name, err)
+		return err
 	}
 	stack := w.st.Stack
 	w.st = *src
@@ -325,13 +327,28 @@ func (w *Walker) Restore(src *State) error {
 	return nil
 }
 
+// RestoreInPlace fills the walker's own State in place through fill,
+// which decodes into the value it is handed, and then runs Restore's
+// checks on it. A failed RestoreInPlace leaves the walker unusable.
+func (w *Walker) RestoreInPlace(fill func(any) error) error {
+	if err := fill(&w.st); err != nil {
+		return err
+	}
+	return w.check(&w.st)
+}
+
 // check validates an image against this walker's program.
-func (w *Walker) check(src *State) error {
+func (w *Walker) check(src *State) (err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("workload %s: walker image: %w", w.cfg.Name, err)
+		}
+	}()
 	if src.RNG.Tap < 0 || src.RNG.Tap >= rngLen || src.RNG.Feed < 0 || src.RNG.Feed >= rngLen {
 		return fmt.Errorf("generator taps %d/%d outside [0,%d)", src.RNG.Tap, src.RNG.Feed, rngLen)
 	}
-	if len(src.Stack) > cap(w.st.Stack) {
-		return fmt.Errorf("call depth %d exceeds the stack capacity %d", len(src.Stack), cap(w.st.Stack))
+	if len(src.Stack) > stackCap {
+		return fmt.Errorf("call depth %d exceeds the stack capacity %d", len(src.Stack), stackCap)
 	}
 	for i, fr := range src.Stack {
 		if !w.validBlock(fr.Fn, fr.ResumeBlk) {

@@ -116,6 +116,9 @@ type Program struct {
 	// holds every indirect call's candidate callees.
 	offs    []uint16
 	callees []int
+	// rng is the walker's generator as seeded, which every walker over
+	// the program starts from a copy of.
+	rng RNG
 }
 
 // Callees returns the candidate callees of a TermIndirectCall, or nil
@@ -375,6 +378,7 @@ func Build(cfg Config) (*Program, error) {
 		p.offs = make([]uint16, 0, int(float64(cfg.Functions)*mean(cfg.HotBlocksPer)*perHot))
 	}
 	bl.rng.Seed(cfg.Seed)
+	p.rng.Seed(cfg.Seed ^ 0x5eed_0001)
 	for fi := range p.Funcs {
 		bl.buildFunc(&p.Funcs[fi], fi)
 	}
