@@ -147,7 +147,7 @@ type inflight struct {
 }
 
 // add registers a dispatched instruction, completing at e.Done >= next.
-func (f *inflight) add(e ROBEntry) {
+func (f *inflight) add(e *ROBEntry) {
 	f.sched++
 	if e.IsLoad {
 		f.loads++
@@ -157,14 +157,14 @@ func (f *inflight) add(e ROBEntry) {
 	}
 	if e.Done-f.next >= wheelSize {
 		// far is pre-sized to ROBSize and holds only in-flight ROB entries.
-		f.far = append(f.far, e)
+		f.far = append(f.far, *e)
 		return
 	}
 	f.slot(e)
 }
 
 // slot counts an instruction due within the horizon into its slot.
-func (f *inflight) slot(e ROBEntry) {
+func (f *inflight) slot(e *ROBEntry) {
 	s := &f.slots[e.Done&(wheelSize-1)]
 	s.n++
 	if e.IsLoad {
@@ -202,7 +202,7 @@ func (f *inflight) pullFar() {
 			i++
 			continue
 		}
-		f.slot(f.far[i])
+		f.slot(&f.far[i])
 		last := len(f.far) - 1
 		f.far[i] = f.far[last]
 		f.far = f.far[:last]
@@ -238,9 +238,9 @@ func New(cfg Config, ftq *fdip.FTQ, ic icache.Frontend, dc *mem.DataCache) *Core
 			ROB: make([]ROBEntry, cfg.ROBSize),
 			// The decode FIFO's backing array covers its worst-case
 			// occupancy (fetch stops pushing at DecodeQueue, plus one
-			// in-flight fetch chunk), so pushDecode's compact-in-place keeps
-			// every steady-state push within this capacity — the queue never
-			// reallocates.
+			// in-flight fetch chunk), so decodeTail's compact-in-place keeps
+			// every steady-state append within this capacity — the queue
+			// never reallocates.
 			Decode: make([]DecodeItem, 0, cfg.DecodeQueue+cfg.FetchWidth),
 		},
 	}
@@ -326,16 +326,21 @@ func (c *Core) commit(now uint64) {
 // decodeLen returns the decode-queue occupancy.
 func (c *Core) decodeLen() int { return len(c.st.Decode) - c.decodeHead }
 
-// pushDecode enqueues d. When the buffer runs out of spare capacity it
-// compacts the live window to the front instead of growing, so the
-// steady-state fetch/dispatch cycle never reallocates.
-func (c *Core) pushDecode(d DecodeItem) {
-	if c.decodeHead > 0 && len(c.st.Decode) == cap(c.st.Decode) {
+// decodeTail appends a slot to the decode queue and returns it for the
+// caller to fill. When the buffer runs out of spare capacity it first
+// compacts the live window to the front. The buffer never grows: fetch
+// appends at most FetchWidth items per chunk, and only while fewer than
+// DecodeQueue are live, so a full buffer (DecodeQueue+FetchWidth) always
+// has a consumed prefix to reclaim, and a restore keeps the buffer
+// (check rejects a longer image).
+func (c *Core) decodeTail() *DecodeItem {
+	if len(c.st.Decode) == cap(c.st.Decode) {
 		n := copy(c.st.Decode, c.st.Decode[c.decodeHead:])
 		c.st.Decode = c.st.Decode[:n]
 		c.decodeHead = 0
 	}
-	c.st.Decode = append(c.st.Decode, d)
+	c.st.Decode = c.st.Decode[:len(c.st.Decode)+1]
+	return &c.st.Decode[len(c.st.Decode)-1]
 }
 
 // popDecode drops the queue head, rewinding to the start of the backing
@@ -423,7 +428,7 @@ func (c *Core) dispatch(now uint64) {
 		c.st.DoneRing[c.st.Seq%uint64(len(c.st.DoneRing))] = done
 		c.st.Seq++
 		c.st.ROBCount++
-		c.busy.add(*e)
+		c.busy.add(e)
 		if d.Item.Mispredict {
 			// The redirect reaches fetch when the branch executes.
 			c.st.RedirectAt = done + c.cfg.RedirectLat
@@ -458,13 +463,9 @@ func (c *Core) fetch(now uint64) {
 	}
 	head := c.ftq.Peek(0)
 	if head == nil {
-		if c.ftq.SourceDone() {
-			c.stall(StallFTQEmpty)
-		} else {
-			// The runahead could not keep up this cycle (it fills after
-			// fetch); charge it as an FTQ bubble.
-			c.stall(StallFTQEmpty)
-		}
+		// The trace ended, or the runahead could not keep up this cycle
+		// (it fills after fetch): an FTQ bubble either way.
+		c.stall(StallFTQEmpty)
 		return
 	}
 	if c.decodeLen() >= c.cfg.DecodeQueue {
@@ -518,12 +519,11 @@ func (c *Core) fetch(now uint64) {
 	r := c.fetchRange(start, bytes, now)
 	switch {
 	case r.Kind == icache.Hit:
+		readyAt := now + c.ic.Latency() + c.cfg.DecodeLat
 		for i := 0; i < count; i++ {
-			it := c.ftq.Peek(i)
-			c.pushDecode(DecodeItem{
-				Item:    *it,
-				ReadyAt: now + c.ic.Latency() + c.cfg.DecodeLat,
-			})
+			d := c.decodeTail()
+			d.Item = *c.ftq.Peek(i)
+			d.ReadyAt = readyAt
 		}
 		c.ftq.Pop(count)
 		c.st.Stats.Delivered += uint64(count)

@@ -96,7 +96,7 @@ func TestInflightWheelMatchesHeap(t *testing.T) {
 				isLoad := rng.Intn(3) == 0
 				isStore := !isLoad && rng.Intn(4) == 0
 				e := ROBEntry{Done: now + dist, IsLoad: isLoad, IsStore: isStore}
-				w.add(e)
+				w.add(&e)
 				h.add(e)
 				check("add", now)
 			}

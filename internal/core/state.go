@@ -117,7 +117,7 @@ func (c *Core) resume() {
 	c.busy = inflight{far: c.busy.far[:0], next: c.st.Clock}
 	for i := 0; i < c.st.ROBCount; i++ {
 		if e := &c.st.ROB[(c.st.ROBHead+i)%len(c.st.ROB)]; e.Done >= c.st.Clock {
-			c.busy.add(*e)
+			c.busy.add(e)
 		}
 	}
 }

@@ -123,12 +123,13 @@ type SimPoint struct {
 
 // AuxPoint is one functional (timing-free) analysis pass — a Figure 1/4
 // style cache walk — captured during a dry run. Key ("fig1|server_001")
-// labels it; Run executes the pass through Opts.Aux, which memoizes it
-// for the later render. Points with distinct keys are safe to run
-// concurrently.
+// labels it and Workload names the workload it walks; Run executes the
+// pass through Opts.Aux, which memoizes it for the later render. Points
+// with distinct keys are safe to run concurrently.
 type AuxPoint struct {
-	Key string
-	Run func() error
+	Key      string
+	Workload string
+	Run      func() error
 }
 
 // Runner renders experiments: it forwards simulation points to
@@ -233,7 +234,7 @@ func (r *Runner) auxRun(kind string, wcfg workload.Config, v interface{}, comput
 	if r.capturing {
 		if key := kind + "|" + wcfg.Name; !r.auxSeen[key] {
 			r.auxSeen[key] = true
-			r.auxes = append(r.auxes, AuxPoint{Key: key, Run: func() error {
+			r.auxes = append(r.auxes, AuxPoint{Key: key, Workload: wcfg.Name, Run: func() error {
 				_, err := r.Opts.Aux(kind, wcfg, instrs, pass)
 				return err
 			}})

@@ -75,7 +75,7 @@ func New(cfg Config, src trace.Source, bp *bpu.BPU, ic icache.Frontend) *FTQ {
 		cfg = DefaultConfig()
 	}
 	// The backing array is sized for the worst case of live items
-	// (MaxInstrs) plus an equal dead prefix, so push's compact-in-place
+	// (MaxInstrs) plus an equal dead prefix, so tail's compact-in-place
 	// recycles it forever: the queue never reallocates after construction.
 	return &FTQ{cfg: cfg, src: src, bp: bp, ic: ic,
 		st: State{Queue: make([]Item, 0, 2*cfg.MaxInstrs)}}
@@ -125,18 +125,23 @@ func (f *FTQ) Pop(n int) {
 	}
 }
 
-// push enqueues one item. When the backing array runs out of spare
-// capacity it compacts the live window to the front — zeroing the vacated
-// tail so consumed items are never retained or resurrected — instead of
-// growing, so the steady-state fill cycle performs no allocations.
-func (f *FTQ) push(item Item) {
-	if f.head > 0 && len(f.st.Queue) == cap(f.st.Queue) {
+// tail returns the free slot just past the queue's end, which Fill
+// writes the next instruction into and then commits by extending the
+// queue over it. When the backing array has no spare capacity it first
+// compacts the live window to the front, zeroing the vacated tail so
+// consumed items are never retained or resurrected. The array never
+// grows: Fill calls tail only while fewer than MaxInstrs items are live,
+// so a full array (2*MaxInstrs) has a dead prefix of more than MaxInstrs
+// to reclaim, and a restore keeps the array (RestoreInPlace rejects a
+// longer image).
+func (f *FTQ) tail() *Item {
+	if len(f.st.Queue) == cap(f.st.Queue) {
 		live := copy(f.st.Queue, f.st.Queue[f.head:])
 		clear(f.st.Queue[live:])
 		f.st.Queue = f.st.Queue[:live]
 		f.head = 0
 	}
-	f.st.Queue = append(f.st.Queue, item)
+	return &f.st.Queue[:len(f.st.Queue)+1][len(f.st.Queue)]
 }
 
 // Resume restarts the runahead after the core resolved the mispredicted
@@ -153,25 +158,26 @@ func (f *FTQ) Fill(now uint64) {
 		return
 	}
 	for f.st.Regions < f.cfg.Regions && f.Len() < f.cfg.MaxInstrs && !f.st.Blocked {
-		in, ok := f.src.Next()
-		if !ok {
+		it := f.tail()
+		var ok bool
+		if it.In, ok = f.src.Next(); !ok {
+			*it = Item{}
 			f.st.SourceDone = true
 			break
 		}
-		item := Item{In: in}
-		if in.Class.IsBranch() {
-			r := f.bp.PredictAndTrain(&in)
-			item.Mispredict = r.Mispredict
-			item.Resteer = r.Resteer
+		var r bpu.Result
+		if it.In.Class.IsBranch() {
+			r = f.bp.PredictAndTrain(&it.In)
 		}
-		f.push(item)
+		it.Mispredict, it.Resteer = r.Mispredict, r.Resteer
+		f.st.Queue = f.st.Queue[:len(f.st.Queue)+1]
 		f.st.EnqueuedTot++
 		f.st.Stats.Enqueued++
-		if in.TakenBranch() {
+		if it.In.TakenBranch() {
 			f.st.Regions++
 			f.st.Stats.Regions++
 		}
-		if item.Mispredict {
+		if it.Mispredict {
 			f.st.Blocked = true
 		}
 	}

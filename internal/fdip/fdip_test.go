@@ -6,16 +6,17 @@ import (
 	"ubscache/internal/bpu"
 	"ubscache/internal/icache"
 	"ubscache/internal/mem"
+	"ubscache/internal/testutil"
 	"ubscache/internal/trace"
 	"ubscache/internal/workload"
 )
 
-func frontend(t *testing.T) icache.Frontend {
-	t.Helper()
+func frontend(tb testing.TB) icache.Frontend {
+	tb.Helper()
 	h := mem.MustNewHierarchy(mem.DefaultHierarchyConfig())
 	cv, err := icache.NewConventional(icache.Baseline32K(), h)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return cv
 }
@@ -261,71 +262,150 @@ func mirrorCheck(t *testing.T, f *FTQ, want []Item) {
 	}
 }
 
-// TestCompactionClearsTailAndPreservesOrder drives push/Pop through
-// several compaction and drain-rewind cycles against a mirror queue,
-// checking after every step that the live window is intact and that
-// consumed items are zeroed out of the backing array rather than left
-// live in its tail.
+// TestCompactionClearsTailAndPreservesOrder drives Fill/Pop through
+// several compaction and drain-rewind cycles, checking after every step
+// against the source's instructions that the live window is intact and
+// that consumed items are zeroed out of the backing array rather than
+// left live in its tail.
 func TestCompactionClearsTailAndPreservesOrder(t *testing.T) {
 	cfg := Config{Regions: 1 << 20, MaxInstrs: 8, Prefetch: false}
-	f := New(cfg, nil, nil, nil)
+	ins := straightLine(64, 0)
+	f := New(cfg, trace.NewSlice(ins), nil, nil)
 	if cap(f.st.Queue) != 2*cfg.MaxInstrs {
 		t.Fatalf("backing capacity %d, want pre-sized %d", cap(f.st.Queue), 2*cfg.MaxInstrs)
 	}
 	backing := &f.st.Queue[:1][0]
 
-	var mirror []Item
-	next := uint64(0x1000)
-	push := func(n int) {
-		for i := 0; i < n; i++ {
-			it := Item{In: trace.Instr{PC: next, Size: 4, Class: trace.ClassOther}}
-			next += 4
-			f.push(it)
-			mirror = append(mirror, it)
+	check := func() {
+		t.Helper()
+		var want []Item
+		for _, in := range ins[f.st.ConsumedTot:f.st.EnqueuedTot] {
+			want = append(want, Item{In: in})
 		}
+		mirrorCheck(t, f, want)
+	}
+	fill := func() {
+		t.Helper()
+		f.Fill(0)
+		if f.Len() != cfg.MaxInstrs {
+			t.Fatalf("Fill left %d items, want %d", f.Len(), cfg.MaxInstrs)
+		}
+		check()
 	}
 	pop := func(n int) {
+		t.Helper()
 		f.Pop(n)
-		mirror = mirror[n:]
+		check()
 	}
 
-	push(10)
-	mirrorCheck(t, f, mirror)
-	pop(6) // head=6, live=4
-	mirrorCheck(t, f, mirror)
-	push(12) // len would hit cap(16) mid-way: compaction must fire
-	mirrorCheck(t, f, mirror)
-	pop(f.Len()) // full drain: rewind must zero the consumed prefix
-	mirrorCheck(t, f, mirror)
-	push(7)
-	pop(3)
-	push(9) // wander across another compaction
-	mirrorCheck(t, f, mirror)
-	if f.head != 0 && f.st.Queue[0] != (Item{}) {
-		// Consumed prefix before the head must also have been zeroed by
-		// the last compaction or never reused; sanity only — the strict
-		// check is the tail scan in mirrorCheck.
-		t.Logf("head=%d len=%d", f.head, len(f.st.Queue))
+	fill()
+	pop(6) // head=6, live=2
+	fill() // len 14
+	pop(5) // head=11, live=3
+	fill() // len would pass cap(16) mid-way: compaction must fire
+	if f.head != 0 || len(f.st.Queue) != cfg.MaxInstrs {
+		t.Fatalf("no compaction: head=%d len=%d", f.head, len(f.st.Queue))
 	}
+	pop(f.Len()) // full drain: rewind must zero the consumed prefix
+	fill()
+	pop(3)
+	fill()
+	pop(7)
+	fill() // wander across another compaction
 	if &f.st.Queue[:1][0] != backing {
 		t.Fatalf("backing array was reallocated; compaction must recycle it")
 	}
 }
 
 // TestPushSteadyStateAllocFree pins the FTQ's recycled backing array:
-// once constructed, continuous push/Pop churn across compactions
+// once constructed, continuous Fill/Pop churn across compactions
 // performs no allocations.
 func TestPushSteadyStateAllocFree(t *testing.T) {
 	cfg := Config{Regions: 1 << 20, MaxInstrs: 64, Prefetch: false}
-	f := New(cfg, nil, nil, nil)
-	it := Item{In: trace.Instr{PC: 0x1000, Size: 4, Class: trace.ClassOther}}
+	f := New(cfg, trace.NewSlice(straightLine(12_000, 0)), nil, nil)
+	f.Fill(0)
 	allocs := testing.AllocsPerRun(10, func() {
 		for i := 0; i < 1000; i++ {
-			f.push(it)
 			f.Pop(1)
+			f.Fill(0)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("push/Pop churn allocates %.1f allocs/run, want 0", allocs)
+		t.Errorf("Fill/Pop churn allocates %.1f allocs/run, want 0", allocs)
+	}
+	if f.SourceDone() {
+		t.Fatal("source ran out: the churn did not run in steady state")
+	}
+}
+
+// fillPresets are the workloads the runahead's gate and benchmark run:
+// a server (front-end bound, where FDIP prefetches most) and a SPEC
+// preset (loop code).
+var fillPresets = []string{"server_001", "spec_001"}
+
+// steadyFills returns one op of a steady runahead over the named
+// preset: the core's side of the FTQ cut to its hand-offs (consume up
+// to a fetch width of four instructions, resolve a mispredict at once),
+// then one cycle's Fill, which walks the workload, predicts every branch
+// and issues FDIP prefetches to a conventional L1-I. The runahead is
+// driven past its cold start first.
+func steadyFills(tb testing.TB, name string) func() {
+	tb.Helper()
+	cfg, err := workload.ByName(name)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w, err := workload.New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	f := New(DefaultConfig(), w, bpu.New(bpu.Config{}), frontend(tb))
+	now := uint64(0)
+	op := func() {
+		now++
+		f.Pop(min(4, f.Len()))
+		if f.Blocked() {
+			f.Resume()
+		}
+		f.Fill(now)
+	}
+	for i := 0; i < 50_000; i++ {
+		op()
+	}
+	return op
+}
+
+// TestFillAllocFree pins a steady runahead cycle to 0 allocs/op.
+// AllocsPerRun rounds down per run, so a run is 100 cycles.
+func TestFillAllocFree(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are unreliable under the race detector")
+	}
+	for _, name := range fillPresets {
+		t.Run(name, func(t *testing.T) {
+			op := steadyFills(t, name)
+			allocs := testing.AllocsPerRun(100, func() {
+				for i := 0; i < 100; i++ {
+					op()
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("Fill allocates %.0f objects per 100 cycles, want 0", allocs)
+			}
+		})
+	}
+}
+
+// BenchmarkFill times the cycles TestFillAllocFree gates, one per op.
+func BenchmarkFill(b *testing.B) {
+	for _, name := range fillPresets {
+		b.Run(name, func(b *testing.B) {
+			op := steadyFills(b, name)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op()
+			}
+		})
 	}
 }

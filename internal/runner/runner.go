@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"ubscache/internal/checkpoint"
@@ -88,20 +89,32 @@ func (sw *Sweep) RunContext(ctx context.Context) (*Outcome, error) {
 	})
 
 	// Phase 1: capture. Points are deduplicated across experiments by
-	// content key; first-seen order fixes the schedule and the order of
-	// the results.json runs array.
+	// content key; first-seen order fixes the order of the results.json
+	// runs array. The schedule groups the tasks by workload, in the order
+	// workloads are first seen, so that the runs of one workload follow
+	// each other and share the program workload.New keeps.
 	exps, err := sw.Spec.Plan()
 	if err != nil {
 		return nil, err
 	}
 	plans := make([]expPlan, 0, len(exps))
 	var (
-		tasks   []Task
+		groups  [][]Task
+		group   = make(map[string]int) // workload name -> index in groups
 		order   []string
 		points  = make(map[string]exp.SimPoint)
 		usedBy  = make(map[string][]string)
 		auxSeen = make(map[string]bool)
 	)
+	schedule := func(workload string, t Task) {
+		i, ok := group[workload]
+		if !ok {
+			i = len(groups)
+			group[workload] = i
+			groups = append(groups, nil)
+		}
+		groups[i] = append(groups[i], t)
+	}
 	for _, e := range exps {
 		sims, aux, err := r.Capture(e)
 		if err != nil {
@@ -115,7 +128,7 @@ func (sw *Sweep) RunContext(ctx context.Context) (*Outcome, error) {
 				points[key] = pt
 				order = append(order, key)
 				pt := pt
-				tasks = append(tasks, Task{
+				schedule(pt.Workload.Name, Task{
 					Name: pt.Workload.Name + "/" + pt.Design,
 					Run: func() error {
 						_, err := store.RunWorkloadContext(ctx, pt.Params, pt.Workload, pt.Design, pt.Factory)
@@ -130,10 +143,11 @@ func (sw *Sweep) RunContext(ctx context.Context) (*Outcome, error) {
 				continue
 			}
 			auxSeen[ax.Key] = true
-			tasks = append(tasks, Task{Name: ax.Key, Run: ax.Run})
+			schedule(ax.Workload, Task{Name: ax.Key, Run: ax.Run})
 		}
 		plans = append(plans, pl)
 	}
+	tasks := slices.Concat(groups...)
 
 	// Phase 2: warm the store across the pool.
 	workers := sw.Spec.Workers()

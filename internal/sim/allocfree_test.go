@@ -2,9 +2,11 @@ package sim
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 
+	"ubscache/internal/snap"
 	"ubscache/internal/testutil"
 	"ubscache/internal/workload"
 )
@@ -109,6 +111,68 @@ func TestSimulateSteadyStateAllocFree(t *testing.T) {
 						t.Error(err)
 					}
 				})
+			}
+		})
+	}
+}
+
+// TestResumedMachineAllocFree pins the arena contract on a resumed
+// machine: the image of a steady machine, restored into a fresh one
+// through RestoreEncoded (as checkpoint.Resume and the sweep store
+// restore), advances a steady window without allocating and stays
+// consistent. Fill and fetch write into their queues' tail slots, which
+// never grow, so the restore must keep the backings the FTQ and the
+// decode FIFO were built with: snap reuses a slice's capacity where it
+// suffices.
+func TestResumedMachineAllocFree(t *testing.T) {
+	for _, tc := range []struct {
+		family workload.Family
+		kind   string
+	}{{workload.FamilyServer, "ubs"}, {workload.FamilySPEC, "conv"}} {
+		src := steadyMachine(t, tc.family, tc.kind, DefaultParams().SampleInterval)
+		t.Run(src.workload+"/"+tc.kind, func(t *testing.T) {
+			var img MachineState
+			if err := src.Snapshot(&img); err != nil {
+				t.Fatal(err)
+			}
+			state, err := snap.Marshal(&img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wcfg, err := workload.Preset(tc.family, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := workload.New(wcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := ResolveDesign(DesignSpec{Kind: tc.kind})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := NewMachine(context.Background(), src.p, w, src.workload, d.Name, d.Factory)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.RestoreEncoded(state); err != nil {
+				t.Fatal(err)
+			}
+			// Collect the megabytes the image and the second machine
+			// left behind now: a collection that started inside the
+			// window would count the runtime's own end-of-cycle
+			// allocations against it.
+			runtime.GC()
+			requireAdvanceAllocFree(t, m, 3, steadyInstrs)
+			if err := m.Core().Validate(); err != nil {
+				t.Error(err)
+			}
+			cfg := src.p.Core
+			if got, want := cap(m.ftq.State().Queue), 2*cfg.FTQ.MaxInstrs; got != want {
+				t.Errorf("restored FTQ queue capacity %d, want its construction capacity %d", got, want)
+			}
+			if got, want := cap(m.c.State().Decode), cfg.DecodeQueue+cfg.FetchWidth; got != want {
+				t.Errorf("restored decode FIFO capacity %d, want its construction capacity %d", got, want)
 			}
 		})
 	}

@@ -402,8 +402,7 @@ func (u *Cache) Prefetch(addr uint64, size int, now uint64) {
 		e.PrefMask |= rangeMask(g0, g1)
 		return
 	}
-	if w, kind := u.classify(block, g0, g1); kind == icache.Hit {
-		_ = w
+	if _, kind := u.classify(block, g0, g1); kind == icache.Hit {
 		return
 	}
 	ctx := cache.AccessContext{PC: addr, Cycle: now, Prefetch: true}

@@ -89,9 +89,9 @@ func (w *Walker) Next() (trace.Instr, bool) {
 	in.Size = uint8(w.prog.InstrSize(b, w.st.Pos))
 
 	if isTerm {
-		in = w.terminate(in, b)
+		w.terminate(&in, b)
 	} else {
-		in = w.plain(in)
+		w.plain(&in)
 		if lastInBlock {
 			// Fallthrough block edge.
 			w.advance(b.Next)
@@ -104,7 +104,7 @@ func (w *Walker) Next() (trace.Instr, bool) {
 }
 
 // plain fills in a non-control instruction (ALU, load, or store).
-func (w *Walker) plain(in trace.Instr) trace.Instr {
+func (w *Walker) plain(in *trace.Instr) {
 	x := w.st.RNG.Float64()
 	switch {
 	case x < w.cfg.LoadFrac:
@@ -123,7 +123,6 @@ func (w *Walker) plain(in trace.Instr) trace.Instr {
 	if w.st.RNG.Float64() < 0.15 {
 		in.Dep2 = uint16(1 + w.st.RNG.Intn(24))
 	}
-	return in
 }
 
 // dataAddr produces a load/store effective address: mostly stack-frame
@@ -143,9 +142,9 @@ func (w *Walker) dataAddr() uint64 {
 	}
 }
 
-// terminate realises a block's terminator as a branch instruction and moves
-// the interpreter to the next block.
-func (w *Walker) terminate(in trace.Instr, b *Block) trace.Instr {
+// terminate fills in a block's terminator as a branch instruction and
+// moves the interpreter to the next block.
+func (w *Walker) terminate(in *trace.Instr, b *Block) {
 	f := &w.prog.Funcs[w.st.Fn]
 	switch b.Term.Kind {
 	case TermCond:
@@ -194,7 +193,6 @@ func (w *Walker) terminate(in trace.Instr, b *Block) trace.Instr {
 	default:
 		panic("workload: fallthrough reached terminate")
 	}
-	return in
 }
 
 // advance moves the interpreter to intra-function block next.
@@ -252,6 +250,7 @@ func New(cfg Config) (*Walker, error) {
 	if e == nil || e.cfg != cfg {
 		e = &built{cfg: cfg}
 		last.e = e
+		last.builds++
 	}
 	last.mu.Unlock()
 	e.once.Do(func() { e.p, e.err = Build(cfg) })
@@ -269,10 +268,11 @@ func New(cfg Config) (*Walker, error) {
 // Walker only reads its program and never hands it out. (== equates -0
 // and 0, which Build's uses of Config's floats treat alike.) It keeps
 // one entry, which another config replaces, so at most one program
-// outlives its walkers.
+// outlives its walkers. builds counts the entries made, one Build each.
 var last struct {
-	mu sync.Mutex
-	e  *built
+	mu     sync.Mutex
+	e      *built
+	builds int
 }
 
 // built is one program New shares. Concurrent callers with its config
