@@ -137,13 +137,15 @@ func BenchmarkConvCacheAccess(b *testing.B) {
 	for i := 0; i < 1024; i++ {
 		addr := uint64(i%512) * 64
 		ctx := cache.AccessContext{Cycle: uint64(i)}
-		if !c.Access(addr, 4, ctx) {
-			c.Fill(addr, ctx)
+		if set, way, hit := c.Probe(addr); !c.AccessAt(set, way, hit, addr, 4, ctx) {
+			c.FillAt(set, addr, ctx)
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Access(uint64(i%512)*64, 4, cache.AccessContext{Cycle: uint64(i)})
+		addr := uint64(i%512) * 64
+		set, way, hit := c.Probe(addr)
+		c.AccessAt(set, way, hit, addr, 4, cache.AccessContext{Cycle: uint64(i)})
 	}
 }
 

@@ -96,21 +96,13 @@ func New(cfg Config) *BPU {
 		cfg.RASEntries = def.RASEntries
 	}
 	b := &BPU{cfg: cfg}
-	b.st.Weights = make([][]int8, cfg.Tables)
-	for i := range b.st.Weights {
-		b.st.Weights[i] = make([]int8, cfg.TableEntries)
-	}
+	b.st.Weights = make([]int8, cfg.Tables*cfg.TableEntries)
 	b.st.Bias = make([]int8, cfg.TableEntries)
 	b.idxScratch = make([]int, cfg.Tables)
 	b.btbSets = cfg.BTBEntries / cfg.BTBWays
-	b.st.BTBTags = make([][]uint64, b.btbSets)
-	b.st.BTBTargets = make([][]uint64, b.btbSets)
-	b.st.BTBLRU = make([][]uint32, b.btbSets)
-	for s := 0; s < b.btbSets; s++ {
-		b.st.BTBTags[s] = make([]uint64, cfg.BTBWays)
-		b.st.BTBTargets[s] = make([]uint64, cfg.BTBWays)
-		b.st.BTBLRU[s] = make([]uint32, cfg.BTBWays)
-	}
+	b.st.BTBTags = make([]uint64, b.btbSets*cfg.BTBWays)
+	b.st.BTBTargets = make([]uint64, b.btbSets*cfg.BTBWays)
+	b.st.BTBLRU = make([]uint32, b.btbSets*cfg.BTBWays)
 	b.st.RAS = make([]uint64, cfg.RASEntries)
 	return b
 }
@@ -153,13 +145,14 @@ func (b *BPU) tableIndex(i int, pc uint64) int {
 }
 
 // predictDirection computes the perceptron sum for pc. The returned idx
-// slice aliases a scratch buffer and is overwritten by the next call.
+// slice holds each table's index into the flat Weights and aliases a
+// scratch buffer that the next call overwrites.
 func (b *BPU) predictDirection(pc uint64) (taken bool, sum int, idx []int) {
 	idx = b.idxScratch
 	sum = int(b.st.Bias[int(mix(pc>>2))&(b.cfg.TableEntries-1)])
 	for i := 0; i < b.cfg.Tables; i++ {
-		idx[i] = b.tableIndex(i, pc)
-		sum += int(b.st.Weights[i][idx[i]])
+		idx[i] = i*b.cfg.TableEntries + b.tableIndex(i, pc)
+		sum += int(b.st.Weights[idx[i]])
 	}
 	return sum >= 0, sum, idx
 }
@@ -182,19 +175,25 @@ func (b *BPU) train(pc uint64, idx []int, taken bool) {
 	}
 	bi := int(mix(pc>>2)) & (b.cfg.TableEntries - 1)
 	b.st.Bias[bi] = sat8(int(b.st.Bias[bi]) + dir)
-	for i, ix := range idx {
-		b.st.Weights[i][ix] = sat8(int(b.st.Weights[i][ix]) + dir)
+	for _, ix := range idx {
+		b.st.Weights[ix] = sat8(int(b.st.Weights[ix]) + dir)
 	}
+}
+
+// btbSet returns the index of pc's BTB set's first way in the flat
+// set-major BTB arrays.
+func (b *BPU) btbSet(pc uint64) int {
+	return (int(mix(pc>>2)) & (b.btbSets - 1)) * b.cfg.BTBWays
 }
 
 // btbLookup returns the stored target for pc, if present.
 func (b *BPU) btbLookup(pc uint64) (target uint64, hit bool) {
-	set := int(mix(pc>>2)) & (b.btbSets - 1)
-	for w := 0; w < b.cfg.BTBWays; w++ {
-		if b.st.BTBTags[set][w] == pc {
+	base := b.btbSet(pc)
+	for i := base; i < base+b.cfg.BTBWays; i++ {
+		if b.st.BTBTags[i] == pc {
 			b.st.BTBClock++
-			b.st.BTBLRU[set][w] = b.st.BTBClock
-			return b.st.BTBTargets[set][w], true
+			b.st.BTBLRU[i] = b.st.BTBClock
+			return b.st.BTBTargets[i], true
 		}
 	}
 	return 0, false
@@ -202,25 +201,25 @@ func (b *BPU) btbLookup(pc uint64) (target uint64, hit bool) {
 
 // btbInsert installs or updates pc→target.
 func (b *BPU) btbInsert(pc, target uint64) {
-	set := int(mix(pc>>2)) & (b.btbSets - 1)
-	victim, oldest := 0, ^uint32(0)
-	for w := 0; w < b.cfg.BTBWays; w++ {
-		if b.st.BTBTags[set][w] == pc {
-			victim = w
+	base := b.btbSet(pc)
+	victim, oldest := base, ^uint32(0)
+	for i := base; i < base+b.cfg.BTBWays; i++ {
+		if b.st.BTBTags[i] == pc {
+			victim = i
 			break
 		}
-		if b.st.BTBTags[set][w] == 0 {
-			victim, oldest = w, 0
+		if b.st.BTBTags[i] == 0 {
+			victim, oldest = i, 0
 			continue
 		}
-		if b.st.BTBLRU[set][w] < oldest {
-			victim, oldest = w, b.st.BTBLRU[set][w]
+		if b.st.BTBLRU[i] < oldest {
+			victim, oldest = i, b.st.BTBLRU[i]
 		}
 	}
 	b.st.BTBClock++
-	b.st.BTBTags[set][victim] = pc
-	b.st.BTBTargets[set][victim] = target
-	b.st.BTBLRU[set][victim] = b.st.BTBClock
+	b.st.BTBTags[victim] = pc
+	b.st.BTBTargets[victim] = target
+	b.st.BTBLRU[victim] = b.st.BTBClock
 }
 
 // Result describes the BPU's prediction for one branch.

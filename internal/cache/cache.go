@@ -89,7 +89,9 @@ func (c *Config) validate() error {
 
 // Policy is a replacement policy. The cache calls OnFill/OnHit/OnEvict as
 // blocks move, and Victim to choose a way for an incoming block; Victim may
-// not return an invalid way index.
+// not return an out-of-range way index. When the set has a free (invalid)
+// way, Victim must return the first one: FillAt calls Victim on every
+// fill, with no free-way scan of its own, and relies on it.
 type Policy interface {
 	Name() string
 	OnFill(set, way int, b *Block, ctx AccessContext)
@@ -218,7 +220,10 @@ func (c *Cache) block(set, way int) *Block {
 	return &c.st.Blocks[set*c.cfg.Ways+way]
 }
 
-// Probe looks addr up without changing any state.
+// Probe looks addr up without changing any state. Its (set, way) result
+// is the handle the *At methods act on: a caller probes a set once and
+// then commits the access, fill, accessed-units mark or dirty bit at that
+// way, with no second tag scan.
 func (c *Cache) Probe(addr uint64) (set, way int, hit bool) {
 	tag := addr >> c.blockShift
 	set = c.SetIndex(addr)
@@ -231,18 +236,10 @@ func (c *Cache) Probe(addr uint64) (set, way int, hit bool) {
 	return set, -1, false
 }
 
-// Access performs a demand access of size bytes starting at addr; the range
-// must lie within one block. On a hit the accessed units are recorded and
-// the policy notified. It returns whether the access hit.
-func (c *Cache) Access(addr uint64, size int, ctx AccessContext) bool {
-	set, way, hit := c.Probe(addr)
-	return c.AccessAt(set, way, hit, addr, size, ctx)
-}
-
-// AccessAt commits the demand-access bookkeeping for a Probe result the
-// caller already holds, skipping the second tag scan. It is the commit
-// half of probe-then-commit walks (Hierarchy.FetchBlock) and produces
-// exactly the counters and policy updates Access would.
+// AccessAt performs a demand access of size bytes starting at addr, for
+// the Probe result (set, way, hit) the caller holds; the range must lie
+// within one block. On a hit the accessed units are recorded and the
+// policy notified. It returns hit.
 func (c *Cache) AccessAt(set, way int, hit bool, addr uint64, size int, ctx AccessContext) bool {
 	c.checkRange(addr, size)
 	c.st.Stats.Accesses++
@@ -264,13 +261,18 @@ func (c *Cache) AccessAt(set, way int, hit bool, addr uint64, size int, ctx Acce
 
 // MarkAccessed records units [addr, addr+size) as accessed on a resident
 // block without counting an access; it is a no-op if the block is absent.
-// The instruction frontends use it to account multi-instruction fetches.
 func (c *Cache) MarkAccessed(addr uint64, size int) {
 	c.checkRange(addr, size)
-	set, way, hit := c.Probe(addr)
-	if !hit {
-		return
+	if set, way, hit := c.Probe(addr); hit {
+		c.markAccessed(c.block(set, way), addr, size)
 	}
+}
+
+// MarkAccessedAt records units [addr, addr+size) as accessed on the
+// resident block at (set, way) without counting an access. The
+// instruction frontends use it to account multi-instruction fetches.
+func (c *Cache) MarkAccessedAt(set, way int, addr uint64, size int) {
+	c.checkRange(addr, size)
 	c.markAccessed(c.block(set, way), addr, size)
 }
 
@@ -298,34 +300,34 @@ func (c *Cache) checkRange(addr uint64, size int) {
 // It returns the victim's prior state (Valid=false if the way was free).
 // Filling an already-resident block refreshes its policy state only.
 func (c *Cache) Fill(addr uint64, ctx AccessContext) (victim Block) {
-	tag := addr >> c.blockShift
 	set, way, hit := c.Probe(addr)
 	if hit {
-		b := c.block(set, way)
-		c.policy.OnHit(set, way, b, ctx)
+		c.policy.OnHit(set, way, c.block(set, way), ctx)
 		return Block{}
 	}
-	way = -1
-	blocks := c.ways(set)
-	for w := range blocks {
-		if !blocks[w].Valid {
-			way = w
-			break
-		}
-	}
-	if way < 0 {
-		way = c.policy.Victim(set, blocks, ctx)
-		if way < 0 || way >= c.cfg.Ways {
-			panic(fmt.Sprintf("cache %s: policy %s returned bad victim %d",
-				c.cfg.Name, c.policy.Name(), way))
-		}
-		victim = *c.block(set, way)
-		c.evict(set, way)
+	_, victim = c.FillAt(set, addr, ctx)
+	return victim
+}
+
+// FillAt installs the block containing addr in set, which the caller's
+// Probe of addr just missed, and returns the way it now occupies and the
+// victim's prior state (Valid=false if the way was free). It asks the
+// policy for a way once: the policy returns the first free way when there
+// is one, so FillAt needs no free-way scan of its own.
+func (c *Cache) FillAt(set int, addr uint64, ctx AccessContext) (way int, victim Block) {
+	way = c.policy.Victim(set, c.ways(set), ctx)
+	if way < 0 || way >= c.cfg.Ways {
+		panic(fmt.Sprintf("cache %s: policy %s returned bad victim %d",
+			c.cfg.Name, c.policy.Name(), way))
 	}
 	b := c.block(set, way)
+	if b.Valid {
+		victim = *b
+		c.evict(set, way)
+	}
 	*b = Block{
 		Valid:       true,
-		Tag:         tag,
+		Tag:         addr >> c.blockShift,
 		Prefetched:  ctx.Prefetch,
 		InsertCycle: ctx.Cycle,
 		LastAccess:  ctx.Cycle,
@@ -335,7 +337,7 @@ func (c *Cache) Fill(addr uint64, ctx AccessContext) (victim Block) {
 		c.st.Stats.PrefetchFills++
 	}
 	c.policy.OnFill(set, way, b, ctx)
-	return victim
+	return way, victim
 }
 
 // evict removes the block at (set, way), running hooks and stats.
@@ -371,12 +373,8 @@ func (c *Cache) Invalidate(addr uint64) (b Block, ok bool) {
 	return b, true
 }
 
-// SetDirty marks the block containing addr dirty (store hits).
-func (c *Cache) SetDirty(addr uint64) {
-	if set, way, hit := c.Probe(addr); hit {
-		c.block(set, way).Dirty = true
-	}
-}
+// SetDirtyAt marks the resident block at (set, way) dirty (stores).
+func (c *Cache) SetDirtyAt(set, way int) { c.block(set, way).Dirty = true }
 
 // ForEach visits every valid block; the visitor must not retain the pointer.
 func (c *Cache) ForEach(f func(set, way int, b *Block)) {

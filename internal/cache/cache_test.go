@@ -6,6 +6,12 @@ import (
 	"testing/quick"
 )
 
+// accessByAddr is a demand access by address: Probe, then AccessAt.
+func accessByAddr(c *Cache, addr uint64, size int, ctx AccessContext) bool {
+	set, way, hit := c.Probe(addr)
+	return c.AccessAt(set, way, hit, addr, size, ctx)
+}
+
 func small(policy func(int, int) Policy) *Cache {
 	return MustNew(Config{
 		Name: "t", Sets: 4, Ways: 2, BlockSize: 64, NewPolicy: policy,
@@ -46,17 +52,17 @@ func TestMustNewPanics(t *testing.T) {
 func TestBasicHitMiss(t *testing.T) {
 	c := small(nil)
 	ctx := AccessContext{Cycle: 1}
-	if c.Access(0x1000, 4, ctx) {
+	if accessByAddr(c, 0x1000, 4, ctx) {
 		t.Fatal("hit in empty cache")
 	}
 	c.Fill(0x1000, ctx)
-	if !c.Access(0x1000, 4, ctx) {
+	if !accessByAddr(c, 0x1000, 4, ctx) {
 		t.Fatal("miss after fill")
 	}
-	if !c.Access(0x103c, 4, ctx) { // same block, last unit
+	if !accessByAddr(c, 0x103c, 4, ctx) { // same block, last unit
 		t.Fatal("miss on other unit of same block")
 	}
-	if c.Access(0x1040, 4, ctx) {
+	if accessByAddr(c, 0x1040, 4, ctx) {
 		t.Fatal("hit on adjacent block")
 	}
 	st := c.Stats()
@@ -72,16 +78,16 @@ func TestAccessSpanningBlocksPanics(t *testing.T) {
 			t.Error("no panic on block-spanning access")
 		}
 	}()
-	c.Access(0x103c, 8, AccessContext{})
+	accessByAddr(c, 0x103c, 8, AccessContext{})
 }
 
 func TestAccessedMask(t *testing.T) {
 	c := small(nil)
 	ctx := AccessContext{Cycle: 1}
 	c.Fill(0x1000, ctx)
-	c.Access(0x1000, 4, ctx) // unit 0
-	c.Access(0x1008, 8, ctx) // units 2,3
-	c.Access(0x1031, 2, ctx) // unit 12 (bytes 0x31-0x32)
+	accessByAddr(c, 0x1000, 4, ctx) // unit 0
+	accessByAddr(c, 0x1008, 8, ctx) // units 2,3
+	accessByAddr(c, 0x1031, 2, ctx) // unit 12 (bytes 0x31-0x32)
 	_, way, _ := c.Probe(0x1000)
 	set := c.SetIndex(0x1000)
 	b := &*c.block(set, way)
@@ -115,8 +121,8 @@ func TestLRUEviction(t *testing.T) {
 	ctx := AccessContext{}
 	c.Fill(0x0000, ctx)
 	c.Fill(0x0100, ctx)
-	c.Access(0x0000, 4, ctx) // make 0x0000 MRU
-	v := c.Fill(0x0200, ctx) // must evict 0x0100
+	accessByAddr(c, 0x0000, 4, ctx) // make 0x0000 MRU
+	v := c.Fill(0x0200, ctx)        // must evict 0x0100
 	if !v.Valid || v.Tag != 0x0100>>6 {
 		t.Errorf("victim tag %#x, want %#x", v.Tag, 0x0100>>6)
 	}
@@ -148,7 +154,8 @@ func TestDirtyWriteback(t *testing.T) {
 	c := small(nil)
 	ctx := AccessContext{}
 	c.Fill(0x0000, ctx)
-	c.SetDirty(0x0000)
+	set, way, _ := c.Probe(0x0000)
+	c.SetDirtyAt(set, way)
 	c.Fill(0x0100, ctx)
 	v := c.Fill(0x0200, ctx)
 	if !v.Dirty {
@@ -166,7 +173,7 @@ func TestEvictHook(t *testing.T) {
 	c := MustNew(cfg)
 	ctx := AccessContext{}
 	c.Fill(0x0000, ctx)
-	c.Access(0x0000, 8, ctx)
+	accessByAddr(c, 0x0000, 8, ctx)
 	c.Fill(0x1000, ctx) // evicts
 	if len(got) != 1 {
 		t.Fatalf("hook fired %d times", len(got))
@@ -193,12 +200,12 @@ func TestPrefetchAccounting(t *testing.T) {
 	if st.PrefetchFills != 1 {
 		t.Errorf("PrefetchFills = %d", st.PrefetchFills)
 	}
-	c.Access(0x1000, 4, AccessContext{})
+	accessByAddr(c, 0x1000, 4, AccessContext{})
 	if c.Stats().PrefetchHits != 1 {
 		t.Errorf("PrefetchHits = %d", c.Stats().PrefetchHits)
 	}
 	// Second hit is not a first-use.
-	c.Access(0x1000, 4, AccessContext{})
+	accessByAddr(c, 0x1000, 4, AccessContext{})
 	if c.Stats().PrefetchHits != 1 {
 		t.Errorf("PrefetchHits after reuse = %d", c.Stats().PrefetchHits)
 	}
@@ -211,7 +218,7 @@ func TestEfficiency(t *testing.T) {
 	}
 	ctx := AccessContext{}
 	c.Fill(0x0000, ctx)
-	c.Access(0x0000, 32, ctx) // 8 of 16 units
+	accessByAddr(c, 0x0000, 32, ctx) // 8 of 16 units
 	eff, ok := c.Efficiency()
 	if !ok || eff != 0.5 {
 		t.Errorf("efficiency = %v, %v; want 0.5", eff, ok)
@@ -236,7 +243,7 @@ func TestFillIdempotentOnResident(t *testing.T) {
 	c := small(nil)
 	ctx := AccessContext{}
 	c.Fill(0x1000, ctx)
-	c.Access(0x1000, 4, ctx)
+	accessByAddr(c, 0x1000, 4, ctx)
 	v := c.Fill(0x1000, ctx) // re-fill same block
 	if v.Valid {
 		t.Error("re-fill evicted something")
@@ -265,7 +272,7 @@ func TestGHRPLearnsDeadBlocks(t *testing.T) {
 	}
 	access := func(addr, pc uint64) bool {
 		cycle++
-		return c.Access(addr, 4, AccessContext{PC: pc, Cycle: cycle})
+		return accessByAddr(c, addr, 4, AccessContext{PC: pc, Cycle: cycle})
 	}
 	fill(hot, hotPC)
 	// Train: cold fills die without reuse, hot block keeps hitting.
@@ -289,7 +296,7 @@ func TestGHRPVictimsAlwaysValid(t *testing.T) {
 		addr := uint64(rng.Intn(256)) * 64
 		pc := uint64(rng.Intn(64)) * 4
 		ctx := AccessContext{PC: pc, Cycle: cycle}
-		if !c.Access(addr, 4, ctx) {
+		if !accessByAddr(c, addr, 4, ctx) {
 			c.Fill(addr, ctx)
 		}
 	}
@@ -324,7 +331,7 @@ func TestInvariantsProperty(t *testing.T) {
 					if int(addr&63)+sz > 64 {
 						sz = 4
 					}
-					if !c.Access(addr, sz, ctx) {
+					if !accessByAddr(c, addr, sz, ctx) {
 						c.Fill(addr, ctx)
 					}
 				}

@@ -29,10 +29,7 @@ func NewGHRP(sets, ways int) Policy { return &ghrp{} }
 type ghrp struct{ st *PolicyState }
 
 func (g *ghrp) bind(st *PolicyState) {
-	st.Tables = make([][]uint8, ghrpTables)
-	for i := range st.Tables {
-		st.Tables[i] = make([]uint8, 1<<ghrpTableBits)
-	}
+	st.Tables = make([]uint8, ghrpTables<<ghrpTableBits)
 	g.st = st
 }
 
@@ -51,17 +48,19 @@ func (g *ghrp) updateHistory(pc uint64) {
 	g.st.History = (g.st.History<<3 ^ uint32(pc>>2)) & (1<<ghrpHistoryBits - 1)
 }
 
+// index returns sig's counter in table, as an index into the flat
+// table-major Tables.
 func (g *ghrp) index(table int, sig uint32) int {
 	h := uint64(sig) * (0x85ebca6b + 2*uint64(table)*0x27d4eb2f)
 	h ^= h >> 15
-	return int(h) & (1<<ghrpTableBits - 1)
+	return table<<ghrpTableBits | int(h)&(1<<ghrpTableBits-1)
 }
 
 // predictDead reports the majority vote of the counter tables.
 func (g *ghrp) predictDead(sig uint32) bool {
 	votes := 0
 	for t := 0; t < ghrpTables; t++ {
-		if g.st.Tables[t][g.index(t, sig)] >= ghrpDeadThresh {
+		if g.st.Tables[g.index(t, sig)] >= ghrpDeadThresh {
 			votes++
 		}
 	}
@@ -73,11 +72,11 @@ func (g *ghrp) train(sig uint32, dead bool) {
 	for t := 0; t < ghrpTables; t++ {
 		i := g.index(t, sig)
 		if dead {
-			if g.st.Tables[t][i] < ghrpCounterMax {
-				g.st.Tables[t][i]++
+			if g.st.Tables[i] < ghrpCounterMax {
+				g.st.Tables[i]++
 			}
-		} else if g.st.Tables[t][i] > 0 {
-			g.st.Tables[t][i]--
+		} else if g.st.Tables[i] > 0 {
+			g.st.Tables[i]--
 		}
 	}
 }

@@ -65,7 +65,7 @@ func TestLRUStackInclusion(t *testing.T) {
 				ctx := AccessContext{PC: addr, Cycle: uint64(i)}
 				for w := 1; w <= maxWays; w++ {
 					c := caches[w]
-					if !c.Access(addr, 4, ctx) {
+					if !accessByAddr(c, addr, 4, ctx) {
 						c.Fill(addr, ctx)
 						c.MarkAccessed(addr, 4)
 						misses[w]++

@@ -1,9 +1,6 @@
 package cache
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // State is a Cache's mutable state, the form the cache keeps it in and
 // the checkpoint stores: every Block (set-major, Sets*Ways entries), the
@@ -24,8 +21,9 @@ type PolicyState struct {
 	Clock uint64
 	// History is ghrp's global branchless access history.
 	History uint32
-	// Tables holds ghrp's dead-block predictor tables.
-	Tables [][]uint8
+	// Tables holds ghrp's dead-block predictor tables, flat and
+	// table-major.
+	Tables []uint8
 }
 
 // boundPolicy is implemented by the policies that keep their state in
@@ -53,10 +51,7 @@ func (c *Cache) Restore(src *State) error {
 // which decodes into the value it is handed, and then runs Restore's
 // checks on it. A failed RestoreInPlace leaves the cache unusable.
 func (c *Cache) RestoreInPlace(fill func(any) error) error {
-	// fill may replace the policy tables' rows in their backing array;
-	// the shape the checks compare against keeps its own row headers.
 	want := c.st
-	want.Policy.Tables = slices.Clone(want.Policy.Tables)
 	if err := fill(&c.st); err != nil {
 		return err
 	}
@@ -68,8 +63,9 @@ func (c *Cache) check(src, want *State) error {
 	if len(src.Blocks) != len(want.Blocks) {
 		return fmt.Errorf("cache %s: snapshot has %d blocks, cache holds %d", c.cfg.Name, len(src.Blocks), len(want.Blocks))
 	}
-	if err := sameShape(src.Policy.Tables, want.Policy.Tables); err != nil {
-		return fmt.Errorf("cache %s: %s policy tables: %w", c.cfg.Name, c.policy.Name(), err)
+	if len(src.Policy.Tables) != len(want.Policy.Tables) {
+		return fmt.Errorf("cache %s: %s policy tables: snapshot has %d entries, target has %d",
+			c.cfg.Name, c.policy.Name(), len(src.Policy.Tables), len(want.Policy.Tables))
 	}
 	return nil
 }
@@ -79,35 +75,5 @@ func copyState(dst, src *State) {
 	blocks, tables := dst.Blocks, dst.Policy.Tables
 	*dst = *src
 	dst.Blocks = append(blocks[:0], src.Blocks...)
-	dst.Policy.Tables = copy2D(tables, src.Policy.Tables)
-}
-
-// copy2D deep-copies src into dst row by row, reusing dst's rows where
-// their capacity allows, and returns the copy.
-func copy2D[T any](dst, src [][]T) [][]T {
-	if src == nil {
-		return nil
-	}
-	if cap(dst) < len(src) {
-		dst = make([][]T, len(src))
-	}
-	dst = dst[:len(src)]
-	for i := range src {
-		dst[i] = append(dst[i][:0], src[i]...)
-	}
-	return dst
-}
-
-// sameShape reports an error unless got has want's row count and row
-// lengths.
-func sameShape[T any](got, want [][]T) error {
-	if len(got) != len(want) {
-		return fmt.Errorf("snapshot has %d rows, target has %d", len(got), len(want))
-	}
-	for i := range got {
-		if len(got[i]) != len(want[i]) {
-			return fmt.Errorf("row %d has %d entries, target has %d", i, len(got[i]), len(want[i]))
-		}
-	}
-	return nil
+	dst.Policy.Tables = append(tables[:0], src.Policy.Tables...)
 }

@@ -36,7 +36,7 @@ const magic = "UBSC"
 // must be bumped whenever a layer's State type or the snap layout
 // changes. Readers reject other versions; there is no migration:
 // checkpoints are restart accelerators, not archives.
-const Version = 5
+const Version = 6
 
 // Meta names what a checkpoint is a checkpoint OF. Everything needed to
 // rebuild an identical fresh machine travels in the file: the workload

@@ -19,16 +19,16 @@ var goldenDigests = map[string]struct {
 	size   int
 	sha256 string
 }{
-	"server_001/ubs":          {2243989, "936e88ee0df99c33c4fae6960072229119a327eb4006d2ca4fbce3a2c62f8f40"},
-	"server_001/conv:32":      {2210996, "cfeb1d5dde5c659191593806315d8f81b60b0c0cd522421f20d1b741767992cc"},
-	"server_001/smallblock16": {2286532, "efe069b7e335ca65d5800997b61961697088d7731448c7fc7fe160ef28ebb68b"},
-	"server_001/distill":      {2235335, "7381c135fa50155d562d426ebc6c1943c0edf1577553591c907452bcd375e1a6"},
-	"server_001/ghrp":         {2223293, "49faf5f3f5990ccd56606026d46749a53c202f43ee4830e4a2819144d0415d95"},
-	"spec_001/ubs":            {2248282, "36d52d1c92097e6dc356fab0a23c29c2a01a3a3c6904b52bfe8c257d86efa066"},
-	"spec_001/conv:32":        {2215289, "b1621af78ce920027f3dfa54684b620c7ac1b15b1ef6c0e9d86133cbfb51f2c7"},
-	"spec_001/smallblock16":   {2290825, "34c8c7cd7f608fa3a6ca610b788f83f59080e8b1b89a78d8f1b800c4fed3ae11"},
-	"spec_001/distill":        {2239628, "1abdcce425bf529c17441073980c332f67903037fd41774c02e2a4308cee0494"},
-	"spec_001/ghrp":           {2227586, "668ab7eec62f6c3eefbc9b385db307a3995d11751390b2fcd5e802fbfdd010fe"},
+	"server_001/ubs":          {2237813, "3c0139670457bddb6649e1db07e74ee12a20e4e6b6e5ea05297af48f7124117d"},
+	"server_001/conv:32":      {2204820, "dacba5fcfda5edf497f87d1197bd4d836f360ac7945b5ec43afd2ad399315021"},
+	"server_001/smallblock16": {2280356, "b0d08df02437128fe848e3066bb79e5284adbd10f376fd438837a90dc2b8a3cb"},
+	"server_001/distill":      {2229159, "c220038fa24c171d0c46e5f683c5dc2ad295fff501be7127312dd404ac7b73c5"},
+	"server_001/ghrp":         {2217105, "81c5022e67ac6519552af0b3a8867060b038af6d9ec775dacacf015236ac666f"},
+	"spec_001/ubs":            {2242106, "6a3b9a43df49ecbccb4d051bfc062361c92daa4d558a6de4acc006bbd41c2a15"},
+	"spec_001/conv:32":        {2209113, "c56451358d59aeb4e583605c57bf45231b9113e1458a08f7955e86f2a6ead697"},
+	"spec_001/smallblock16":   {2284649, "4b7b251381d55682e110c47af0aa72dc66726304d40a74c61a143d36493dfa8d"},
+	"spec_001/distill":        {2233452, "f3d3c114b7a221549bcf2c4b3a8a44e756484482c8c827fdcb8c525410d1e4f3"},
+	"spec_001/ghrp":           {2221398, "400c6dadd25c838a23d5b4ea30fb081399502291504c641e3f690bb1060a804f"},
 }
 
 // goldenImage encodes the checkpoint of workload on design at the golden

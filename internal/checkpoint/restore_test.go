@@ -42,10 +42,8 @@ func TestRestoreRejectsOutOfRange(t *testing.T) {
 		edit         func(*testing.T, *sim.MachineState)
 	}{
 		{"bpu-ras-top", "ubs", func(_ *testing.T, st *sim.MachineState) { st.BPU.RASTop = 1 << 20 }},
-		{"bpu-weights-row", "ubs", func(_ *testing.T, st *sim.MachineState) { st.BPU.Weights[1] = st.BPU.Weights[1][:1] }},
-		{"btb-lru-row", "ubs", func(_ *testing.T, st *sim.MachineState) {
-			st.BPU.BTBLRU[0] = append(st.BPU.BTBLRU[0], 0)
-		}},
+		{"bpu-weights-len", "ubs", func(_ *testing.T, st *sim.MachineState) { st.BPU.Weights = st.BPU.Weights[:1] }},
+		{"btb-lru-len", "ubs", func(_ *testing.T, st *sim.MachineState) { st.BPU.BTBLRU = append(st.BPU.BTBLRU, 0) }},
 		{"smallblock-buffer-pos", "smallblock16", editFrontend(func(st *icache.SmallBlockState) { st.Buffer.Pos = 1 << 20 })},
 		{"acic-bypass-len", "acic", editFrontend(func(st *icache.ConventionalState) { st.ACIC.Bypass = make([]uint64, 64) })},
 		{"acic-pos", "acic", editFrontend(func(st *icache.ConventionalState) { st.ACIC.Pos = 1 << 20 })},

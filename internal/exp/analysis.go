@@ -71,9 +71,9 @@ func fig1Pass(wcfg workload.Config, instrs uint64) (*stats.Histogram, error) {
 	for i := uint64(0); i < instrs; i++ {
 		in, _ := w.Next()
 		ctx := cache.AccessContext{PC: in.PC, Cycle: i}
-		if !c.Access(in.PC, int(in.Size), ctx) {
-			c.Fill(in.PC, ctx)
-			c.MarkAccessed(in.PC, int(in.Size))
+		if set, way, hit := c.Probe(in.PC); !c.AccessAt(set, way, hit, in.PC, int(in.Size), ctx) {
+			way, _ = c.FillAt(set, in.PC, ctx)
+			c.MarkAccessedAt(set, way, in.PC, int(in.Size))
 		}
 	}
 	return hist, nil
@@ -208,12 +208,12 @@ func fig4Pass(wcfg workload.Config, instrs uint64) (fracs [4]float64, evictions 
 	for i := uint64(0); i < instrs; i++ {
 		in, _ := w.Next()
 		ctx := cache.AccessContext{PC: in.PC, Cycle: i}
-		if c.Access(in.PC, int(in.Size), ctx) {
+		set, way, hit := c.Probe(in.PC)
+		if c.AccessAt(set, way, hit, in.PC, int(in.Size), ctx) {
 			continue
 		}
 		// Miss in this set: snapshot every resident block that has not yet
 		// collected 4 snapshots.
-		set := c.SetIndex(in.PC)
 		c.ForEach(func(s, way int, b *cache.Block) {
 			if s != set {
 				return
@@ -225,14 +225,13 @@ func fig4Pass(wcfg workload.Config, instrs uint64) (fracs [4]float64, evictions 
 			}
 		})
 		// Fill; if a valid block is evicted, finalise its statistics.
-		victim := c.Fill(in.PC, ctx)
-		set2, way2, _ := c.Probe(in.PC)
+		way, victim := c.FillAt(set, in.PC, ctx)
 		if victim.Valid {
-			finish(set2, way2, victim.Accessed)
+			finish(set, way, victim.Accessed)
 		} else {
-			snaps[set2][way2] = snap{}
+			snaps[set][way] = snap{}
 		}
-		c.MarkAccessed(in.PC, int(in.Size))
+		c.MarkAccessedAt(set, way, in.PC, int(in.Size))
 	}
 	if blocks == 0 {
 		// Workloads whose code fits the cache see no evictions at short

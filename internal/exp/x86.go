@@ -105,9 +105,9 @@ func x86Fig1Pass(wcfg workload.Config, instrs uint64) (*stats.Histogram, error) 
 				n = int(blockEnd - addr)
 			}
 			ctx := cache.AccessContext{PC: addr, Cycle: i}
-			if !c.Access(addr, n, ctx) {
-				c.Fill(addr, ctx)
-				c.MarkAccessed(addr, n)
+			if set, way, hit := c.Probe(addr); !c.AccessAt(set, way, hit, addr, n, ctx) {
+				way, _ = c.FillAt(set, addr, ctx)
+				c.MarkAccessedAt(set, way, addr, n)
 			}
 			addr += uint64(n)
 			size -= n

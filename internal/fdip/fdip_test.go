@@ -1,6 +1,7 @@
 package fdip
 
 import (
+	"runtime"
 	"testing"
 
 	"ubscache/internal/bpu"
@@ -324,6 +325,7 @@ func TestPushSteadyStateAllocFree(t *testing.T) {
 	cfg := Config{Regions: 1 << 20, MaxInstrs: 64, Prefetch: false}
 	f := New(cfg, trace.NewSlice(straightLine(12_000, 0)), nil, nil)
 	f.Fill(0)
+	runtime.GC() // a GC ending inside the window counts the runtime's own allocations
 	allocs := testing.AllocsPerRun(10, func() {
 		for i := 0; i < 1000; i++ {
 			f.Pop(1)
@@ -384,6 +386,7 @@ func TestFillAllocFree(t *testing.T) {
 	for _, name := range fillPresets {
 		t.Run(name, func(t *testing.T) {
 			op := steadyFills(t, name)
+			runtime.GC() // a GC ending inside the window counts the runtime's own allocations
 			allocs := testing.AllocsPerRun(100, func() {
 				for i := 0; i < 100; i++ {
 					op()

@@ -117,14 +117,17 @@ func (cv *Conventional) Efficiency() (float64, bool) { return cv.c.Efficiency() 
 func (cv *Conventional) Fetch(addr uint64, size int, now uint64) Result {
 	ctx := cache.AccessContext{PC: addr, Cycle: now}
 	block := cv.c.BlockAddr(addr)
+	set, way, hit := cv.c.Probe(addr)
 
 	// A block still in flight is not usable even though the early-fill
 	// model has already installed it.
 	if r, merged := cv.Begin(block, now); merged {
-		cv.c.MarkAccessed(addr, size)
+		if hit {
+			cv.c.MarkAccessedAt(set, way, addr, size)
+		}
 		return r
 	}
-	if cv.c.Access(addr, size, ctx) {
+	if cv.c.AccessAt(set, way, hit, addr, size, ctx) {
 		return cv.Hit()
 	}
 	// Check the ACIC bypass buffer before going to L2.
@@ -133,38 +136,35 @@ func (cv *Conventional) Fetch(addr uint64, size int, now uint64) Result {
 	}
 	// Demand miss.
 	r := cv.Miss(block, FullMiss, now, ctx)
-	if r.Issued {
-		cv.fill(block, addr, size, ctx)
+	if r.Issued && cv.admit(block) {
+		way, _ = cv.c.FillAt(set, block, ctx)
+		cv.c.MarkAccessedAt(set, way, addr, size)
 	}
 	return r
 }
 
-// fill installs a block subject to ACIC admission control.
-func (cv *Conventional) fill(block, addr uint64, size int, ctx cache.AccessContext) {
+// admit applies ACIC admission control to a block about to be filled; a
+// bypassed block is parked in the bypass buffer instead.
+func (cv *Conventional) admit(block uint64) bool {
 	if cv.acic != nil && !cv.acic.admit(block) {
 		cv.acic.insertBypass(block)
-		return
+		return false
 	}
-	cv.c.Fill(block, ctx)
-	cv.c.MarkAccessed(addr, size)
+	return true
 }
 
 // Prefetch implements Frontend: prefetches install directly into the L1-I
 // (FDIP-style next-line-of-fetch prefetching into L1).
 func (cv *Conventional) Prefetch(addr uint64, size int, now uint64) {
 	block := cv.c.BlockAddr(addr)
-	if _, _, hit := cv.c.Probe(block); hit {
+	set, _, hit := cv.c.Probe(block)
+	if hit {
 		return
 	}
 	ctx := cache.AccessContext{PC: addr, Cycle: now, Prefetch: true}
-	if !cv.Engine.Prefetch(block, now, ctx) {
-		return
+	if cv.Engine.Prefetch(block, now, ctx) && cv.admit(block) {
+		cv.c.FillAt(set, block, ctx)
 	}
-	if cv.acic != nil && !cv.acic.admit(block) {
-		cv.acic.insertBypass(block)
-		return
-	}
-	cv.c.Fill(block, ctx)
 }
 
 // acic implements the admission predictor of ACIC (Wang et al., HPCA'23)

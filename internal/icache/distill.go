@@ -176,12 +176,15 @@ func (d *Distill) wocCovers(addr uint64, size int) bool {
 func (d *Distill) Fetch(addr uint64, size int, now uint64) Result {
 	ctx := cache.AccessContext{PC: addr, Cycle: now}
 	block := addr &^ 63
+	set, way, hit := d.loc.Probe(addr)
 
 	if r, merged := d.Begin(block, now); merged {
-		d.loc.MarkAccessed(addr, size)
+		if hit {
+			d.loc.MarkAccessedAt(set, way, addr, size)
+		}
 		return r
 	}
-	if d.loc.Access(addr, size, ctx) {
+	if d.loc.AccessAt(set, way, hit, addr, size, ctx) {
 		return d.Hit()
 	}
 	if d.wocCovers(addr, size) {
@@ -198,15 +201,16 @@ func (d *Distill) Fetch(addr uint64, size int, now uint64) Result {
 	}
 	// The WOC's partial copy is superseded by the full line.
 	d.wocInvalidateBlock(block)
-	d.loc.Fill(block, ctx)
-	d.loc.MarkAccessed(addr, size)
+	way, _ = d.loc.FillAt(set, block, ctx)
+	d.loc.MarkAccessedAt(set, way, addr, size)
 	return r
 }
 
 // Prefetch implements Frontend: prefetches fill the LOC.
 func (d *Distill) Prefetch(addr uint64, size int, now uint64) {
 	block := addr &^ 63
-	if _, _, hit := d.loc.Probe(block); hit {
+	set, _, hit := d.loc.Probe(block)
+	if hit {
 		return
 	}
 	ctx := cache.AccessContext{PC: addr, Cycle: now, Prefetch: true}
@@ -214,5 +218,5 @@ func (d *Distill) Prefetch(addr uint64, size int, now uint64) {
 		return
 	}
 	d.wocInvalidateBlock(block)
-	d.loc.Fill(block, ctx)
+	d.loc.FillAt(set, block, ctx)
 }

@@ -21,8 +21,17 @@ type SmallBlock struct {
 	// chunkScratch is the reusable backing array for chunks: fetch ranges
 	// stay within one 64B block (the frontend contract), so the per-fetch
 	// chunk list is tiny and pre-sized — the fetch path never allocates.
+	// slotScratch holds the (set, way) Fetch's probe found per chunk.
 	chunkScratch []uint64
+	slotScratch  []slot
+	// sharedSets reports that two chunks of one 64B block can map to one
+	// set (Sets < 64/BlockSize). A fill in Fetch's probe loop may then
+	// move a chunk probed earlier, so the hit path probes each chunk again.
+	sharedSets bool
 }
+
+// slot is a chunk's position in the array.
+type slot struct{ set, way int }
 
 var _ Frontend = (*SmallBlock)(nil)
 var _ MSHROccupant = (*SmallBlock)(nil)
@@ -92,6 +101,8 @@ func NewSmallBlock(cfg SmallBlockConfig, h *mem.Hierarchy) (*SmallBlock, error) 
 		cfg:    cfg, c: c,
 		buffer:       FillBufferState{Blocks: make([]uint64, 0, cfg.BufferCap)},
 		chunkScratch: make([]uint64, 0, 64/cfg.BlockSize+1),
+		slotScratch:  make([]slot, 64/cfg.BlockSize+1),
+		sharedSets:   cfg.Sets < 64/cfg.BlockSize,
 	}, nil
 }
 
@@ -130,22 +141,34 @@ func (sb *SmallBlock) Fetch(addr uint64, size int, now uint64) Result {
 		return r
 	}
 
+	chunks := sb.chunks(addr, size)
 	missing := false
-	for _, ch := range sb.chunks(addr, size) {
-		if _, _, hit := sb.c.Probe(ch); !hit {
+	for i, ch := range chunks {
+		set, way, hit := sb.c.Probe(ch)
+		if !hit {
 			// The 64B fill buffer can supply the chunk instantly.
-			if sb.buffer.contains(block64) {
-				sb.c.Fill(ch, ctx)
-				continue
+			if !sb.buffer.contains(block64) {
+				missing = true
+				break
 			}
-			missing = true
+			way, _ = sb.c.FillAt(set, ch, ctx)
 		}
+		sb.slotScratch[i] = slot{set, way}
 	}
 	if !missing {
-		// Mark the exact fetched range accessed chunk by chunk.
-		sb.markRange(addr, size)
-		for _, ch := range sb.chunks(addr, size) {
-			sb.c.Access(ch, 1, ctx) // policy + hit accounting per chunk
+		// Mark the exact fetched range accessed chunk by chunk, then do the
+		// policy and hit accounting per chunk.
+		bs, end := uint64(sb.cfg.BlockSize), addr+uint64(size)
+		for i, ch := range chunks {
+			set, way, hit := sb.slotScratch[i].set, sb.slotScratch[i].way, true
+			if sb.sharedSets {
+				set, way, hit = sb.c.Probe(ch)
+			}
+			if hit {
+				lo, hi := max(addr, ch), min(end, ch+bs)
+				sb.c.MarkAccessedAt(set, way, lo, int(hi-lo))
+			}
+			sb.c.AccessAt(set, way, hit, ch, 1, ctx)
 		}
 		return sb.Hit()
 	}
@@ -157,7 +180,7 @@ func (sb *SmallBlock) Fetch(addr uint64, size int, now uint64) Result {
 		return r
 	}
 	sb.buffer.insert(block64, sb.cfg.BufferCap)
-	for _, ch := range sb.chunks(addr, size) {
+	for _, ch := range chunks {
 		sb.c.Fill(ch, ctx)
 	}
 	sb.markRange(addr, size)

@@ -365,11 +365,11 @@ func (h *Hierarchy) FetchBlock(addr, now uint64, ctx cache.AccessContext) (compl
 	} else {
 		dramDone := h.DRAM.Access(block, now+h.L2.Lat+h.L3.Lat)
 		h.L3.MSHR.Insert(block, dramDone)
-		h.L3.Cache.Fill(block, ctx)
+		h.L3.Cache.FillAt(l3Set, block, ctx)
 		fillDone = dramDone + h.L2.Lat // return trip accounted coarsely
 	}
 	h.L2.MSHR.Insert(block, fillDone)
-	h.L2.Cache.Fill(block, ctx)
+	h.L2.Cache.FillAt(l2Set, block, ctx)
 	return fillDone, true
 }
 
@@ -416,7 +416,8 @@ func NewDataCache(cfg DataCacheConfig, h *Hierarchy) (*DataCache, error) {
 // Load issues a load at cycle now; it returns the data-ready cycle, or
 // ok=false when the access must retry (L1-D or downstream MSHRs full).
 func (d *DataCache) Load(addr, now uint64, ctx cache.AccessContext) (complete uint64, ok bool) {
-	if d.C.Access(addr, 1, ctx) {
+	set, way, hit := d.C.Probe(addr)
+	if d.C.AccessAt(set, way, hit, addr, 1, ctx) {
 		return now + d.Lat, true
 	}
 	block := d.C.BlockAddr(addr)
@@ -427,8 +428,8 @@ func (d *DataCache) Load(addr, now uint64, ctx cache.AccessContext) (complete ui
 	if st.Stalled() {
 		return 0, false
 	}
-	d.C.Fill(block, ctx)
-	d.C.MarkAccessed(addr, 1)
+	way, _ = d.C.FillAt(set, block, ctx)
+	d.C.MarkAccessedAt(set, way, addr, 1)
 	return fill, true
 }
 
@@ -436,20 +437,20 @@ func (d *DataCache) Load(addr, now uint64, ctx cache.AccessContext) (complete ui
 // pipeline (the store queue hides their latency); misses write-allocate.
 // ok=false reports MSHR backpressure.
 func (d *DataCache) Store(addr, now uint64, ctx cache.AccessContext) (ok bool) {
-	if d.C.Access(addr, 1, ctx) {
-		d.C.SetDirty(addr)
+	set, way, hit := d.C.Probe(addr)
+	if d.C.AccessAt(set, way, hit, addr, 1, ctx) {
+		d.C.SetDirtyAt(set, way)
 		return true
 	}
 	block := d.C.BlockAddr(addr)
 	if _, merged := d.eng.Pending(block, now); merged {
-		d.C.SetDirty(addr) // will be dirty once filled; fine in early-fill model
 		return true
 	}
 	if _, st := d.eng.Issue(block, now, ctx, true); st.Stalled() {
 		return false
 	}
-	d.C.Fill(block, ctx)
-	d.C.MarkAccessed(addr, 1)
-	d.C.SetDirty(addr)
+	way, _ = d.C.FillAt(set, block, ctx)
+	d.C.MarkAccessedAt(set, way, addr, 1)
+	d.C.SetDirtyAt(set, way)
 	return true
 }

@@ -341,7 +341,8 @@ func TestFetchBlockRetryPreservesLRU(t *testing.T) {
 	h.L2.Cache.Fill(set0a, cache.AccessContext{Cycle: 1})
 	h.L2.Cache.Fill(set0b, cache.AccessContext{Cycle: 2})
 	// Touch a so b becomes the LRU victim.
-	h.L2.Cache.Access(set0a, 64, cache.AccessContext{Cycle: 3})
+	s, w, hit := h.L2.Cache.Probe(set0a)
+	h.L2.Cache.AccessAt(s, w, hit, set0a, 64, cache.AccessContext{Cycle: 3})
 	// Fill the L2 MSHR so the next L2-missing fetch aborts.
 	if _, ok := h.FetchBlock(0x10040, 10, ctx); !ok {
 		t.Fatal("setup fetch rejected")
@@ -401,8 +402,8 @@ func TestDataCacheStoreMergeDirtiness(t *testing.T) {
 
 func TestDataCacheStoreMergeAfterEviction(t *testing.T) {
 	// If the early-filled block is evicted while its miss is outstanding, a
-	// merging store's SetDirty is a silent no-op: the dirtiness is dropped
-	// with the copy. This pins the documented early-fill semantics.
+	// merging store dirties nothing: the dirtiness is dropped with the
+	// copy. This pins the documented early-fill semantics.
 	h := MustNewHierarchy(DefaultHierarchyConfig())
 	d, err := NewDataCache(DefaultDataCacheConfig(), h)
 	if err != nil {

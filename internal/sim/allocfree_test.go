@@ -58,10 +58,14 @@ func steadyMachine(tb testing.TB, family workload.Family, kind string, sampleInt
 }
 
 // requireAdvanceAllocFree fails t unless advancing m by n instructions,
-// runs times, performs no heap allocation.
+// runs times, performs no heap allocation. It collects the garbage its
+// caller's setup left (a restored image, a second machine) first: a
+// collection that ends inside the window counts the runtime's own
+// end-of-cycle allocations (the unique package's map cleanup) against it.
 func requireAdvanceAllocFree(t *testing.T, m *Machine, runs int, n uint64) {
 	t.Helper()
 	var advErr error
+	runtime.GC()
 	allocs := testing.AllocsPerRun(runs, func() {
 		if err := m.Advance(n); err != nil {
 			advErr = err
@@ -158,11 +162,6 @@ func TestResumedMachineAllocFree(t *testing.T) {
 			if err := m.RestoreEncoded(state); err != nil {
 				t.Fatal(err)
 			}
-			// Collect the megabytes the image and the second machine
-			// left behind now: a collection that started inside the
-			// window would count the runtime's own end-of-cycle
-			// allocations against it.
-			runtime.GC()
 			requireAdvanceAllocFree(t, m, 3, steadyInstrs)
 			if err := m.Core().Validate(); err != nil {
 				t.Error(err)
@@ -288,6 +287,7 @@ func TestEffSamplesBoundedWindow(t *testing.T) {
 	// through decimation, further sampling performs no allocations and the
 	// backing array never grows.
 	var advErr error
+	runtime.GC() // a GC ending inside the window counts the runtime's own allocations
 	allocs := testing.AllocsPerRun(3, func() {
 		if err := m.Advance(2 * effWindowCap); err != nil {
 			advErr = err

@@ -31,18 +31,15 @@ const (
 )
 
 // DeadState is the GHRP-style dead-sub-block predictor for
-// DeadBlockWays: deadTables counter tables and the signature history.
+// DeadBlockWays: deadTables counter tables (flat, table-major) and the
+// signature history.
 type DeadState struct {
-	Tables  [][]uint8
+	Tables  []uint8
 	History uint32
 }
 
 func newDeadState() *DeadState {
-	d := &DeadState{Tables: make([][]uint8, deadTables)}
-	for i := range d.Tables {
-		d.Tables[i] = make([]uint8, 1<<deadTableBits)
-	}
-	return d
+	return &DeadState{Tables: make([]uint8, deadTables<<deadTableBits)}
 }
 
 func (d *DeadState) signature(block uint64, start int) uint32 {
@@ -53,16 +50,18 @@ func (d *DeadState) signature(block uint64, start int) uint32 {
 	return uint32(h)
 }
 
+// index returns sig's counter in table t, as an index into the flat
+// Tables.
 func (d *DeadState) index(t int, sig uint32) int {
 	h := uint64(sig) * (0xc2b2ae35 + 2*uint64(t)*0x85ebca6b)
 	h ^= h >> 13
-	return int(h) & (1<<deadTableBits - 1)
+	return t<<deadTableBits | int(h)&(1<<deadTableBits-1)
 }
 
 func (d *DeadState) predictDead(sig uint32) bool {
 	votes := 0
 	for t := 0; t < deadTables; t++ {
-		if d.Tables[t][d.index(t, sig)] >= deadThresh {
+		if d.Tables[d.index(t, sig)] >= deadThresh {
 			votes++
 		}
 	}
@@ -73,11 +72,11 @@ func (d *DeadState) train(sig uint32, dead bool) {
 	for t := 0; t < deadTables; t++ {
 		i := d.index(t, sig)
 		if dead {
-			if d.Tables[t][i] < deadCounterMax {
-				d.Tables[t][i]++
+			if d.Tables[i] < deadCounterMax {
+				d.Tables[i]++
 			}
-		} else if d.Tables[t][i] > 0 {
-			d.Tables[t][i]--
+		} else if d.Tables[i] > 0 {
+			d.Tables[i]--
 		}
 	}
 	d.History = d.History<<3 ^ sig&0x7

@@ -117,15 +117,8 @@ func (u *Cache) check(st *Storage) error {
 	if (st.Dead == nil) != (u.st.Dead == nil) || (st.Admit == nil) != (u.st.Admit == nil) {
 		return fmt.Errorf("and design disagree on congruence extensions")
 	}
-	if st.Dead != nil {
-		if len(st.Dead.Tables) != len(u.st.Dead.Tables) {
-			return fmt.Errorf("dead predictor has %d tables, want %d", len(st.Dead.Tables), len(u.st.Dead.Tables))
-		}
-		for i := range st.Dead.Tables {
-			if len(st.Dead.Tables[i]) != len(u.st.Dead.Tables[i]) {
-				return fmt.Errorf("dead table %d has %d counters, want %d", i, len(st.Dead.Tables[i]), len(u.st.Dead.Tables[i]))
-			}
-		}
+	if st.Dead != nil && len(st.Dead.Tables) != len(u.st.Dead.Tables) {
+		return fmt.Errorf("dead predictor has %d counters, want %d", len(st.Dead.Tables), len(u.st.Dead.Tables))
 	}
 	if st.Admit != nil && len(st.Admit.Table) != len(u.st.Admit.Table) {
 		return fmt.Errorf("admit table has %d counters, want %d", len(st.Admit.Table), len(u.st.Admit.Table))
@@ -134,7 +127,7 @@ func (u *Cache) check(st *Storage) error {
 }
 
 // copyStorage deep-copies src into dst, reusing dst's backing arrays.
-// The dead predictor's tables always have their configured shape: a
+// The dead predictor's tables always have their configured length: a
 // live cache's by construction, an image's once check has passed.
 func copyStorage(dst, src *Storage) {
 	ways, entries, dead, admit := dst.Ways, dst.Pred.Entries, dst.Dead, dst.Admit
@@ -149,9 +142,7 @@ func copyStorage(dst, src *Storage) {
 		tables := dead.Tables
 		*dead = *src.Dead
 		dead.Tables = tables
-		for i := range tables {
-			copy(tables[i], src.Dead.Tables[i])
-		}
+		copy(tables, src.Dead.Tables)
 		dst.Dead = dead
 	}
 	if src.Admit != nil {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"runtime"
 	"testing"
 
 	"ubscache/internal/testutil"
@@ -35,6 +36,7 @@ func TestNextAllocFree(t *testing.T) {
 	for _, name := range nextPresets {
 		t.Run(name, func(t *testing.T) {
 			w := steadyWalker(t, name)
+			runtime.GC() // a GC ending inside the window counts the runtime's own allocations
 			allocs := testing.AllocsPerRun(100, func() {
 				for i := 0; i < 100; i++ {
 					w.Next()
