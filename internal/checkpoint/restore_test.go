@@ -52,6 +52,15 @@ func TestRestoreRejectsOutOfRange(t *testing.T) {
 		{"ubs-way-extent", "ubs", editFrontend(func(st *ubs.State) {
 			st.Ways[0] = ubs.WayEntry{Valid: true, Start: math.MaxInt, Stored: 1}
 		})},
+		// Way 13 of the default design holds 64B (16 granules): four
+		// granules from granule 15 overrun the block, and way 0 (4B) cannot
+		// store two.
+		{"ubs-way-overrun", "ubs", editFrontend(func(st *ubs.State) {
+			st.Ways[13] = ubs.WayEntry{Valid: true, Start: 15, Stored: 4}
+		})},
+		{"ubs-way-capacity", "ubs", editFrontend(func(st *ubs.State) {
+			st.Ways[0] = ubs.WayEntry{Valid: true, Stored: 2}
+		})},
 		{"core-block-reason", "ubs", func(_ *testing.T, st *sim.MachineState) { st.Core.BlockReason = 200 }},
 		{"ftq-regions", "ubs", func(_ *testing.T, st *sim.MachineState) { st.FTQ.Regions = 1 << 20 }},
 		{"ftq-prefetch-cursor", "ubs", func(_ *testing.T, st *sim.MachineState) { st.FTQ.PrefCursor = st.FTQ.EnqueuedTot + 1 }},

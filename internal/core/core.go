@@ -318,7 +318,11 @@ func (c *Core) commit(now uint64) {
 			return
 		}
 		c.st.Stats.Instructions++
-		c.st.ROBHead = (c.st.ROBHead + 1) % c.cfg.ROBSize
+		// The ring advances by compare-and-wrap, not a divide: ROBHead
+		// stays below ROBSize (Restore checks an image's).
+		if c.st.ROBHead++; c.st.ROBHead == c.cfg.ROBSize {
+			c.st.ROBHead = 0
+		}
 		c.st.ROBCount--
 	}
 }
@@ -417,7 +421,11 @@ func (c *Core) dispatch(now uint64) {
 		if done <= now {
 			done = now + 1
 		}
-		e := &c.st.ROB[(c.st.ROBHead+c.st.ROBCount)%c.cfg.ROBSize]
+		tail := c.st.ROBHead + c.st.ROBCount // both below ROBSize
+		if tail >= c.cfg.ROBSize {
+			tail -= c.cfg.ROBSize
+		}
+		e := &c.st.ROB[tail]
 		*e = ROBEntry{
 			Done:       done,
 			Seq:        c.st.Seq,

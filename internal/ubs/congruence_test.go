@@ -54,7 +54,7 @@ func TestDeadBlockWaysPrefersDeadVictims(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DeadBlockWays = true
 	u := MustNew(cfg, hier())
-	set := u.setIndex(0x10000)
+	set := u.sets.index(0x10000)
 	// Fill the 16B-class candidate window (ways 7..10) with four
 	// sub-blocks; make way 8's signature strongly predicted dead and give
 	// it the *most recent* LRU stamp so plain LRU would never pick it.

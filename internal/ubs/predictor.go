@@ -9,20 +9,38 @@ import "math/bits"
 // PredictorState (set-major entries and the clock) plus the geometry.
 type predictor struct {
 	*PredictorState
-	nsets int
-	ways  int
-	fifo  bool
+	sets setIndexer
+	ways int
+	fifo bool
 }
 
 func newPredictor(st *PredictorState, sets, ways int, fifo bool) predictor {
 	st.Entries = make([]PredEntry, sets*ways)
-	return predictor{PredictorState: st, nsets: sets, ways: ways, fifo: fifo}
+	return predictor{PredictorState: st, sets: newSetIndexer(sets), ways: ways, fifo: fifo}
 }
 
 // set returns the entries of block's set: a window of Entries.
 func (p *predictor) set(block uint64) []PredEntry {
-	s := int((block >> 6) % uint64(p.nsets))
+	s := p.sets.index(block)
 	return p.Entries[s*p.ways : (s+1)*p.ways]
+}
+
+// setIndexer maps a block to one of n sets, masking instead of dividing
+// when n is a power of two.
+type setIndexer struct {
+	n, mask uint64
+	pow2    bool
+}
+
+func newSetIndexer(n int) setIndexer {
+	return setIndexer{n: uint64(n), mask: uint64(n - 1), pow2: n&(n-1) == 0}
+}
+
+func (s setIndexer) index(block uint64) int {
+	if s.pow2 {
+		return int((block >> 6) & s.mask)
+	}
+	return int((block >> 6) % s.n)
 }
 
 // lookup finds the entry for block, optionally refreshing recency.
@@ -41,41 +59,39 @@ func (p *predictor) lookup(block uint64, touch bool) *PredEntry {
 	return nil
 }
 
-// mark records granules [g0,g1] of block as accessed, if resident.
-func (p *predictor) mark(block uint64, g0, g1 int) bool {
-	e := p.lookup(block, true)
-	if e == nil {
-		return false
-	}
-	e.Mask |= rangeMask(g0, g1)
-	return true
-}
-
-// insert installs block, returning the victim (Valid=false if none). The
+// insert installs block and returns its entry and the victim it displaced
+// (Valid=false if none); a resident block is only refreshed. One pass
+// over the set finds the match, the first free entry and the oldest. The
 // caller moves the victim's useful bytes into the UBS ways.
-func (p *predictor) insert(block uint64, cycle uint64, prefetched bool) (victim PredEntry) {
-	if e := p.lookup(block, true); e != nil {
-		return PredEntry{}
-	}
+func (p *predictor) insert(block uint64, cycle uint64, prefetched bool) (e *PredEntry, victim PredEntry) {
 	set := p.set(block)
-	way, oldest := -1, ^uint64(0)
+	free, way, oldest := -1, -1, ^uint64(0)
 	for i := range set {
 		e := &set[i]
-		if !e.Valid {
-			way = i
-			break
-		}
-		if e.Order < oldest {
+		switch {
+		case !e.Valid:
+			if free < 0 {
+				free = i
+			}
+		case e.Tag == block:
+			if !p.fifo {
+				p.Clock++
+				e.Order = p.Clock
+			}
+			return e, PredEntry{}
+		case e.Order < oldest:
 			way, oldest = i, e.Order
 		}
 	}
-	if set[way].Valid {
+	if free >= 0 {
+		way = free
+	} else {
 		victim = set[way]
 	}
 	p.Clock++
 	set[way] = PredEntry{Valid: true, Prefetched: prefetched, Tag: block,
 		Order: p.Clock, Insert: cycle}
-	return victim
+	return &set[way], victim
 }
 
 // rangeMask builds a granule mask covering [g0, g1] inclusive. Masks are
@@ -105,13 +121,9 @@ func countRuns(mask uint64) int {
 	return popcount(mask &^ (mask << 1))
 }
 
-// extractRuns decomposes a mask into maximal runs, ascending.
-func extractRuns(mask uint64) []run {
-	return extractRunsInto(nil, mask)
-}
-
-// extractRunsInto is extractRuns appending into dst, so hot paths can reuse
-// a scratch buffer and stay allocation-free.
+// extractRunsInto decomposes mask into maximal runs, ascending, appending
+// them to dst so hot paths can reuse a scratch buffer and stay
+// allocation-free.
 func extractRunsInto(dst []run, mask uint64) []run {
 	runs := dst
 	for g := 0; g < 64; {

@@ -2,16 +2,12 @@ package ubs
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ubscache/internal/cache"
 	"ubscache/internal/icache"
 	"ubscache/internal/mem"
 )
-
-// covers reports whether the sub-block holds granules [g0, g1].
-func (w *WayEntry) covers(g0, g1 int) bool {
-	return w.Valid && g0 >= w.Start && g1 < w.Start+w.Stored
-}
 
 // containsGranule reports whether granule g is stored.
 func (w *WayEntry) containsGranule(g int) bool {
@@ -41,15 +37,13 @@ type Stats struct {
 type Cache struct {
 	*icache.Engine
 	cfg     Config
-	granule int   // offset granularity in bytes (4 or 1)
-	ng      int   // granules per 64B block (16 or 64)
+	granule int   // offset granularity in bytes (4, 2 or 1)
+	gshift  uint  // log2(granule): granule indexes shift, not divide
+	ng      int   // granules per 64B block (16, 32 or 64)
 	wayG    []int // way capacity in granules
 	st      Storage
 	pred    predictor // view onto st.Pred
-	// setMask indexes sets without a hardware divide when Sets is a power
-	// of two; setPow2 gates the fast path.
-	setMask uint64
-	setPow2 bool
+	sets    setIndexer
 
 	// Reusable scratch, sized once in New, so the per-access hot path and
 	// the property-test harness stay allocation-free in steady state.
@@ -72,11 +66,8 @@ func New(cfg Config, h *mem.Hierarchy) (*Cache, error) {
 		return nil, err
 	}
 	u := &Cache{Engine: icache.NewEngine(cfg.MSHRs, cfg.Lat, h), cfg: cfg,
-		granule: cfg.granule(), ng: cfg.Granules()}
-	if cfg.Sets&(cfg.Sets-1) == 0 {
-		u.setPow2 = true
-		u.setMask = uint64(cfg.Sets - 1)
-	}
+		granule: cfg.granule(), ng: cfg.Granules(), sets: newSetIndexer(cfg.Sets)}
+	u.gshift = uint(bits.TrailingZeros(uint(u.granule)))
 	u.st.Ways = make([]WayEntry, cfg.Sets*len(cfg.WaySizes))
 	u.wayG = make([]int, len(cfg.WaySizes))
 	for i, w := range cfg.WaySizes {
@@ -129,19 +120,12 @@ func (u *Cache) ways(set int) []WayEntry {
 	return u.st.Ways[set*len(u.wayG) : (set+1)*len(u.wayG)]
 }
 
-func (u *Cache) setIndex(block uint64) int {
-	if u.setPow2 {
-		return int((block >> 6) & u.setMask)
-	}
-	return int((block >> 6) % uint64(u.cfg.Sets))
-}
-
 // granules converts a fetch range (within one 64B block) to inclusive
 // granule coordinates at the cache's offset granularity.
 func (u *Cache) granules(addr uint64, size int) (block uint64, g0, g1 int) {
 	block = addr &^ (BlockSize - 1)
-	g0 = int(addr&(BlockSize-1)) / u.granule
-	g1 = int((addr+uint64(size)-1)&(BlockSize-1)) / u.granule
+	g0 = int(addr&(BlockSize-1)) >> u.gshift
+	g1 = int((addr+uint64(size)-1)&(BlockSize-1)) >> u.gshift
 	if (addr+uint64(size)-1)&^(BlockSize-1) != block {
 		panic(fmt.Sprintf("ubs: fetch [%#x,+%d) spans 64B blocks", addr, size))
 	}
@@ -149,66 +133,62 @@ func (u *Cache) granules(addr uint64, size int) (block uint64, g0, g1 int) {
 }
 
 // classify determines the fetch outcome against the uneven ways (§IV-E):
-// way index on Hit, otherwise the partial/full miss kind.
-func (u *Cache) classify(block uint64, g0, g1 int) (way int, kind icache.Kind) {
-	set := u.setIndex(block)
+// the covering way's entry on Hit, otherwise the partial/full miss kind.
+func (u *Cache) classify(block uint64, g0, g1 int) (hit *WayEntry, kind icache.Kind) {
 	tagMatch := false
 	startCovered, endCovered := false, false
-	ways := u.ways(set)
+	ways := u.ways(u.sets.index(block))
 	for w := range ways {
 		e := &ways[w]
-		if !e.Valid || e.Tag != block {
+		if e.Tag != block || !e.Valid {
 			continue
 		}
 		tagMatch = true
-		if e.covers(g0, g1) {
-			return w, icache.Hit
+		start, end := e.containsGranule(g0), e.containsGranule(g1)
+		if start && end {
+			return e, icache.Hit
 		}
-		if e.containsGranule(g0) {
-			startCovered = true
-		}
-		if e.containsGranule(g1) {
-			endCovered = true
-		}
+		startCovered = startCovered || start
+		endCovered = endCovered || end
 	}
 	switch {
 	case !tagMatch:
-		return -1, icache.FullMiss
+		return nil, icache.FullMiss
 	case startCovered:
-		return -1, icache.Overrun
+		return nil, icache.Overrun
 	case endCovered:
-		return -1, icache.Underrun
+		return nil, icache.Underrun
 	default:
-		return -1, icache.MissingSubBlock
+		return nil, icache.MissingSubBlock
 	}
 }
 
 // Fetch implements icache.Frontend. The predictor and the ways are probed
-// in parallel; a request can hit in only one of them (§IV-E).
+// in parallel; a request can hit in only one of them (§IV-E). Each is
+// probed once: a hit updates the entry its probe returned.
 func (u *Cache) Fetch(addr uint64, size int, now uint64) icache.Result {
 	block, g0, g1 := u.granules(addr, size)
 
 	// A block still in flight is unusable; subsequent fetches merge.
 	if r, merged := u.Begin(block, now); merged {
-		u.pred.mark(block, g0, g1) // bytes will be useful on arrival
+		if e := u.pred.lookup(block, true); e != nil {
+			e.Mask |= rangeMask(g0, g1) // bytes will be useful on arrival
+		}
 		return r
 	}
 
 	// Predictor probe. A demand fetch clears the prefetched flag: the
 	// entry's bit-vector now reflects observed locality.
-	if u.pred.mark(block, g0, g1) {
-		if e := u.pred.lookup(block, false); e != nil {
-			e.Prefetched = false
-		}
+	if e := u.pred.lookup(block, true); e != nil {
+		e.Mask |= rangeMask(g0, g1)
+		e.Prefetched = false
 		u.st.Stats.PredictorHits++
 		return u.Hit()
 	}
 
 	// Way probe.
-	way, kind := u.classify(block, g0, g1)
+	e, kind := u.classify(block, g0, g1)
 	if kind == icache.Hit {
-		set := u.setIndex(block)
-		e := &u.ways(set)[way]
 		e.Accessed |= rangeMask(g0, g1)
 		u.st.Clock++
 		e.LRU = u.st.Clock
@@ -235,21 +215,19 @@ func (u *Cache) Fetch(addr uint64, size int, now uint64) icache.Result {
 	return r
 }
 
-// install places an incoming 64B block into the predictor: resident
-// sub-blocks of the same block are invalidated first, with their useful
-// bytes salvaged into the new bit-vector (§IV-G), and the predictor victim
-// is distilled into the ways.
-func (u *Cache) install(block uint64, now uint64, demandMask uint64, prefetch bool) {
+// install places an incoming 64B block into the predictor and returns
+// its entry: resident sub-blocks of the same block are invalidated first,
+// with their useful bytes salvaged into the new bit-vector (§IV-G), and
+// the predictor victim is distilled into the ways.
+func (u *Cache) install(block uint64, now uint64, demandMask uint64, prefetch bool) *PredEntry {
 	salvaged := u.invalidateSubBlocks(block)
 	if salvaged != 0 {
 		u.st.Stats.SalvagedMoves++
 	}
-	victim := u.pred.insert(block, now, prefetch)
-	if e := u.pred.lookup(block, false); e != nil {
-		e.Mask |= demandMask | salvaged
-		if demandMask != 0 || salvaged != 0 {
-			e.Prefetched = false
-		}
+	e, victim := u.pred.insert(block, now, prefetch)
+	e.Mask |= demandMask | salvaged
+	if demandMask != 0 || salvaged != 0 {
+		e.Prefetched = false
 	}
 	if victim.Valid {
 		keep := victim.Mask
@@ -266,12 +244,13 @@ func (u *Cache) install(block uint64, now uint64, demandMask uint64, prefetch bo
 		}
 		u.moveToWays(victim.Tag, keep, victim.Mask, now)
 	}
+	return e
 }
 
 // invalidateSubBlocks removes all resident sub-blocks of block, returning
 // the union of their accessed-granule masks.
 func (u *Cache) invalidateSubBlocks(block uint64) uint64 {
-	set := u.setIndex(block)
+	set := u.sets.index(block)
 	var mask uint64
 	ways := u.ways(set)
 	for w := range ways {
@@ -337,13 +316,13 @@ func (u *Cache) place(block uint64, r run, accessedMask uint64, now uint64) int 
 	if last >= len(u.wayG) {
 		last = len(u.wayG) - 1
 	}
-	set := u.setIndex(block)
+	ways := u.ways(u.sets.index(block))
 	// Modified LRU among the candidate window (§IV-F); with DeadBlockWays,
 	// predicted-dead sub-blocks are preferred victims.
 	way, oldest := -1, ^uint64(0)
 	deadWay, deadOldest := -1, ^uint64(0)
 	for w := n; w <= last; w++ {
-		e := &u.ways(set)[w]
+		e := &ways[w]
 		if !e.Valid {
 			way = w
 			break
@@ -355,11 +334,11 @@ func (u *Cache) place(block uint64, r run, accessedMask uint64, now uint64) int 
 			deadWay, deadOldest = w, e.LRU
 		}
 	}
-	if way >= 0 && u.ways(set)[way].Valid && deadWay >= 0 {
+	if way >= 0 && ways[way].Valid && deadWay >= 0 {
 		way = deadWay
 		u.st.Stats.Congruence.DeadVictims++
 	}
-	e := &u.ways(set)[way]
+	e := &ways[way]
 	if e.Valid {
 		if u.st.Dead != nil {
 			u.st.Dead.train(e.Sig, !e.Reused)
@@ -398,21 +377,18 @@ func (u *Cache) place(block uint64, r run, accessedMask uint64, now uint64) int 
 // into the entry's predicted-useful mask.
 func (u *Cache) Prefetch(addr uint64, size int, now uint64) {
 	block, g0, g1 := u.granules(addr, size)
-	if e := u.pred.lookup(block, false); e != nil {
-		e.PrefMask |= rangeMask(g0, g1)
-		return
+	e := u.pred.lookup(block, false)
+	if e == nil {
+		if _, kind := u.classify(block, g0, g1); kind == icache.Hit {
+			return
+		}
+		ctx := cache.AccessContext{PC: addr, Cycle: now, Prefetch: true}
+		if !u.Engine.Prefetch(block, now, ctx) {
+			return
+		}
+		e = u.install(block, now, 0, true)
 	}
-	if _, kind := u.classify(block, g0, g1); kind == icache.Hit {
-		return
-	}
-	ctx := cache.AccessContext{PC: addr, Cycle: now, Prefetch: true}
-	if !u.Engine.Prefetch(block, now, ctx) {
-		return
-	}
-	u.install(block, now, 0, true)
-	if e := u.pred.lookup(block, false); e != nil {
-		e.PrefMask |= rangeMask(g0, g1)
-	}
+	e.PrefMask |= rangeMask(g0, g1)
 }
 
 // Efficiency returns the storage-efficiency metric over both the uneven
@@ -473,7 +449,7 @@ func (u *Cache) CheckInvariants() error {
 			if !e.Valid {
 				continue
 			}
-			if u.setIndex(e.Tag) != s {
+			if u.sets.index(e.Tag) != s {
 				return fmt.Errorf("ubs: block %#x in wrong set %d", e.Tag, s)
 			}
 			if e.Stored < 1 || e.Stored > u.wayG[w] {

@@ -134,7 +134,7 @@ func TestExtractRuns(t *testing.T) {
 		{uint64(1) << 63, []run{{63, 1}}},
 	}
 	for _, c := range cases {
-		got := extractRuns(c.mask)
+		got := extractRunsInto(nil, c.mask)
 		if len(got) != len(c.want) {
 			t.Errorf("mask %#b: runs %v, want %v", c.mask, got, c.want)
 			continue
@@ -151,7 +151,7 @@ func TestExtractRuns(t *testing.T) {
 // Property: extracted runs exactly reconstruct the mask and never overlap.
 func TestExtractRunsProperty(t *testing.T) {
 	f := func(mask uint64) bool {
-		runs := extractRuns(mask)
+		runs := extractRunsInto(nil, mask)
 		var re uint64
 		prevEnd := -1
 		for _, r := range runs {
@@ -293,7 +293,7 @@ func TestDedupOnPartialMiss(t *testing.T) {
 	if !r2.Kind.IsPartial() {
 		t.Fatalf("fetch = %v, want partial miss", r2.Kind)
 	}
-	set := u.setIndex(a)
+	set := u.sets.index(a)
 	for w := range u.ways(set) {
 		if u.ways(set)[w].Valid && u.ways(set)[w].Tag == a {
 			t.Fatal("stale sub-block of A survived the partial miss")
@@ -320,7 +320,7 @@ func TestPlacementWindow(t *testing.T) {
 	u := newDefault(t)
 	// A 16-byte run (4 granules) must land in ways 7..10 (sizes 16,24,32,36).
 	u.moveToWays(0x10000, rangeMask(0, 3), rangeMask(0, 3), 1)
-	set := u.setIndex(0x10000)
+	set := u.sets.index(0x10000)
 	found := -1
 	for w := range u.ways(set) {
 		if u.ways(set)[w].Valid {
@@ -332,7 +332,7 @@ func TestPlacementWindow(t *testing.T) {
 	}
 	// A full-block run must land in ways 13..15 (64B ways).
 	u.moveToWays(0x20000, 0xffff, 0xffff, 2)
-	set2 := u.setIndex(0x20000)
+	set2 := u.sets.index(0x20000)
 	found = -1
 	for w := 13; w <= 15; w++ {
 		if u.ways(set2)[w].Valid && u.ways(set2)[w].Tag == 0x20000 {
@@ -349,7 +349,7 @@ func TestPlacementWindow(t *testing.T) {
 
 func TestModifiedLRUWithinWindow(t *testing.T) {
 	u := newDefault(t)
-	set := u.setIndex(0x10000)
+	set := u.sets.index(0x10000)
 	// Fill ways 7..10 with sub-blocks of distinct blocks, oldest in way 9.
 	blocks := []uint64{0x10000, 0x10000 + 64*64, 0x10000 + 2*64*64, 0x10000 + 3*64*64}
 	order := []int{9, 7, 10, 8} // LRU order: way 9 oldest
@@ -370,7 +370,7 @@ func TestTrailingFill(t *testing.T) {
 	// 4-granule run starting at 0: smallest fitting way is 16B; if the
 	// window places it in a larger way, extra granules fill with trailing
 	// bytes. Force a 24B way by occupying way 7 freshly.
-	set := u.setIndex(0x10000)
+	set := u.sets.index(0x10000)
 	u.st.Clock++
 	u.ways(set)[7] = WayEntry{Valid: true, Tag: 0x99000, Start: 0, Stored: 4,
 		Accessed: 1, LRU: ^uint64(0) >> 1} // very recent
@@ -395,7 +395,7 @@ func TestTrailingFillDisabled(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.FillTrailing = false
 	u := MustNew(cfg, hier())
-	set := u.setIndex(0x10000)
+	set := u.sets.index(0x10000)
 	u.st.Clock++
 	u.ways(set)[7] = WayEntry{Valid: true, Tag: 0x99000, Start: 0, Stored: 4,
 		Accessed: 1, LRU: ^uint64(0) >> 1}
@@ -409,7 +409,7 @@ func TestRunAbsorption(t *testing.T) {
 	u := newDefault(t)
 	// Runs [0..3] and [5..5] with a one-granule gap: the first run's
 	// trailing fill (if the way stores >=6 granules) absorbs the second.
-	set := u.setIndex(0x10000)
+	set := u.sets.index(0x10000)
 	// Make ways 7 recent so the 24B way 8 is used (stores 6 granules).
 	u.st.Clock++
 	u.ways(set)[7] = WayEntry{Valid: true, Tag: 0x99000, Start: 0, Stored: 4,
@@ -424,7 +424,7 @@ func TestRunAbsorption(t *testing.T) {
 		t.Errorf("Placements = %d, want 1", st.Placements)
 	}
 	e := &u.ways(set)[8]
-	if !e.covers(5, 5) {
+	if !e.containsGranule(5) {
 		t.Error("absorbed granule not covered by the sub-block")
 	}
 	if e.Accessed&rangeMask(5, 5) == 0 {
@@ -564,38 +564,6 @@ func TestPredictorVariants(t *testing.T) {
 	if _, err := WithPredictor("nope"); err == nil {
 		t.Error("unknown predictor accepted")
 	}
-}
-
-// FuzzFetchStorm: an arbitrary fetch/prefetch storm never violates the
-// structural invariants, and block residency stays exclusive (predictor
-// xor ways). A storm is ops (100..3099) accesses drawn from seed; the
-// seed corpus, 20 storms, runs with the package tests.
-func FuzzFetchStorm(f *testing.F) {
-	for i := int64(0); i < 20; i++ {
-		f.Add(i*7_919+1, uint16(i*1_543))
-	}
-	f.Fuzz(func(t *testing.T, seed int64, opsRaw uint16) {
-		u := MustNew(DefaultConfig(), hier())
-		rng := rand.New(rand.NewSource(seed))
-		ops := int(opsRaw)%3000 + 100
-		now := uint64(0)
-		for i := 0; i < ops; i++ {
-			now += uint64(1 + rng.Intn(300))
-			addr := 0x40000 + uint64(rng.Intn(2048))*4
-			size := 4 * (1 + rng.Intn(8))
-			if int(addr&63)+size > 64 {
-				size = 64 - int(addr&63)
-			}
-			if rng.Intn(5) == 0 {
-				u.Prefetch(addr, size, now)
-			} else {
-				u.Fetch(addr, size, now)
-			}
-		}
-		if err := u.CheckInvariants(); err != nil {
-			t.Fatalf("seed %d, %d ops: %v", seed, ops, err)
-		}
-	})
 }
 
 // The headline structural claim: for a 32KB-class budget, UBS supports
