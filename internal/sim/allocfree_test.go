@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"encoding/json"
 	"runtime"
 	"sync"
 	"testing"
@@ -22,14 +23,14 @@ const (
 // spec_001, loop code that the core and branch predictor dominate.
 var steadyFamilies = []workload.Family{workload.FamilyServer, workload.FamilySPEC}
 
-// steadyMachine builds the first preset of family on the given
-// registered design kind, sampling storage efficiency every
+// steadyMachine builds the first preset of family on the given design,
+// sampling storage efficiency every
 // sampleInterval cycles (0: off), and drives it past the cold-start
 // region: construction pools are sized, the caches and MSHRs have
 // filled, and the walker's call stack has reached its working depth.
-func steadyMachine(tb testing.TB, family workload.Family, kind string, sampleInterval uint64) *Machine {
+func steadyMachine(tb testing.TB, family workload.Family, spec DesignSpec, sampleInterval uint64) *Machine {
 	tb.Helper()
-	d, err := ResolveDesign(DesignSpec{Kind: kind})
+	d, err := ResolveDesign(spec)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestSimulateSteadyStateAllocFree(t *testing.T) {
 	for _, kind := range kinds {
 		t.Run(kind, func(t *testing.T) {
 			for _, f := range steadyFamilies {
-				m := steadyMachine(t, f, kind, DefaultParams().SampleInterval)
+				m := steadyMachine(t, f, DesignSpec{Kind: kind}, DefaultParams().SampleInterval)
 				t.Run(m.workload, func(t *testing.T) {
 					requireAdvanceAllocFree(t, m, 3, steadyInstrs)
 					if err := m.Core().Validate(); err != nil {
@@ -124,17 +125,25 @@ func TestSimulateSteadyStateAllocFree(t *testing.T) {
 // machine: the image of a steady machine, restored into a fresh one
 // through RestoreEncoded (as checkpoint.Resume and the sweep store
 // restore), advances a steady window without allocating and stays
-// consistent. Fill and fetch write into their queues' tail slots, which
-// never grow, so the restore must keep the backings the FTQ and the
-// decode FIFO were built with: snap reuses a slice's capacity where it
-// suffices.
+// consistent. Fill and fetch write into their queues' tail slots, and
+// the small-block fill buffer and the ACIC bypass buffer append to
+// theirs, none of which grow, so the restore must keep the backings they
+// were built with: snap reuses a slice's capacity where it suffices.
 func TestResumedMachineAllocFree(t *testing.T) {
 	for _, tc := range []struct {
 		family workload.Family
-		kind   string
-	}{{workload.FamilyServer, "ubs"}, {workload.FamilySPEC, "conv"}} {
-		src := steadyMachine(t, tc.family, tc.kind, DefaultParams().SampleInterval)
-		t.Run(src.workload+"/"+tc.kind, func(t *testing.T) {
+		name   string
+		spec   DesignSpec
+	}{
+		{workload.FamilyServer, "ubs", DesignSpec{Kind: "ubs"}},
+		{workload.FamilyServer, "ubs-congruence", DesignSpec{Kind: "ubs", Config: json.RawMessage(`{"dead_block_ways":true,"admission_filter":true}`)}},
+		{workload.FamilyServer, "smallblock", DesignSpec{Kind: "smallblock"}},
+		{workload.FamilyServer, "distill", DesignSpec{Kind: "distill"}},
+		{workload.FamilyServer, "acic", DesignSpec{Kind: "conv", Config: json.RawMessage(`{"acic":true}`)}},
+		{workload.FamilySPEC, "conv", DesignSpec{Kind: "conv"}},
+	} {
+		src := steadyMachine(t, tc.family, tc.spec, DefaultParams().SampleInterval)
+		t.Run(src.workload+"/"+tc.name, func(t *testing.T) {
 			var img MachineState
 			if err := src.Snapshot(&img); err != nil {
 				t.Fatal(err)
@@ -151,7 +160,7 @@ func TestResumedMachineAllocFree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d, err := ResolveDesign(DesignSpec{Kind: tc.kind})
+			d, err := ResolveDesign(tc.spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,7 +196,7 @@ func TestNilObserverAllocFree(t *testing.T) {
 	}
 	for _, kind := range DesignKinds() {
 		t.Run(kind, func(t *testing.T) {
-			requireAdvanceAllocFree(t, steadyMachine(t, workload.FamilyServer, kind, 0), 5, nilObserverInstrs)
+			requireAdvanceAllocFree(t, steadyMachine(t, workload.FamilyServer, DesignSpec{Kind: kind}, 0), 5, nilObserverInstrs)
 		})
 	}
 }
@@ -199,7 +208,7 @@ func TestNilObserverAllocFree(t *testing.T) {
 func BenchmarkSimInstr(b *testing.B) {
 	for _, kind := range DesignKinds() {
 		b.Run(kind, func(b *testing.B) {
-			benchAdvance(b, steadyMachine(b, workload.FamilyServer, kind, DefaultParams().SampleInterval), steadyInstrs)
+			benchAdvance(b, steadyMachine(b, workload.FamilyServer, DesignSpec{Kind: kind}, DefaultParams().SampleInterval), steadyInstrs)
 		})
 	}
 }
@@ -209,7 +218,7 @@ func BenchmarkSimInstr(b *testing.B) {
 func BenchmarkNilObserver(b *testing.B) {
 	for _, kind := range DesignKinds() {
 		b.Run(kind, func(b *testing.B) {
-			benchAdvance(b, steadyMachine(b, workload.FamilyServer, kind, 0), nilObserverInstrs)
+			benchAdvance(b, steadyMachine(b, workload.FamilyServer, DesignSpec{Kind: kind}, 0), nilObserverInstrs)
 		})
 	}
 }
@@ -222,7 +231,7 @@ func TestSteadyStatePoolsConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for _, kind := range DesignKinds() {
-		m := steadyMachine(t, workload.FamilyServer, kind, DefaultParams().SampleInterval)
+		m := steadyMachine(t, workload.FamilyServer, DesignSpec{Kind: kind}, DefaultParams().SampleInterval)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
