@@ -7,8 +7,8 @@ import "fmt"
 // table-major: Tables x TableEntries) and bias, the global history, the
 // BTB arrays (flat, set-major: sets x ways; tag 0 = invalid), and the
 // return address stack. Geometry (table count/size, BTB shape, RAS
-// depth) is configuration; Restore requires a BPU built from the same
-// Config.
+// depth) is configuration; RestoreInPlace requires a BPU built from the
+// same Config.
 type State struct {
 	Weights    []int8
 	Bias       []int8

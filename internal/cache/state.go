@@ -1,12 +1,16 @@
 package cache
 
-import "fmt"
+import (
+	"fmt"
+
+	"ubscache/internal/snap"
+)
 
 // State is a Cache's mutable state, the form the cache keeps it in and
 // the checkpoint stores: every Block (set-major, Sets*Ways entries), the
 // counters, and the replacement policy's own state. Geometry is
-// configuration, not state; Restore requires a Cache built from the same
-// Config.
+// configuration, not state; RestoreInPlace requires a Cache built from
+// the same Config.
 type State struct {
 	Blocks []Block
 	Stats  Stats
@@ -37,19 +41,15 @@ type boundPolicy interface {
 // the cache.
 func (c *Cache) Snapshot(dst *State) { copyState(dst, &c.st) }
 
-// Restore installs a State captured from a cache of the same geometry
-// and policy, after checking every length against this cache.
-func (c *Cache) Restore(src *State) error {
-	if err := c.check(src, &c.st); err != nil {
-		return err
-	}
-	copyState(&c.st, src)
-	return nil
-}
+// AppendState appends the snap encoding of the cache's live State to
+// buf.
+func (c *Cache) AppendState(buf []byte) ([]byte, error) { return snap.Append(buf, &c.st) }
 
 // RestoreInPlace fills the cache's own State in place through fill,
-// which decodes into the value it is handed, and then runs Restore's
-// checks on it. A failed RestoreInPlace leaves the cache unusable.
+// which decodes into the value it is handed, and then checks every
+// length against the cache as built, for an image captured from a cache
+// of the same geometry and policy. A failed RestoreInPlace leaves the
+// cache unusable.
 func (c *Cache) RestoreInPlace(fill func(any) error) error {
 	want := c.st
 	if err := fill(&c.st); err != nil {

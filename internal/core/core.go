@@ -136,7 +136,8 @@ type wheelSlot struct{ n, loads, stores int32 }
 // |{e in ROB : e.Done >= next}| split by class: entries enter at
 // dispatch (done is always > now then) and commit only removes entries
 // whose completion already expired here. The wheel is derived state:
-// Restore rebuilds it from the ROB and Validate checks it against a scan.
+// RestoreInPlace rebuilds it from the ROB and Validate checks it against a
+// scan.
 type inflight struct {
 	slots  [wheelSize]wheelSlot
 	far    []ROBEntry // copies of the ROB entries due beyond the horizon
@@ -319,7 +320,7 @@ func (c *Core) commit(now uint64) {
 		}
 		c.st.Stats.Instructions++
 		// The ring advances by compare-and-wrap, not a divide: ROBHead
-		// stays below ROBSize (Restore checks an image's).
+		// stays below ROBSize (RestoreInPlace checks an image's).
 		if c.st.ROBHead++; c.st.ROBHead == c.cfg.ROBSize {
 			c.st.ROBHead = 0
 		}

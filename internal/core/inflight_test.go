@@ -181,12 +181,8 @@ func TestRestoreWithFarEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back State
-	if err := snap.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
 	b := New(a.cfg, a.ftq, a.ic, a.dc)
-	if err := b.Restore(&back); err != nil {
+	if err := b.RestoreInPlace(func(v any) error { return snap.Unmarshal(data, v) }); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Validate(); err != nil {
@@ -220,9 +216,9 @@ func sameEntries(a, b []ROBEntry) bool {
 	return true
 }
 
-// TestRestoreRejectsBadROBIndices pins that Restore, which walks the
-// live ROB window to rebuild the wheel, refuses an image whose head or
-// count does not index into the ROB.
+// TestRestoreRejectsBadROBIndices pins that RestoreInPlace, which walks
+// the live ROB window to rebuild the wheel, refuses an image whose head
+// or count does not index into the ROB.
 func TestRestoreRejectsBadROBIndices(t *testing.T) {
 	c, _ := build(t, trace.NewSlice(straight(100)), false)
 	var st State
@@ -230,11 +226,21 @@ func TestRestoreRejectsBadROBIndices(t *testing.T) {
 	for _, bad := range []struct{ head, count int }{{-1, 0}, {len(st.ROB), 0}, {0, -1}, {0, len(st.ROB) + 1}} {
 		img := st
 		img.ROBHead, img.ROBCount = bad.head, bad.count
-		if err := c.Restore(&img); err == nil {
+		if err := restoreImage(c, &img); err == nil {
 			t.Errorf("head %d, count %d accepted", bad.head, bad.count)
 		}
 	}
-	if err := c.Restore(&st); err != nil {
+	if err := restoreImage(c, &st); err != nil {
 		t.Errorf("pristine image rejected: %v", err)
 	}
+}
+
+// restoreImage restores st into c through its snap encoding, as a
+// checkpoint resume does.
+func restoreImage(c *Core, st *State) error {
+	data, err := snap.Marshal(st)
+	if err != nil {
+		return err
+	}
+	return c.RestoreInPlace(func(v any) error { return snap.Unmarshal(data, v) })
 }

@@ -27,10 +27,10 @@ type DecodeItem struct {
 // it). The decode queue's image holds only the live window; the core
 // keeps the offset of that window in its backing array outside State.
 // The scheduler/LQ/SQ occupancy wheel is not state either: it is a
-// function of the ROB and the clock, and Restore rebuilds it. Clock is
-// the machine's monotonic time base — every completion cycle in every
-// layer is an absolute cycle number against it — and is never reset;
-// Stats.Cycles counts only the cycles since the last ResetStats.
+// function of the ROB and the clock, and RestoreInPlace rebuilds it.
+// Clock is the machine's monotonic time base — every completion cycle in
+// every layer is an absolute cycle number against it — and is never
+// reset; Stats.Cycles counts only the cycles since the last ResetStats.
 type State struct {
 	ROB      []ROBEntry
 	ROBHead  int
@@ -56,27 +56,13 @@ func (c *Core) Snapshot(dst *State) {
 	dst.Decode = append(decode[:0], c.st.Decode[c.decodeHead:]...)
 }
 
-// Restore installs a State captured from a core of the same
-// configuration. Every ring index and queue length is checked first;
-// the state is then copied into the pre-sized backings, so the
-// steady-state capacity invariants (Validate) keep holding, and the
-// occupancy wheel is rebuilt from the restored ROB.
-func (c *Core) Restore(src *State) error {
-	if err := check(src, &c.st); err != nil {
-		return err
-	}
-	rob, decode := c.st.ROB, c.st.Decode
-	c.st = *src
-	c.st.ROB = append(rob[:0], src.ROB...)
-	c.st.Decode = append(decode[:0], src.Decode...)
-	c.resume()
-	return nil
-}
-
 // RestoreInPlace fills the core's own State in place through fill, which
-// decodes into the value it is handed, runs Restore's checks on it and
-// rebuilds the occupancy wheel. A failed RestoreInPlace leaves the core
-// unusable.
+// decodes into the value it is handed, for an image captured from a core
+// of the same configuration. Every ring index and queue length is
+// checked against the core as built; the pre-sized backings are kept
+// where the image fits them, so the steady-state capacity invariants
+// (Validate) keep holding, and the occupancy wheel is rebuilt from the
+// restored ROB. A failed RestoreInPlace leaves the core unusable.
 func (c *Core) RestoreInPlace(fill func(any) error) error {
 	want := c.st
 	if err := fill(&c.st); err != nil {

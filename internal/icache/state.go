@@ -9,10 +9,13 @@ import (
 )
 
 // Checkpointable is implemented by frontends that can serialize their
-// mutable state. The bytes are opaque to callers: each frontend
-// snap-encodes its own exported state struct, and only the same
-// concrete frontend type (built from the same design config) can decode
-// them. sim.Machine stores the bytes in MachineState.Frontend.
+// mutable state. The bytes are opaque to callers: each frontend encodes
+// its live state in the snap layout of its exported state struct, and
+// only the same concrete frontend type (built from the same design
+// config) decodes them, straight into its own tables, and then checks
+// them. A RestoreState that fails leaves the frontend unusable: build a
+// fresh one to run or restore again. sim.Machine stores the bytes in
+// MachineState.Frontend.
 type Checkpointable interface {
 	SnapshotState() ([]byte, error)
 	RestoreState(data []byte) error
@@ -25,19 +28,58 @@ type EngineState struct {
 	Stats Stats
 }
 
-// Snapshot copies the engine's mutable state into dst.
-func (e *Engine) Snapshot(dst *EngineState) {
-	e.eng.File().Snapshot(&dst.MSHR)
-	dst.Stats = e.stats
+// AppendState appends the snap encoding of the engine's live state, an
+// EngineState, to buf.
+func (e *Engine) AppendState(buf []byte) ([]byte, error) {
+	buf, err := snap.Append(buf, &e.eng.File().MSHRState)
+	if err != nil {
+		return buf, err
+	}
+	return snap.Append(buf, &e.stats)
 }
 
-// Restore installs a previously captured EngineState.
-func (e *Engine) Restore(src *EngineState) error {
-	if err := e.eng.File().Restore(&src.MSHR); err != nil {
+// RestoreInPlace fills the engine's state in place through fill, which
+// decodes into the value it is handed, in EngineState's field order, and
+// checks the MSHR file it filled.
+func (e *Engine) RestoreInPlace(fill func(any) error) error {
+	if err := e.eng.File().RestoreInPlace(fill); err != nil {
 		return err
 	}
-	e.stats = src.Stats
-	return nil
+	return fill(&e.stats)
+}
+
+// snapshotState encodes a frontend built on engine e and cache array c:
+// e's EngineState, c's cache.State, then the encoding of each of rest,
+// back to back, as the frontend's state struct lays them out.
+func snapshotState(e *Engine, c *cache.Cache, rest ...any) ([]byte, error) {
+	buf, err := e.AppendState(nil)
+	if err == nil {
+		buf, err = c.AppendState(buf)
+	}
+	for _, v := range rest {
+		if err == nil {
+			buf, err = snap.Append(buf, v)
+		}
+	}
+	return buf, err
+}
+
+// restoreState decodes an image snapshotState encoded: the engine's and
+// the cache array's parts in place, then the rest through rest, which
+// decodes and checks the frontend's own fields; every byte must be
+// consumed.
+func restoreState(data []byte, e *Engine, c *cache.Cache, rest func(*snap.Decoder) error) error {
+	d := snap.NewDecoder(data)
+	if err := e.RestoreInPlace(d.Decode); err != nil {
+		return err
+	}
+	if err := c.RestoreInPlace(d.Decode); err != nil {
+		return err
+	}
+	if err := rest(d); err != nil {
+		return err
+	}
+	return d.Done()
 }
 
 // ACICState is the ACIC admission filter's mutable state (see
@@ -56,70 +98,39 @@ type ConventionalState struct {
 	ACIC   *ACICState
 }
 
-// Snapshot copies the frontend's mutable state into dst; dst shares no
-// memory with the frontend.
-func (cv *Conventional) Snapshot(dst *ConventionalState) {
-	cv.Engine.Snapshot(&dst.Engine)
-	cv.c.Snapshot(&dst.Cache)
-	if cv.acic == nil {
-		dst.ACIC = nil
-		return
-	}
-	if dst.ACIC == nil {
-		dst.ACIC = &ACICState{}
-	}
-	copyACIC(dst.ACIC, cv.acic)
+// SnapshotState implements Checkpointable: it encodes the frontend's live
+// state as a ConventionalState.
+func (cv *Conventional) SnapshotState() ([]byte, error) {
+	return snapshotState(cv.Engine, cv.c, &cv.acic)
 }
 
-// Restore installs a previously captured ConventionalState.
-func (cv *Conventional) Restore(src *ConventionalState) error {
-	if (src.ACIC == nil) != (cv.acic == nil) {
-		return fmt.Errorf("icache conv: snapshot and design disagree on ACIC presence")
-	}
-	if a := src.ACIC; a != nil {
+// RestoreState implements Checkpointable: it decodes a ConventionalState
+// image in place and checks the ACIC part against the design.
+func (cv *Conventional) RestoreState(data []byte) error {
+	return restoreState(data, cv.Engine, cv.c, func(d *snap.Decoder) error {
+		present, err := d.Present()
 		switch {
-		case len(a.Table) != len(cv.acic.Table):
-			return fmt.Errorf("icache conv: ACIC table has %d counters, want %d", len(a.Table), len(cv.acic.Table))
+		case err != nil:
+			return err
+		case present != (cv.acic != nil):
+			return fmt.Errorf("icache conv: snapshot and design disagree on ACIC presence")
+		case !present:
+			return nil
+		}
+		a := cv.acic
+		if err := d.Decode(a); err != nil {
+			return err
+		}
+		switch {
+		case len(a.Table) != 1<<acicTableBits:
+			return fmt.Errorf("icache conv: ACIC table has %d counters, want %d", len(a.Table), 1<<acicTableBits)
 		case len(a.Bypass) > acicBypassCap:
 			return fmt.Errorf("icache conv: ACIC bypass buffer holds %d blocks, capacity is %d", len(a.Bypass), acicBypassCap)
 		case a.Pos < 0 || a.Pos >= acicBypassCap:
 			return fmt.Errorf("icache conv: ACIC bypass position %d outside [0,%d)", a.Pos, acicBypassCap)
 		}
-	}
-	if err := cv.Engine.Restore(&src.Engine); err != nil {
-		return err
-	}
-	if err := cv.c.Restore(&src.Cache); err != nil {
-		return err
-	}
-	if cv.acic != nil {
-		copyACIC(cv.acic, src.ACIC)
-	}
-	return nil
-}
-
-// copyACIC deep-copies src into dst, reusing dst's backing arrays.
-func copyACIC(dst, src *ACICState) {
-	table, bypass := dst.Table, dst.Bypass
-	*dst = *src
-	dst.Table = append(table[:0], src.Table...)
-	dst.Bypass = append(bypass[:0], src.Bypass...)
-}
-
-// SnapshotState implements Checkpointable.
-func (cv *Conventional) SnapshotState() ([]byte, error) {
-	var st ConventionalState
-	cv.Snapshot(&st)
-	return snap.Marshal(&st)
-}
-
-// RestoreState implements Checkpointable.
-func (cv *Conventional) RestoreState(data []byte) error {
-	var st ConventionalState
-	if err := snap.Unmarshal(data, &st); err != nil {
-		return err
-	}
-	return cv.Restore(&st)
+		return nil
+	})
 }
 
 // FillBufferState is the small-block fill buffer's mutable state: the
@@ -139,51 +150,28 @@ type SmallBlockState struct {
 	Buffer FillBufferState
 }
 
-// Snapshot copies the frontend's mutable state into dst; dst shares no
-// memory with the frontend.
-func (sb *SmallBlock) Snapshot(dst *SmallBlockState) {
-	sb.Engine.Snapshot(&dst.Engine)
-	sb.c.Snapshot(&dst.Cache)
-	blocks := dst.Buffer.Blocks
-	dst.Buffer = sb.buffer
-	dst.Buffer.Blocks = append(blocks[:0], sb.buffer.Blocks...)
-}
-
-// Restore installs a previously captured SmallBlockState.
-func (sb *SmallBlock) Restore(src *SmallBlockState) error {
-	capacity := sb.cfg.BufferCap
-	if n := len(src.Buffer.Blocks); n > capacity {
-		return fmt.Errorf("icache smallblock: snapshot fill buffer %d exceeds capacity %d", n, capacity)
-	}
-	if p := src.Buffer.Pos; p < 0 || p >= max(capacity, 1) {
-		return fmt.Errorf("icache smallblock: fill buffer position %d outside [0,%d)", p, max(capacity, 1))
-	}
-	if err := sb.Engine.Restore(&src.Engine); err != nil {
-		return err
-	}
-	if err := sb.c.Restore(&src.Cache); err != nil {
-		return err
-	}
-	blocks := sb.buffer.Blocks
-	sb.buffer = src.Buffer
-	sb.buffer.Blocks = append(blocks[:0], src.Buffer.Blocks...)
-	return nil
-}
-
-// SnapshotState implements Checkpointable.
+// SnapshotState implements Checkpointable: it encodes the frontend's live
+// state as a SmallBlockState.
 func (sb *SmallBlock) SnapshotState() ([]byte, error) {
-	var st SmallBlockState
-	sb.Snapshot(&st)
-	return snap.Marshal(&st)
+	return snapshotState(sb.Engine, sb.c, &sb.buffer)
 }
 
-// RestoreState implements Checkpointable.
+// RestoreState implements Checkpointable: it decodes a SmallBlockState
+// image in place and checks the fill buffer against its capacity.
 func (sb *SmallBlock) RestoreState(data []byte) error {
-	var st SmallBlockState
-	if err := snap.Unmarshal(data, &st); err != nil {
-		return err
-	}
-	return sb.Restore(&st)
+	return restoreState(data, sb.Engine, sb.c, func(d *snap.Decoder) error {
+		if err := d.Decode(&sb.buffer); err != nil {
+			return err
+		}
+		capacity := sb.cfg.BufferCap
+		if n := len(sb.buffer.Blocks); n > capacity {
+			return fmt.Errorf("icache smallblock: snapshot fill buffer %d exceeds capacity %d", n, capacity)
+		}
+		if p := sb.buffer.Pos; p < 0 || p >= max(capacity, 1) {
+			return fmt.Errorf("icache smallblock: fill buffer position %d outside [0,%d)", p, max(capacity, 1))
+		}
+		return nil
+	})
 }
 
 // WOCEntry is one 8B word of the word-organised cache, tagged by its
@@ -211,47 +199,22 @@ type DistillState struct {
 	WOCHits uint64
 }
 
-// Snapshot copies the frontend's mutable state into dst; dst shares no
-// memory with the frontend.
-func (d *Distill) Snapshot(dst *DistillState) {
-	d.Engine.Snapshot(&dst.Engine)
-	d.loc.Snapshot(&dst.LOC)
-	entries := dst.WOC.Entries
-	dst.WOC = d.woc
-	dst.WOC.Entries = append(entries[:0], d.woc.Entries...)
-	dst.WOCHits = d.WOCHits
-}
-
-// Restore installs a previously captured DistillState.
-func (d *Distill) Restore(src *DistillState) error {
-	if len(src.WOC.Entries) != len(d.woc.Entries) {
-		return fmt.Errorf("icache distill: snapshot WOC has %d entries, cache holds %d", len(src.WOC.Entries), len(d.woc.Entries))
-	}
-	if err := d.Engine.Restore(&src.Engine); err != nil {
-		return err
-	}
-	if err := d.loc.Restore(&src.LOC); err != nil {
-		return err
-	}
-	entries := d.woc.Entries
-	d.woc = src.WOC
-	d.woc.Entries = append(entries[:0], src.WOC.Entries...)
-	d.WOCHits = src.WOCHits
-	return nil
-}
-
-// SnapshotState implements Checkpointable.
+// SnapshotState implements Checkpointable: it encodes the frontend's live
+// state as a DistillState.
 func (d *Distill) SnapshotState() ([]byte, error) {
-	var st DistillState
-	d.Snapshot(&st)
-	return snap.Marshal(&st)
+	return snapshotState(d.Engine, d.loc, &d.woc, &d.WOCHits)
 }
 
-// RestoreState implements Checkpointable.
+// RestoreState implements Checkpointable: it decodes a DistillState image
+// in place and checks the WOC's size against the design.
 func (d *Distill) RestoreState(data []byte) error {
-	var st DistillState
-	if err := snap.Unmarshal(data, &st); err != nil {
-		return err
-	}
-	return d.Restore(&st)
+	return restoreState(data, d.Engine, d.loc, func(dec *snap.Decoder) error {
+		if err := dec.Decode(&d.woc); err != nil {
+			return err
+		}
+		if n, want := len(d.woc.Entries), d.cfg.Sets*d.cfg.WOCWords; n != want {
+			return fmt.Errorf("icache distill: snapshot WOC has %d entries, cache holds %d", n, want)
+		}
+		return dec.Decode(&d.WOCHits)
+	})
 }

@@ -42,21 +42,10 @@ func (m *MSHR) Snapshot(dst *MSHRState) {
 	dst.Entries = append(entries[:0], m.Entries...)
 }
 
-// Restore installs a State captured from a file of the same capacity.
-// The entries must fit the capacity and keep the heap order that expiry
-// relies on.
-func (m *MSHR) Restore(src *MSHRState) error {
-	if err := m.check(src); err != nil {
-		return err
-	}
-	entries := m.Entries
-	m.MSHRState = *src
-	m.Entries = append(entries[:0], src.Entries...)
-	return nil
-}
-
 // RestoreInPlace fills the file's state in place through fill (see
-// cache.Cache.RestoreInPlace) and then runs Restore's checks on it.
+// cache.Cache.RestoreInPlace) and then checks it against the file's
+// capacity: the entries must fit it and keep the heap order that expiry
+// relies on.
 func (m *MSHR) RestoreInPlace(fill func(any) error) error {
 	if err := fill(&m.MSHRState); err != nil {
 		return err

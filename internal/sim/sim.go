@@ -156,7 +156,7 @@ type Machine struct {
 	workload, design string
 
 	// src is the trace source feeding the FTQ, retained for Snapshot and
-	// Restore: a walker's image is captured and installed, any other
+	// RestoreEncoded: a walker's image is captured and installed, any other
 	// source is replayed (see MachineState).
 	src trace.Source
 

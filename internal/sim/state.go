@@ -23,19 +23,19 @@ import (
 //
 // The trace source is part of the state only when it is a bare
 // *workload.Walker: Walker then holds the walker's image (its generator
-// register, call stack and cursor), and Restore installs it directly, at
-// a cost that does not grow with the snapshot's position. Every other
-// source (mixes, file-backed traces, wrapped walkers) carries state the
-// image cannot hold (the stdlib generator behind a mix's distributions,
-// open file readers), so Walker is nil and Restore replays instead: the
-// FTQ's EnqueuedTot counts exactly the successful Next calls, and Restore
-// fast-forwards the freshly opened source by that many instructions
-// (trace.Skip).
+// register, call stack and cursor), and RestoreEncoded installs it
+// directly, at a cost that does not grow with the snapshot's position.
+// Every other source (mixes, file-backed traces, wrapped walkers) carries
+// state the image cannot hold (the stdlib generator behind a mix's
+// distributions, open file readers), so Walker is nil and RestoreEncoded
+// replays instead: the FTQ's EnqueuedTot counts exactly the successful
+// Next calls, and RestoreEncoded fast-forwards the freshly opened source
+// by that many instructions (trace.Skip).
 //
 // Observer plumbing (the heartbeat schedule) is deliberately NOT part of
-// the state. Heartbeats never touch simulated state; Restore recomputes
-// the next beat cycle from the restored clock so a resumed run beats on
-// the same cycle grid.
+// the state. Heartbeats never touch simulated state; RestoreEncoded
+// recomputes the next beat cycle from the restored clock so a resumed
+// run beats on the same cycle grid.
 //
 // The file-format version lives in the checkpoint header (package
 // checkpoint), not here: MachineState's layout IS the format, and the
@@ -51,7 +51,7 @@ type MachineState struct {
 	BPU  bpu.State
 	// Frontend holds the design's snap-encoded state struct; the bytes
 	// are opaque here and only the same concrete frontend type decodes
-	// them (icache.Checkpointable).
+	// them, in place (icache.Checkpointable).
 	Frontend  []byte
 	DataCache *mem.DataCacheState
 	Hierarchy mem.HierarchyState
@@ -115,19 +115,6 @@ func (m *Machine) Snapshot(dst *MachineState) error {
 		dst.Walker = nil
 	}
 	return nil
-}
-
-// Restore installs a previously captured MachineState into a fresh
-// Machine built from the same Params, design, and workload. It encodes
-// src and restores the encoding with RestoreEncoded, so the two entries
-// share one restore path and accept the same images; a machine whose
-// Restore failed is not to be run.
-func (m *Machine) Restore(src *MachineState) error {
-	state, err := snap.Marshal(src)
-	if err != nil {
-		return err
-	}
-	return m.RestoreEncoded(state)
 }
 
 // RestoreEncoded installs the snap encoding of a MachineState (the state
@@ -259,7 +246,7 @@ func (m *Machine) eventHorizon() uint64 {
 	return uint64(cfg.ROBSize+cfg.DecodeQueue+cfg.FetchWidth) * step
 }
 
-// checkProgress rejects images that each layer's Restore accepts but
+// checkProgress rejects images that each layer's restore accepts but
 // that would stop the machine for good, so that an Advance without a
 // context never returns: a runahead blocked on a mispredict that nothing
 // will resolve, or an event (a fetch or redirect stall, an instruction's

@@ -10,7 +10,7 @@
 // always produce identical bytes, which is what lets checkpoint files be
 // content-keyed and diffed.
 //
-// Fields tagged `snap:"-"` are skipped (scratch space that Restore
+// Fields tagged `snap:"-"` are skipped (scratch space that a restore
 // rebuilds). Unexported fields are an error rather than a silent skip:
 // state structs exist to be serialized, so a field the codec cannot see
 // is a checkpointing bug, not a convenience.

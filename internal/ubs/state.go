@@ -69,31 +69,44 @@ type State struct {
 	Storage
 }
 
-// Snapshot copies the cache's mutable state into dst; dst shares no
-// memory with the cache.
-func (u *Cache) Snapshot(dst *State) {
-	u.Engine.Snapshot(&dst.Engine)
-	copyStorage(&dst.Storage, &u.st)
+// SnapshotState implements icache.Checkpointable: it encodes the cache's
+// live state as a State.
+func (u *Cache) SnapshotState() ([]byte, error) {
+	buf, err := u.Engine.AppendState(nil)
+	if err != nil {
+		return nil, err
+	}
+	return snap.Append(buf, &u.st)
 }
 
-// Restore installs a State captured from a cache of the same
-// configuration, after checking every length and every granule extent
-// and mask against it.
-func (u *Cache) Restore(src *State) error {
-	if err := u.check(&src.Storage); err != nil {
-		return fmt.Errorf("ubs: snapshot %w", err)
-	}
-	if err := u.Engine.Restore(&src.Engine); err != nil {
+// RestoreState implements icache.Checkpointable: it decodes a State image
+// straight into the cache and then checks every length against the
+// configuration and every granule extent and mask against the geometry.
+// A failed RestoreState leaves the cache unusable.
+func (u *Cache) RestoreState(data []byte) error {
+	d := snap.NewDecoder(data)
+	if err := u.Engine.RestoreInPlace(d.Decode); err != nil {
 		return err
 	}
-	copyStorage(&u.st, &src.Storage)
+	if err := d.Decode(&u.st); err != nil {
+		return err
+	}
+	if err := d.Done(); err != nil {
+		return err
+	}
+	if err := u.check(); err != nil {
+		return fmt.Errorf("ubs: snapshot %w", err)
+	}
 	return nil
 }
 
-// check validates an image's Storage against this cache.
-func (u *Cache) check(st *Storage) error {
-	if len(st.Ways) != len(u.st.Ways) {
-		return fmt.Errorf("has %d ways, cache holds %d", len(st.Ways), len(u.st.Ways))
+// check validates the Storage a restore decoded. The lengths it expects
+// come from the configuration, not from the tables, which the decode has
+// already resized to the image's.
+func (u *Cache) check() error {
+	st := &u.st
+	if n, want := len(st.Ways), u.cfg.Sets*len(u.wayG); n != want {
+		return fmt.Errorf("has %d ways, cache holds %d", n, want)
 	}
 	block := rangeMask(0, u.ng-1)
 	for i := range st.Ways {
@@ -106,66 +119,21 @@ func (u *Cache) check(st *Storage) error {
 			return fmt.Errorf("way %d holds granules [%d,+%d) accessed %#x, outside way capacity %d of %d", i, e.Start, e.Stored, e.Accessed, u.wayG[w], u.ng)
 		}
 	}
-	if len(st.Pred.Entries) != len(u.st.Pred.Entries) {
-		return fmt.Errorf("predictor has %d entries, cache holds %d", len(st.Pred.Entries), len(u.st.Pred.Entries))
+	if n, want := len(st.Pred.Entries), u.cfg.PredictorSets*u.cfg.PredictorWays; n != want {
+		return fmt.Errorf("predictor has %d entries, cache holds %d", n, want)
 	}
 	for i := range st.Pred.Entries {
 		if e := &st.Pred.Entries[i]; (e.Mask|e.PrefMask)&^block != 0 {
 			return fmt.Errorf("predictor entry %d masks %#x/%#x exceed %d granules", i, e.Mask, e.PrefMask, u.ng)
 		}
 	}
-	if (st.Dead == nil) != (u.st.Dead == nil) || (st.Admit == nil) != (u.st.Admit == nil) {
+	switch {
+	case (st.Dead != nil) != u.cfg.DeadBlockWays || (st.Admit != nil) != u.cfg.AdmissionFilter:
 		return fmt.Errorf("and design disagree on congruence extensions")
-	}
-	if st.Dead != nil && len(st.Dead.Tables) != len(u.st.Dead.Tables) {
-		return fmt.Errorf("dead predictor has %d counters, want %d", len(st.Dead.Tables), len(u.st.Dead.Tables))
-	}
-	if st.Admit != nil && len(st.Admit.Table) != len(u.st.Admit.Table) {
-		return fmt.Errorf("admit table has %d counters, want %d", len(st.Admit.Table), len(u.st.Admit.Table))
+	case st.Dead != nil && len(st.Dead.Tables) != deadTables<<deadTableBits:
+		return fmt.Errorf("dead predictor has %d counters, want %d", len(st.Dead.Tables), deadTables<<deadTableBits)
+	case st.Admit != nil && len(st.Admit.Table) != 1<<admitTableBits:
+		return fmt.Errorf("admit table has %d counters, want %d", len(st.Admit.Table), 1<<admitTableBits)
 	}
 	return nil
-}
-
-// copyStorage deep-copies src into dst, reusing dst's backing arrays.
-// The dead predictor's tables always have their configured length: a
-// live cache's by construction, an image's once check has passed.
-func copyStorage(dst, src *Storage) {
-	ways, entries, dead, admit := dst.Ways, dst.Pred.Entries, dst.Dead, dst.Admit
-	*dst = *src
-	dst.Ways = append(ways[:0], src.Ways...)
-	dst.Pred.Entries = append(entries[:0], src.Pred.Entries...)
-	dst.Dead, dst.Admit = nil, nil
-	if src.Dead != nil {
-		if dead == nil {
-			dead = newDeadState()
-		}
-		tables := dead.Tables
-		*dead = *src.Dead
-		dead.Tables = tables
-		copy(tables, src.Dead.Tables)
-		dst.Dead = dead
-	}
-	if src.Admit != nil {
-		if admit == nil {
-			admit = &AdmitState{}
-		}
-		admit.Table = append(admit.Table[:0], src.Admit.Table...)
-		dst.Admit = admit
-	}
-}
-
-// SnapshotState implements icache.Checkpointable.
-func (u *Cache) SnapshotState() ([]byte, error) {
-	var st State
-	u.Snapshot(&st)
-	return snap.Marshal(&st)
-}
-
-// RestoreState implements icache.Checkpointable.
-func (u *Cache) RestoreState(data []byte) error {
-	var st State
-	if err := snap.Unmarshal(data, &st); err != nil {
-		return err
-	}
-	return u.Restore(&st)
 }

@@ -37,7 +37,7 @@ func TestNewSharesProgram(t *testing.T) {
 
 // TestSharedStreams checks that walkers over a shared program emit what
 // a walker over a program of its own does, before and after one's state
-// moves to another by Snapshot and Restore: on a server, a SPEC and a
+// moves to another by Snapshot and RestoreInPlace: on a server, a SPEC and a
 // variable-length (x86) preset.
 func TestSharedStreams(t *testing.T) {
 	const n = 200_000
@@ -68,7 +68,7 @@ func TestSharedStreams(t *testing.T) {
 			}
 			var st State
 			w1.Snapshot(&st)
-			if err := w2.Restore(&st); err != nil {
+			if err := restoreImage(w2, &st); err != nil {
 				t.Fatal(err)
 			}
 			for i := n / 2; i < n; i++ {

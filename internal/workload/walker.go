@@ -313,23 +313,12 @@ func (w *Walker) Snapshot(dst *State) {
 	dst.Stack = append(stack[:0], w.st.Stack...)
 }
 
-// Restore installs a State captured from a walker over the same Program.
-// The image comes from file bytes, so every index is checked against the
-// program first: a bad image is an error, never a panic in a later Next.
-// The stack is filled in place, so Next stays allocation-free.
-func (w *Walker) Restore(src *State) error {
-	if err := w.check(src); err != nil {
-		return err
-	}
-	stack := w.st.Stack
-	w.st = *src
-	w.st.Stack = append(stack[:0], src.Stack...)
-	return nil
-}
-
 // RestoreInPlace fills the walker's own State in place through fill,
-// which decodes into the value it is handed, and then runs Restore's
-// checks on it. A failed RestoreInPlace leaves the walker unusable.
+// which decodes into the value it is handed, for an image captured from
+// a walker over the same Program. The image comes from file bytes, so
+// every index is then checked against the program: a bad image is an
+// error, never a panic in a later Next. A failed RestoreInPlace leaves
+// the walker unusable.
 func (w *Walker) RestoreInPlace(fill func(any) error) error {
 	if err := fill(&w.st); err != nil {
 		return err

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ubscache/internal/snap"
 	"ubscache/internal/trace"
 )
 
@@ -225,7 +226,7 @@ func TestWalkerRestoreContinuesStream(t *testing.T) {
 		n := w.Emitted()
 		w.Snapshot(&st)
 		r := NewWalker(p)
-		if err := r.Restore(&st); err != nil {
+		if err := restoreImage(r, &st); err != nil {
 			t.Fatalf("restore at %d: %v", n, err)
 		}
 		if r.Emitted() != w.Emitted() || r.Depth() != w.Depth() {
@@ -514,4 +515,14 @@ func TestJitterBounded(t *testing.T) {
 			t.Fatalf("jitter(%d) = %f out of range", i, m)
 		}
 	}
+}
+
+// restoreImage restores st into w through its snap encoding, as a
+// checkpoint resume does.
+func restoreImage(w *Walker, st *State) error {
+	data, err := snap.Marshal(st)
+	if err != nil {
+		return err
+	}
+	return w.RestoreInPlace(func(v any) error { return snap.Unmarshal(data, v) })
 }
