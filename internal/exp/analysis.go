@@ -140,7 +140,7 @@ func (r *Runner) efficiencyStudy(d Design) (string, error) {
 	for _, fam := range allFamilies {
 		var all []float64
 		for _, wcfg := range r.workloads(fam) {
-			res, err := r.run(wcfg, d.Name, d.Factory)
+			res, err := r.run(wcfg, d)
 			if err != nil {
 				return "", err
 			}

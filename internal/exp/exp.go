@@ -145,6 +145,12 @@ type Runner struct {
 	auxSeen   map[string]bool
 	sims      []SimPoint
 	auxes     []AuxPoint
+
+	// Design folding (see fold), kept across captures and renders so
+	// that both request a point under the same name. Keys are prefixed
+	// with the workload's Ident.
+	idOf   map[string]string // workload|design name -> design ID
+	nameOf map[string]string // workload|design ID -> first name requested
 }
 
 // NewRunner builds a Runner.
@@ -193,27 +199,62 @@ func (r *Runner) workloads(f workload.Family) []workload.Config {
 
 // run simulates (workload, design) for a generator-backed workload; it is
 // runWorkload over the config's resolved form.
-func (r *Runner) run(wcfg workload.Config, design string, factory sim.FrontendFactory) (sim.Result, error) {
-	return r.runWorkload(workloadspec.FromConfig(wcfg), design, factory)
+func (r *Runner) run(wcfg workload.Config, d Design) (sim.Result, error) {
+	return r.runWorkload(workloadspec.FromConfig(wcfg), d)
 }
 
-// runWorkload simulates (workload, design) through Opts.Exec. In capture
-// mode the point is recorded and a zero result returned instead;
-// experiment rendering code must therefore tolerate zero results (it
-// does: the dry-run output is thrown away).
-func (r *Runner) runWorkload(w workloadspec.Workload, design string, factory sim.FrontendFactory) (sim.Result, error) {
+// runWorkload simulates (workload, design) through Opts.Exec, under the
+// name fold picks. In capture mode the point is recorded and a zero
+// result returned instead; experiment rendering code must therefore
+// tolerate zero results (it does: the dry-run output is thrown away).
+// Tables label their columns with d.Name, never with the result's
+// Design, which names the point that ran.
+func (r *Runner) runWorkload(w workloadspec.Workload, d Design) (sim.Result, error) {
+	design, err := r.fold(w, d)
+	if err != nil {
+		return sim.Result{}, err
+	}
 	if r.capturing {
 		if key := w.Ident() + "|" + design; !r.simSeen[key] {
 			r.simSeen[key] = true
 			r.sims = append(r.sims, SimPoint{
 				Params: r.Opts.params(), Workload: w,
-				Design: design, Factory: factory,
+				Design: design, Factory: d.Factory,
 			})
 		}
 		return sim.Result{Workload: w.Name, Design: design}, nil
 	}
 	r.Opts.progress("  running %s on %s ...", w.Name, design)
-	return r.Opts.Exec(r.Opts.params(), w, design, factory)
+	return r.Opts.Exec(r.Opts.params(), w, design, d.Factory)
+}
+
+// fold returns the name under which d runs on w: the first name its
+// machine (d.ID) was requested under on w, so the aliases of one machine
+// ("ubs", "ubs-32KB", "ubs-16way-c1", "ubs-pred-direct-64") share one
+// point and Opts.Exec simulates it once. Two different machines
+// requested under one name are an error: Opts.Exec keys points by name,
+// so the second would be served the first's result. A Design without an
+// ID keeps its own name.
+func (r *Runner) fold(w workloadspec.Workload, d Design) (string, error) {
+	if r.idOf == nil {
+		r.idOf, r.nameOf = make(map[string]string), make(map[string]string)
+	}
+	wk := w.Ident() + "|"
+	if id, ok := r.idOf[wk+d.Name]; !ok {
+		r.idOf[wk+d.Name] = d.ID
+	} else if id != d.ID {
+		return "", fmt.Errorf("exp: design name %q names two machines on %s, %s and %s; give one a distinct \"name\"",
+			d.Name, w.Name, id, d.ID)
+	}
+	if d.ID == "" {
+		return d.Name, nil
+	}
+	name, ok := r.nameOf[wk+d.ID]
+	if !ok {
+		name = d.Name
+		r.nameOf[wk+d.ID] = name
+	}
+	return name, nil
 }
 
 // auxRun resolves the functional pass of the given kind over wcfg

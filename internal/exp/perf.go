@@ -24,12 +24,12 @@ func (r *Runner) speedups(base Design, designs []Design, families []workload.Fam
 		row := []interface{}{string(fam)}
 		ratios := make(map[string][]float64)
 		for _, wcfg := range r.workloads(fam) {
-			baseRes, err := r.run(wcfg, base.Name, base.Factory)
+			baseRes, err := r.run(wcfg, base)
 			if err != nil {
 				return nil, err
 			}
 			for _, d := range designs {
-				res, err := r.run(wcfg, d.Name, d.Factory)
+				res, err := r.run(wcfg, d)
 				if err != nil {
 					return nil, err
 				}
@@ -54,13 +54,13 @@ func (r *Runner) workloadSpeedups(base Design, designs []Design, workloads []wor
 	}
 	tb := stats.NewTable(header...)
 	for _, w := range workloads {
-		baseRes, err := r.runWorkload(w, base.Name, base.Factory)
+		baseRes, err := r.runWorkload(w, base)
 		if err != nil {
 			return nil, err
 		}
 		row := []interface{}{w.Name, fmt.Sprintf("%.3f", baseRes.IPC())}
 		for _, d := range designs {
-			res, err := r.runWorkload(w, d.Name, d.Factory)
+			res, err := r.runWorkload(w, d)
 			if err != nil {
 				return nil, err
 			}
@@ -83,15 +83,15 @@ func init() {
 			for _, fam := range perfFamilies {
 				var covU, cov64 []float64
 				for _, wcfg := range r.workloads(fam) {
-					b, err := r.run(wcfg, base.Name, base.Factory)
+					b, err := r.run(wcfg, base)
 					if err != nil {
 						return "", err
 					}
-					ru, err := r.run(wcfg, uubs.Name, uubs.Factory)
+					ru, err := r.run(wcfg, uubs)
 					if err != nil {
 						return "", err
 					}
-					r64, err := r.run(wcfg, u64.Name, u64.Factory)
+					r64, err := r.run(wcfg, u64)
 					if err != nil {
 						return "", err
 					}
@@ -117,7 +117,7 @@ func init() {
 			for _, fam := range perfFamilies {
 				var part, miss, over, under, all float64
 				for _, wcfg := range r.workloads(fam) {
-					res, err := r.run(wcfg, d.Name, d.Factory)
+					res, err := r.run(wcfg, d)
 					if err != nil {
 						return "", err
 					}
@@ -157,9 +157,9 @@ func init() {
 			base, u64, uubs := designConv32(), designConv64(), designUBS()
 			for _, fam := range perfFamilies {
 				for _, wcfg := range r.workloads(fam) {
-					b, _ := r.run(wcfg, base.Name, base.Factory)
-					ru, _ := r.run(wcfg, uubs.Name, uubs.Factory)
-					r64, _ := r.run(wcfg, u64.Name, u64.Factory)
+					b, _ := r.run(wcfg, base)
+					ru, _ := r.run(wcfg, uubs)
+					r64, _ := r.run(wcfg, u64)
 					det.Row(wcfg.Name,
 						stats.Speedup(ru.IPC()/b.IPC()),
 						stats.Speedup(r64.IPC()/b.IPC()),

@@ -45,7 +45,7 @@ func init() {
 			for _, d := range append([]Design{base}, designs[0]) {
 				var all []float64
 				for _, wcfg := range r.workloads(workload.FamilyX86Server) {
-					res, err := r.run(wcfg, d.Name, d.Factory)
+					res, err := r.run(wcfg, d)
 					if err != nil {
 						return "", err
 					}

@@ -22,7 +22,15 @@ import (
 // declarative DesignSpec, ParseDesign for a CLI shorthand, or the typed
 // New*Design constructors — rather than wiring factories by hand.
 type Design struct {
-	Name    string
+	Name string
+	// ID identifies the simulated machine: the design kind followed by
+	// the canonical JSON of its resolved frontend configuration, with the
+	// display name cleared. Designs with equal IDs simulate identically
+	// whatever their names ("ubs" and "ubs:32" are one machine), and
+	// designs that share a name but not an ID are different machines.
+	// Every registry-built Design has one; a hand-built Design leaves it
+	// empty and is told apart by its name alone.
+	ID      string
 	Factory FrontendFactory
 }
 
@@ -142,9 +150,22 @@ func buildConvDesign(d ConvDesign) (Design, error) {
 	if d.Name != "" {
 		cfg.Name = d.Name
 	}
-	return Design{Name: cfg.Name, Factory: func(h *mem.Hierarchy) (icache.Frontend, error) {
+	// The policy is a func, so the ID carries its name; "lru" is the
+	// default and encodes as it.
+	policy := d.Policy
+	if policy == "lru" {
+		policy = ""
+	}
+	id := struct {
+		Sets, Ways, BlockSize int
+		Lat                   uint64
+		MSHRs, Unit           int
+		ACIC                  bool
+		Policy                string
+	}{cfg.Sets, cfg.Ways, cfg.BlockSize, cfg.Lat, cfg.MSHRs, cfg.Unit, cfg.ACIC, policy}
+	return newDesign("conv", cfg.Name, id, func(h *mem.Hierarchy) (icache.Frontend, error) {
 		return icache.NewConventional(cfg, h)
-	}}, nil
+	})
 }
 
 // UBSDesign declares a UBS cache. The zero value is the Table II default;
@@ -208,9 +229,11 @@ func buildUBSDesign(d UBSDesign) (Design, error) {
 	if err := cfg.Validate(); err != nil {
 		return Design{}, err
 	}
-	return Design{Name: cfg.Name, Factory: func(h *mem.Hierarchy) (icache.Frontend, error) {
+	id := cfg
+	id.Name = ""
+	return newDesign("ubs", cfg.Name, id, func(h *mem.Hierarchy) (icache.Frontend, error) {
 		return ubs.New(cfg, h)
-	}}, nil
+	})
 }
 
 // SmallBlockDesign declares the Figure 12 small-block baseline. BlockSize
@@ -249,9 +272,11 @@ func buildSmallBlockDesign(d SmallBlockDesign) (Design, error) {
 	if d.Name != "" {
 		cfg.Name = d.Name
 	}
-	return Design{Name: cfg.Name, Factory: func(h *mem.Hierarchy) (icache.Frontend, error) {
+	id := cfg
+	id.Name = ""
+	return newDesign("smallblock", cfg.Name, id, func(h *mem.Hierarchy) (icache.Frontend, error) {
 		return icache.NewSmallBlock(cfg, h)
-	}}, nil
+	})
 }
 
 // DistillDesign declares the Figure 13 Line Distillation baseline; the
@@ -270,9 +295,21 @@ func buildDistillDesign(d DistillDesign) (Design, error) {
 	if d.Name != "" {
 		cfg.Name = d.Name
 	}
-	return Design{Name: cfg.Name, Factory: func(h *mem.Hierarchy) (icache.Frontend, error) {
+	id := cfg
+	id.Name = ""
+	return newDesign("distill", cfg.Name, id, func(h *mem.Hierarchy) (icache.Frontend, error) {
 		return icache.NewDistill(cfg, h)
-	}}, nil
+	})
+}
+
+// newDesign builds a registry Design whose ID is kind followed by the
+// canonical JSON of idCfg, the resolved config with its name cleared.
+func newDesign(kind, name string, idCfg interface{}, factory FrontendFactory) (Design, error) {
+	raw, err := json.Marshal(idCfg)
+	if err != nil {
+		return Design{}, fmt.Errorf("sim: %s design %q: %w", kind, name, err)
+	}
+	return Design{Name: name, ID: kind + string(raw), Factory: factory}, nil
 }
 
 // The built-in kinds, bound to their typed constructors: code that knows
