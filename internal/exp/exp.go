@@ -121,6 +121,21 @@ type SimPoint struct {
 	Factory  sim.FrontendFactory
 }
 
+// PointID is a simulation point's exact identity under one Runner's
+// Params: its workload's Ident and the (folded) design name it runs
+// under. Equal PointIDs have equal store keys. Capture deduplicates
+// points by it, fold scopes names by its workload half, and the runner
+// memoizes each point's store key by it.
+type PointID struct {
+	Workload string // workloadspec.Workload.Ident
+	Design   string
+}
+
+// PointOf returns the identity of design run on w.
+func PointOf(w workloadspec.Workload, design string) PointID {
+	return PointID{Workload: w.Ident(), Design: design}
+}
+
 // AuxPoint is one functional (timing-free) analysis pass — a Figure 1/4
 // style cache walk — captured during a dry run. Key ("fig1|server_001")
 // labels it and Workload names the workload it walks; Run executes the
@@ -141,16 +156,20 @@ type Runner struct {
 
 	// Capture state; dry runs are single-goroutine.
 	capturing bool
-	simSeen   map[string]bool
+	simSeen   map[PointID]bool
 	auxSeen   map[string]bool
 	sims      []SimPoint
 	auxes     []AuxPoint
 
 	// Design folding (see fold), kept across captures and renders so
-	// that both request a point under the same name. Keys are prefixed
-	// with the workload's Ident.
-	idOf   map[string]string // workload|design name -> design ID
-	nameOf map[string]string // workload|design ID -> first name requested
+	// that both request a point under the same name. Keys are scoped by
+	// the workload's Ident.
+	idOf   map[PointID]string // (workload, design name) -> design ID
+	nameOf map[PointID]string // (workload, design ID) -> first name requested
+
+	// wls holds each config's resolved Workload, built on its first
+	// request, so repeated points do not re-encode the config.
+	wls map[workload.Config]workloadspec.Workload
 }
 
 // NewRunner builds a Runner.
@@ -166,7 +185,7 @@ func NewRunner(opts Options) *Runner {
 // never calls Opts.Exec or Opts.Aux.
 func (r *Runner) Capture(e Experiment) (sims []SimPoint, aux []AuxPoint, err error) {
 	r.capturing = true
-	r.simSeen = make(map[string]bool)
+	r.simSeen = make(map[PointID]bool)
 	r.auxSeen = make(map[string]bool)
 	r.sims, r.auxes = nil, nil
 	defer func() {
@@ -198,9 +217,17 @@ func (r *Runner) workloads(f workload.Family) []workload.Config {
 }
 
 // run simulates (workload, design) for a generator-backed workload; it is
-// runWorkload over the config's resolved form.
+// runWorkload over the config's resolved form, built once per config.
 func (r *Runner) run(wcfg workload.Config, d Design) (sim.Result, error) {
-	return r.runWorkload(workloadspec.FromConfig(wcfg), d)
+	w, ok := r.wls[wcfg]
+	if !ok {
+		if r.wls == nil {
+			r.wls = make(map[workload.Config]workloadspec.Workload)
+		}
+		w = workloadspec.FromConfig(wcfg)
+		r.wls[wcfg] = w
+	}
+	return r.runWorkload(w, d)
 }
 
 // runWorkload simulates (workload, design) through Opts.Exec, under the
@@ -215,8 +242,8 @@ func (r *Runner) runWorkload(w workloadspec.Workload, d Design) (sim.Result, err
 		return sim.Result{}, err
 	}
 	if r.capturing {
-		if key := w.Ident() + "|" + design; !r.simSeen[key] {
-			r.simSeen[key] = true
+		if id := PointOf(w, design); !r.simSeen[id] {
+			r.simSeen[id] = true
 			r.sims = append(r.sims, SimPoint{
 				Params: r.Opts.params(), Workload: w,
 				Design: design, Factory: d.Factory,
@@ -237,11 +264,11 @@ func (r *Runner) runWorkload(w workloadspec.Workload, d Design) (sim.Result, err
 // ID keeps its own name.
 func (r *Runner) fold(w workloadspec.Workload, d Design) (string, error) {
 	if r.idOf == nil {
-		r.idOf, r.nameOf = make(map[string]string), make(map[string]string)
+		r.idOf, r.nameOf = make(map[PointID]string), make(map[PointID]string)
 	}
-	wk := w.Ident() + "|"
-	if id, ok := r.idOf[wk+d.Name]; !ok {
-		r.idOf[wk+d.Name] = d.ID
+	ident := w.Ident()
+	if id, ok := r.idOf[PointID{ident, d.Name}]; !ok {
+		r.idOf[PointID{ident, d.Name}] = d.ID
 	} else if id != d.ID {
 		return "", fmt.Errorf("exp: design name %q names two machines on %s, %s and %s; give one a distinct \"name\"",
 			d.Name, w.Name, id, d.ID)
@@ -249,10 +276,10 @@ func (r *Runner) fold(w workloadspec.Workload, d Design) (string, error) {
 	if d.ID == "" {
 		return d.Name, nil
 	}
-	name, ok := r.nameOf[wk+d.ID]
+	name, ok := r.nameOf[PointID{ident, d.ID}]
 	if !ok {
 		name = d.Name
-		r.nameOf[wk+d.ID] = name
+		r.nameOf[PointID{ident, d.ID}] = name
 	}
 	return name, nil
 }

@@ -1,11 +1,17 @@
 package runner
 
 import (
+	"bytes"
+	"context"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ubscache/internal/sim"
+	"ubscache/internal/workloadspec"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/sweep_tables.golden from this build")
@@ -58,5 +64,62 @@ func TestSweepTablesGolden(t *testing.T) {
 				t.Fatalf("tables drifted from %s at line %d:\n got  %q\n want %q", path, i+1, g, w)
 			}
 		}
+	}
+}
+
+// errRecomputed fails a simulation that a warm sweep should have read
+// from its result cache.
+var errRecomputed = errors.New("runner test: a warm sweep missed the result cache")
+
+// failRecompute is a Store.SimWorkload that fails every simulation.
+func failRecompute(context.Context, sim.Params, workloadspec.Workload, string, sim.FrontendFactory) (sim.Result, error) {
+	return sim.Result{}, errRecomputed
+}
+
+// TestSweepWarmTablesGolden re-renders TestSweepTablesGolden's sweep
+// from a result cache: a fresh Store over the cold pass's directory,
+// whose SimWorkload fails, must print the golden tables and the cold
+// pass's results.json byte for byte, and read every timed point and
+// functional pass from disk.
+func TestSweepWarmTablesGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "sweep_tables.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := goldenTablesSpec(4)
+	spec.OmitTimings = true // from_cache and seconds differ between the passes
+	dir := t.TempDir()
+	pass := func(store *Store) (string, []byte) {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "results.json")
+		out := runSweep(t, &Sweep{Spec: spec, Store: store, ResultsPath: path})
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return renderedText(out), raw
+	}
+	coldTables, coldResults := pass(NewStore(dir))
+	if coldTables != string(want) {
+		t.Fatal("the cold pass drifted from the golden tables; TestSweepTablesGolden shows where")
+	}
+	warm := NewStore(dir)
+	warm.SimWorkload = failRecompute
+	warmTables, warmResults := pass(warm)
+	if warmTables != coldTables {
+		t.Errorf("warm sweep rendered different tables:\n--- cold\n%s\n--- warm\n%s", coldTables, warmTables)
+	}
+	if !bytes.Equal(warmResults, coldResults) {
+		t.Errorf("warm sweep wrote a different results.json:\n--- cold\n%s\n--- warm\n%s", coldResults, warmResults)
+	}
+	warm.mu.Lock()
+	defer warm.mu.Unlock()
+	for key, e := range warm.entries {
+		if !e.meta.Disk {
+			t.Errorf("warm sweep computed %s", key)
+		}
+	}
+	if len(warm.entries) != 113 {
+		t.Errorf("warm sweep holds %d entries, want 104 timed points and 9 passes", len(warm.entries))
 	}
 }

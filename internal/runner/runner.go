@@ -79,11 +79,13 @@ func (sw *Sweep) RunContext(ctx context.Context) (*Outcome, error) {
 	if store == nil {
 		store = NewStore("")
 	}
+	keys := &pointKeys{}
 	r := exp.NewRunner(exp.Options{
 		Params:    sw.Spec.SimParams(),
 		PerFamily: sw.Spec.PerFamily,
 		Exec: func(p sim.Params, w workloadspec.Workload, design string, factory sim.FrontendFactory) (sim.Result, error) {
-			return store.RunWorkloadContext(ctx, p, w, design, factory)
+			res, _, err := store.runKeyed(ctx, keys.key(p, w, design), p, w, design, factory)
+			return res, err
 		},
 		Aux: store.RunAux,
 	})
@@ -122,7 +124,7 @@ func (sw *Sweep) RunContext(ctx context.Context) (*Outcome, error) {
 		}
 		pl := expPlan{e: e, sims: sims, aux: aux}
 		for _, pt := range sims {
-			key := WorkloadKey(pt.Params, pt.Workload, pt.Design)
+			key := keys.key(pt.Params, pt.Workload, pt.Design)
 			pl.keys = append(pl.keys, key)
 			if _, ok := points[key]; !ok {
 				points[key] = pt
@@ -131,7 +133,7 @@ func (sw *Sweep) RunContext(ctx context.Context) (*Outcome, error) {
 				schedule(pt.Workload.Name, Task{
 					Name: pt.Workload.Name + "/" + pt.Design,
 					Run: func() error {
-						_, err := store.RunWorkloadContext(ctx, pt.Params, pt.Workload, pt.Design, pt.Factory)
+						_, _, err := store.runKeyed(ctx, key, pt.Params, pt.Workload, pt.Design, pt.Factory)
 						return err
 					},
 				})
@@ -234,6 +236,32 @@ func (sw *Sweep) RunContext(ctx context.Context) (*Outcome, error) {
 		}
 	}
 	return out, nil
+}
+
+// pointKeys memoizes store keys by exact point identity (exp.PointID),
+// so a sweep hashes each distinct point once while planning and its
+// tasks and render phase reuse the key. Every point of a sweep shares
+// the sweep's Params, which the identity therefore leaves out; a request
+// under other Params bypasses the memo. It is not safe for concurrent
+// use: planning and rendering are single-goroutine.
+type pointKeys struct {
+	p    sim.Params
+	keys map[exp.PointID]string
+}
+
+func (m *pointKeys) key(p sim.Params, w workloadspec.Workload, design string) string {
+	if m.keys == nil {
+		m.p, m.keys = p, make(map[exp.PointID]string)
+	} else if p != m.p {
+		return WorkloadKey(p, w, design)
+	}
+	id := exp.PointOf(w, design)
+	key, ok := m.keys[id]
+	if !ok {
+		key = WorkloadKey(p, w, design)
+		m.keys[id] = key
+	}
+	return key
 }
 
 // flushPartial salvages an interrupted sweep: every point the store

@@ -148,7 +148,13 @@ func (s *Store) RunWorkloadContext(ctx context.Context, p sim.Params, w workload
 // on behalf of this call. The serving layer uses it to mark deduplicated
 // jobs.
 func (s *Store) RunWorkloadShared(ctx context.Context, p sim.Params, w workloadspec.Workload, design string, factory sim.FrontendFactory) (sim.Result, bool, error) {
-	key := WorkloadKey(p, w, design)
+	return s.runKeyed(ctx, WorkloadKey(p, w, design), p, w, design, factory)
+}
+
+// runKeyed is RunWorkloadShared under key, which the caller has computed
+// as WorkloadKey(p, w, design); a sweep passes the key it memoized while
+// planning instead of hashing the point again.
+func (s *Store) runKeyed(ctx context.Context, key string, p sim.Params, w workloadspec.Workload, design string, factory sim.FrontendFactory) (sim.Result, bool, error) {
 	e, shared, err := s.resolve(key, func() (entry, error) {
 		return s.compute(ctx, key, p, w, design, factory)
 	})

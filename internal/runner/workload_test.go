@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -196,5 +197,74 @@ func TestSweepWorkloadsValidation(t *testing.T) {
 	s := Spec{Workloads: []workloadspec.Spec{ws}}
 	if err := s.Validate(); err == nil {
 		t.Error("workloads without designs validated, want error")
+	}
+}
+
+// TestSweepConfigTwins: two "config" workloads that share a Name but not
+// a Seed are two workloads. Identified by name, the sweep planned only
+// the first twin's points; the second's ran during rendering, outside
+// results.json, which listed 2 runs instead of 4.
+func TestSweepConfigTwins(t *testing.T) {
+	base, err := workload.ByName("spec_001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ubs, err := sim.ParseDesignSpec("ubs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := Spec{
+		Designs:  []sim.DesignSpec{ubs},
+		Parallel: 2,
+		Params:   ParamSpec{Warmup: 5_000, Measure: 10_000},
+	}
+	p := spec.SimParams()
+	// Each point's key and the cycles it simulates to on its own.
+	want := make(map[string]uint64)
+	for _, seed := range []int64{base.Seed, base.Seed + 1} {
+		cfg := base
+		cfg.Seed = seed
+		raw, err := json.Marshal(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws := workloadspec.Spec{Kind: "config", Config: raw}
+		spec.Workloads = append(spec.Workloads, ws)
+		w, err := workloadspec.ResolveWorkload(ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range []sim.Design{sim.MustDesign("conv:32"), sim.MustDesign("ubs")} {
+			res, err := workloadspec.Run(context.Background(), p, w, d.Name, d.Factory)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[WorkloadKey(p, w, d.Name)] = res.Core.Cycles
+		}
+	}
+	if len(want) != 4 {
+		t.Fatalf("the twins' 4 points have %d distinct keys", len(want))
+	}
+
+	out := runSweep(t, &Sweep{Spec: spec})
+	if len(out.Results.Runs) != 4 {
+		t.Errorf("results.json lists %d runs, want 4", len(out.Results.Runs))
+	}
+	for _, run := range out.Results.Runs {
+		cycles, ok := want[run.Key]
+		if !ok {
+			t.Errorf("run %s/%s has key %s, no twin point's", run.Workload, run.Design, run.Key)
+		} else if run.Cycles != cycles {
+			t.Errorf("run %s/%s ran %d cycles, its point runs %d", run.Workload, run.Design, run.Cycles, cycles)
+		}
+	}
+	var rows []string
+	for _, line := range strings.Split(out.Experiments[0].Output, "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "spec_001") {
+			rows = append(rows, line)
+		}
+	}
+	if len(rows) != 2 || rows[0] == rows[1] {
+		t.Errorf("want two different spec_001 rows, got %q in\n%s", rows, out.Experiments[0].Output)
 	}
 }

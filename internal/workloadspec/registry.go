@@ -56,8 +56,9 @@ type Workload struct {
 	// content-hash identity for source-backed workloads.
 	Spec Spec
 
-	cfg  *workload.Config
-	open func() (trace.Source, error)
+	cfg   *workload.Config
+	open  func() (trace.Source, error)
+	ident string // Ident, set where the Workload is built
 }
 
 // Config returns the synthetic generator configuration behind the
@@ -83,18 +84,37 @@ func (w Workload) NewSource() (trace.Source, error) {
 	return nil, fmt.Errorf("workloadspec: zero Workload has no source")
 }
 
-// Ident is the workload's dedup identity within a process: the preset or
-// config name for generator-backed workloads (matching the experiment
-// harness's historical memo keys), the canonical spec otherwise.
+// Ident is the workload's exact identity: the canonical "kind:config"
+// spec of its resolved form. A generator-backed workload is identified
+// by the "config"-kind spec of its materialised workload.Config, so the
+// "preset:x", bare "x" and FromConfig spellings of one program share an
+// Ident, and two configs that share a Name but differ in any field do
+// not; a source-backed workload by its canonical Spec. Two workloads
+// have equal Idents exactly when runner.WorkloadKey hashes them alike.
+// Workloads built by this package carry it precomputed.
 func (w Workload) Ident() string {
-	if w.cfg != nil {
-		return w.Name
+	if w.ident != "" {
+		return w.ident
 	}
-	return w.Spec.Kind + ":" + string(w.Spec.Config)
+	return w.identOf()
+}
+
+func (w Workload) identOf() string {
+	if w.cfg == nil {
+		return w.Spec.Kind + ":" + string(w.Spec.Config)
+	}
+	raw, err := json.Marshal(w.cfg)
+	if err != nil {
+		// workload.Config is a flat struct of exported value fields;
+		// marshalling cannot fail.
+		panic(err)
+	}
+	return "config:" + string(raw)
 }
 
 // FromConfig wraps an explicit generator configuration as a resolved
-// "config"-kind workload.
+// "config"-kind workload. Its Spec encodes cfg as it is, so the spec
+// doubles as its Ident.
 func FromConfig(cfg workload.Config) Workload {
 	spec, err := specOf("config", cfg)
 	if err != nil {
@@ -102,7 +122,7 @@ func FromConfig(cfg workload.Config) Workload {
 		// marshalling cannot fail.
 		panic(err)
 	}
-	return Workload{Name: cfg.Name, Spec: spec, cfg: &cfg}
+	return Workload{Name: cfg.Name, Spec: spec, cfg: &cfg, ident: "config:" + string(spec.Config)}
 }
 
 // workloadKinds is the registration table mapping a kind to its config
@@ -119,7 +139,8 @@ var workloadKinds = map[string]func(json.RawMessage) (Workload, error){}
 // Registering a duplicate kind panics (a wiring error, caught at init).
 // A build that leaves Workload.Spec zero gets the canonical re-marshalled
 // spec filled in; builds that rewrite their config (e.g. inlining a mix
-// file) set Spec themselves.
+// file) set Spec themselves. The resolved Workload's Ident is computed
+// here, once.
 func RegisterWorkload[C any](kind string, build func(C) (Workload, error)) func(C) (Workload, error) {
 	if _, dup := workloadKinds[kind]; dup {
 		panic(fmt.Sprintf("workloadspec: workload kind %q registered twice", kind))
@@ -144,6 +165,7 @@ func RegisterWorkload[C any](kind string, build func(C) (Workload, error)) func(
 			}
 			w.Spec = spec
 		}
+		w.ident = w.identOf()
 		return w, nil
 	}
 	return build

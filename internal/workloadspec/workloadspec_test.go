@@ -76,8 +76,8 @@ func TestPresetSymmetry(t *testing.T) {
 		if !reflect.DeepEqual(cfg, legacy) {
 			t.Errorf("ParseWorkload(%q) config differs from workload.ByName", in)
 		}
-		if w.Ident() != "server_003" {
-			t.Errorf("Ident() = %q, want server_003", w.Ident())
+		if want := FromConfig(legacy).Ident(); w.Ident() != want {
+			t.Errorf("Ident() = %q, want %q", w.Ident(), want)
 		}
 	}
 }
@@ -323,19 +323,29 @@ func TestChampSimWorkload(t *testing.T) {
 	}
 }
 
-// TestWorkloadIdent pins the memo identity: generator-backed workloads
-// keep their legacy name identity, source-backed ones carry the canonical
-// spec.
+// TestWorkloadIdent pins the exact identity: a generator-backed workload
+// is its materialised config's canonical spec, whatever spelling built
+// it, so two configs sharing a Name but not a Seed differ; source-backed
+// ones carry their canonical spec.
 func TestWorkloadIdent(t *testing.T) {
 	p := MustWorkload("server_003")
-	if p.Ident() != "server_003" {
-		t.Errorf("preset Ident = %q", p.Ident())
+	cfg, _ := p.Config()
+	if !strings.HasPrefix(p.Ident(), `config:{"Name":"server_003",`) || p.Ident() != FromConfig(cfg).Ident() {
+		t.Errorf("preset Ident = %q, want the config spec of %+v", p.Ident(), cfg)
+	}
+	if lazy := (Workload{Name: cfg.Name, cfg: &cfg}); lazy.Ident() != p.Ident() {
+		t.Errorf("Ident computed on demand = %q, want %q", lazy.Ident(), p.Ident())
+	}
+	twin := cfg
+	twin.Seed++
+	if FromConfig(twin).Ident() == p.Ident() {
+		t.Errorf("configs differing only in Seed share Ident %q", p.Ident())
 	}
 	c, err := ResolveWorkload(Spec{Kind: "champsim", Config: []byte(`{"path":"x.champsim"}`)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(c.Ident(), "champsim:") {
+	if c.Ident() != `champsim:{"path":"x.champsim"}` {
 		t.Errorf("champsim Ident = %q, want champsim:<config>", c.Ident())
 	}
 }
